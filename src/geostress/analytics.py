@@ -12,13 +12,14 @@ geographic HHI is emitted alongside for reference.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .credit import CreditRow
 from .errors import AllZero, Misalignment, ZeroDenominator
 from .ingest import LinkedPortfolio
-from .model import StressResult
+from .model import StressResult, StressRow
 from .scenarios import Scenario
 from .valuation import ValuationRow
 
@@ -94,12 +95,15 @@ def group_el(
     return dict(sorted(sums.items()))
 
 
-def top_contributors(rows: Sequence[CreditRow], k: int) -> list[Contributor]:
+def top_contributors(
+    rows: Sequence[CreditRow | StressRow], k: int
+) -> list[Contributor]:
     """The k largest loss contributors, ties broken by id ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     total = sum(row.el_s for row in rows)
-    ranked = sorted(rows, key=lambda row: (-row.el_s, row.id))[:k]
+    # Equivalent to sorted(rows, key=...)[:k], without sorting every row.
+    ranked = heapq.nsmallest(k, rows, key=lambda row: (-row.el_s, row.id))
     return [
         Contributor(
             id=row.id,

@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import StressError
+from .errors import ScenarioParseError, StressError
 from .ingest import (
     LinkedPortfolio,
     link_exposures,
@@ -72,7 +72,11 @@ def _load_scenarios(config: RunConfig) -> list[Scenario]:
     scenarios: list[Scenario] = []
     for path in config.scenario_paths:
         with open(path, "r", encoding="utf-8") as fh:
-            scenarios.append(parse_scenario(fh.read()))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ScenarioParseError(f"{path}: not UTF-8: {exc}") from None
+        scenarios.append(parse_scenario(text))
     if config.builtin is not None:
         builtins = builtin_scenarios()
         if config.builtin == "all":
@@ -84,9 +88,14 @@ def _load_scenarios(config: RunConfig) -> list[Scenario]:
 
 def _write_atomic(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".stress-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give the report the mode a
+            # plain open() would.
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp_path, path)
     except BaseException:

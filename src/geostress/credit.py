@@ -70,7 +70,20 @@ def scenario_pd(
         + betas.fragility * fragility
         - betas.adaptation * adaptation
     )
-    return min(1.0, pd0 * math.exp(exponent))
+    try:
+        return min(1.0, pd0 * math.exp(exponent))
+    except OverflowError:
+        return pd_after_overflow(pd0, exponent)
+
+
+def pd_after_overflow(pd0: float, exponent: float) -> float:
+    """min(1, pd0 * exp(exponent)) for an exponent whose exp overflows.
+
+    The product is formed in log space; a zero baseline stays zero.
+    """
+    if pd0 == 0.0:
+        return 0.0
+    return math.exp(min(0.0, exponent + math.log(pd0)))
 
 
 def scenario_lgd(lgd0: float, hazard: float, lgd_gamma: float) -> float:

@@ -90,7 +90,7 @@ class MissingFragility(StressError):
 # --- scenario DSL -----------------------------------------------------------
 
 class ScenarioParseError(StressError):
-    """The scenario document is not valid JSON."""
+    """The scenario document is not valid JSON or a field has the wrong type."""
 
 
 class UnknownField(StressError):

@@ -53,7 +53,11 @@ GEOUNITS_HEADER = ["geo_id", "name", "channel"]
 
 @dataclass(frozen=True)
 class ExposureContext:
-    """Resolved per-instrument context: baseline hazards, fragility, channel."""
+    """Resolved geo-unit context: baseline hazards, fragility, channel.
+
+    link_exposures builds one per geo unit and shares it between the
+    instruments located there.
+    """
 
     baseline_hazards: dict[HazardType, float]
     fragility: float
@@ -212,30 +216,36 @@ def link_exposures(
 
     Order-preserving and deterministic; never alters any instrument
     numeric field. Requires all four hazard types and a fragility entry
-    for every referenced geo unit.
+    for every referenced geo unit. Each geo unit is resolved once:
+    instruments in the same geo unit share one ExposureContext object,
+    which lets scenario evaluation compute per-geo terms once.
     """
     by_geo = {unit.id: unit for unit in registry}
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
 
+    resolved: dict[str, ExposureContext] = {}
     contexts = []
     for inst in normalized.instruments:
-        unit = by_geo.get(inst.geo_id)
-        if unit is None:
-            raise UnresolvedGeo(inst.id, inst.geo_id)
-        baseline = {}
-        for hazard in HAZARD_TYPES:
+        context = resolved.get(inst.geo_id)
+        if context is None:
+            unit = by_geo.get(inst.geo_id)
+            if unit is None:
+                raise UnresolvedGeo(inst.id, inst.geo_id)
+            baseline = {}
+            for hazard in HAZARD_TYPES:
+                try:
+                    baseline[hazard] = hazards.intensity(inst.geo_id, hazard)
+                except KeyError:
+                    raise MissingHazard(inst.geo_id, hazard.value) from None
             try:
-                baseline[hazard] = hazards.intensity(inst.geo_id, hazard)
+                frag = fragility.fragility(inst.geo_id)
             except KeyError:
-                raise MissingHazard(inst.geo_id, hazard.value) from None
-        try:
-            frag = fragility.fragility(inst.geo_id)
-        except KeyError:
-            raise MissingFragility(inst.geo_id) from None
-        contexts.append(
-            ExposureContext(baseline_hazards=baseline, fragility=frag, channel=unit.channel)
-        )
+                raise MissingFragility(inst.geo_id) from None
+            context = resolved[inst.geo_id] = ExposureContext(
+                baseline_hazards=baseline, fragility=frag, channel=unit.channel
+            )
+        contexts.append(context)
     return LinkedPortfolio(
         portfolio=normalized, contexts=tuple(contexts), weight_source=weight_source
     )

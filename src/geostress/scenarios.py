@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -101,10 +102,26 @@ _BETA_FIELDS = {"hazard", "transition", "fragility", "adaptation"}
 def _num(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioParseError(f"{path}: expected a number, got {value!r}")
-    num = float(value)
+    try:
+        num = float(value)
+    except OverflowError:
+        raise ScenarioParseError(f"{path}: number out of float range") from None
+    if not math.isfinite(num):
+        raise ScenarioParseError(f"{path}: expected a finite number, got {num!r}")
     if num < 0.0:
         raise NegativeParameter(path, num)
     return num
+
+
+def _reject_constant(name: str) -> float:
+    raise ScenarioParseError(f"non-finite number {name} is not allowed")
+
+
+def _object(doc: dict, name: str) -> dict:
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{name}: expected an object, got {value!r}")
+    return dict(value)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -112,14 +129,17 @@ def parse_scenario(text: str) -> Scenario:
 
     Absent fields default to a no-op shock: multiplier 1.0 per hazard,
     transition 0.0, financing 0.0, lambda 0.0, repricing deltas 0.0,
-    lgd_gamma 0.0, betas 0.0.
+    lgd_gamma 0.0, betas 0.0. Every number must be finite and every
+    nested field an object; anything else raises a StressError.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+        raise ScenarioParseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
 
@@ -137,21 +157,21 @@ def parse_scenario(text: str) -> Scenario:
         raise UnknownKind(repr(doc["kind"])) from None
 
     multipliers = {h: 1.0 for h in HAZARD_TYPES}
-    for token, value in dict(doc.get("hazard_multipliers", {})).items():
+    for token, value in _object(doc, "hazard_multipliers").items():
         try:
             hazard = HazardType.from_token(token)
         except KeyError:
             raise UnknownHazardToken(token) from None
         multipliers[hazard] = _num(value, f"hazard_multipliers.{token}")
 
-    raw_transition = dict(doc.get("transition", {}))
+    raw_transition = _object(doc, "transition")
     default = _num(raw_transition.pop("default", 0.0), "transition.default")
     by_sector = {
         sector: _num(value, f"transition.{sector}")
         for sector, value in raw_transition.items()
     }
 
-    raw_repricing = dict(doc.get("repricing", {}))
+    raw_repricing = _object(doc, "repricing")
     for name in raw_repricing:
         if name not in _REPRICING_FIELDS:
             raise UnknownField(f"repricing.{name}")
@@ -159,7 +179,7 @@ def parse_scenario(text: str) -> Scenario:
         **{k: _num(v, f"repricing.{k}") for k, v in raw_repricing.items()}
     )
 
-    raw_betas = dict(doc.get("betas", {}))
+    raw_betas = _object(doc, "betas")
     for name in raw_betas:
         if name not in _BETA_FIELDS:
             raise UnknownField(f"betas.{name}")

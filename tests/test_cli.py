@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -117,6 +119,60 @@ class TestRun:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc[0]["report"]["top_contributors"]) == 3
+
+    def test_overflowing_exponent_clamps_pd(self, fixture_files, tmp_path):
+        scenario_path = tmp_path / "steep.json"
+        scenario_path.write_text(
+            '{"id":"steep","kind":"physical_shock","betas":{"hazard":1000}}'
+        )
+        code, out = run_cli(fixture_files, tmp_path, "--scenario", str(scenario_path))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert [row["pd_s"] for row in doc[0]["rows"]] == [1.0] * 10
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"id":"x","kind":"compound","transition":5}',
+            '{"id":"x","kind":"compound","betas":[1]}',
+            '{"id":"x","kind":"compound","hazard_multipliers":"ab"}',
+            '{"id":"x","kind":"compound","lambda":NaN}',
+            '{"id":"x","kind":"compound","betas":{"hazard":Infinity}}',
+            '{"id":"x","kind":"compound","repricing":{"delta_hazard":-Infinity}}',
+            '{"id":"x","kind":"compound","lgd_gamma":1e400}',
+            '{"id":"x","kind":"compound","lambda":1' + "0" * 400 + "}",
+            '{"id":"x","kind":"compound","lambda":' + "1" * 5000 + "}",
+            "[" * 100_000 + "]" * 100_000,
+            b'{"id":"\xff","kind":"compound"}',
+        ],
+        ids=[
+            "transition-number", "betas-list", "multipliers-string", "nan",
+            "infinity", "minus-infinity", "overflowing-float", "overflowing-int",
+            "int-too-long", "nested-too-deep", "not-utf8",
+        ],
+    )
+    def test_bad_scenario_document_exits_2(self, fixture_files, tmp_path, capsys, document):
+        scenario_path = tmp_path / "bad.json"
+        if isinstance(document, str):
+            document = document.encode()
+        scenario_path.write_bytes(document)
+        code, out = run_cli(fixture_files, tmp_path, "--scenario", str(scenario_path))
+        assert code == 2
+        assert "ScenarioParseError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_report_mode_follows_umask(self, fixture_files, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            code, out = run_cli(fixture_files, tmp_path, "--builtin", "orderly")
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".stress-")] == []
 
 
 class TestValidate:

@@ -41,6 +41,15 @@ class TestScenarioPd:
     def test_clamp_at_one(self):
         assert scenario_pd(0.5, 3.0, 0.0, 0.0, 0.0, BetaParams(hazard=2.0)) == 1.0
 
+    def test_overflowing_exponent(self):
+        # exp(710) overflows a float; the product is formed in log space.
+        steep = BetaParams(hazard=1.0)
+        assert scenario_pd(0.5, 710.0, 0.0, 0.0, 0.0, steep) == 1.0
+        assert scenario_pd(0.0, 710.0, 0.0, 0.0, 0.0, steep) == 0.0
+        assert scenario_pd(1e-320, 710.0, 0.0, 0.0, 0.0, steep) == pytest.approx(
+            math.exp(710.0 + math.log(1e-320)), rel=1e-9
+        )
+
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             scenario_pd(0.02, -0.1, 0.0, 0.0, 0.0, BetaParams())

@@ -144,6 +144,9 @@ class TestLinkExposures:
         assert ctx.fragility == 0.60
         assert ctx.channel.value == "wui"
         assert abs(sum(linked.portfolio.weights) - 1.0) <= 1e-9
+        # One context per geo unit, shared by the instruments located there.
+        assert linked.contexts[1] is ctx  # i02, also in g1
+        assert len({id(c) for c in linked.contexts}) == 4
 
     def test_order_preserved_and_fields_untouched(self):
         portfolio, *rest = self._parts()

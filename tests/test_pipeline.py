@@ -1,0 +1,191 @@
+"""The fused run_scenario against the layered reference path, bit for bit."""
+
+import dataclasses
+
+import pytest
+
+from geostress import (
+    BetaParams,
+    Channel,
+    FragilityTable,
+    GeoUnit,
+    HazardField,
+    HazardType,
+    Instrument,
+    Portfolio,
+    Repricing,
+    StressResult,
+    StressRow,
+    builtin_scenarios,
+    exposure_summary,
+    link_exposures,
+    portfolio_credit,
+    portfolio_valuation,
+    run_scenario,
+)
+
+# Sectors named by the built-in transition maps, then two that take the default.
+SECTORS = ("agriculture", "real_estate", "tourism", "retail", "mining")
+CHANNELS = tuple(Channel)
+
+
+def _mixed_linked():
+    """Shared geo units (twelve instruments each), unshared ones (one
+    instrument each), a high-hazard geo unit, and rows with pd0 and lgd0
+    near 1, so the clamps bind, and rows with pd0 = 0, which must stay 0
+    when exp overflows."""
+    shared = [f"s{k}" for k in range(4)]
+    single = [f"u{k:02d}" for k in range(12)]
+    geos = shared + single + ["hot"]
+    baselines = {
+        geo: {h: ((k * 7 + j * 3) % 10) / 10.0 for j, h in enumerate(HazardType)}
+        for k, geo in enumerate(geos)
+    }
+    baselines["hot"] = {h: 5.0 for h in HazardType}
+    instruments = []
+    placements = [shared[k % 4] for k in range(48)] + single + ["hot"] * 4
+    for k, geo in enumerate(placements):
+        high = k % 9 == 0
+        instruments.append(
+            Instrument(
+                id=f"i{k:03d}",
+                geo_id=geo,
+                sector=SECTORS[k % len(SECTORS)],
+                ead=1_000.0 + 37.0 * k,
+                pd0=0.9 if high else (k % 13) / 100.0,
+                lgd0=0.95 if high else 0.2 + (k % 7) / 10.0,
+                value=2_000.0 + 11.0 * k,
+                adaptation=(k % 5) / 4.0,
+            )
+        )
+    return link_exposures(
+        Portfolio(instruments=tuple(instruments)),
+        HazardField(
+            entries={(g, h): x for g, per in baselines.items() for h, x in per.items()}
+        ),
+        FragilityTable(entries={g: (k % 6) / 5.0 for k, g in enumerate(geos)}),
+        [GeoUnit(g, g, CHANNELS[k % len(CHANNELS)]) for k, g in enumerate(geos)],
+    )
+
+
+def _scenarios():
+    orderly, disorderly, physical, compound = builtin_scenarios()
+    scaled = dataclasses.replace(
+        compound,
+        id="compound-scaled",
+        lam=1.5,
+        betas=BetaParams(hazard=1.05, transition=1.35, fragility=0.75, adaptation=0.6),
+        repricing=Repricing(delta_hazard=0.2, delta_transition=0.3, delta_financing=0.5),
+    )
+    overflow = dataclasses.replace(
+        physical, id="physical-overflow", betas=BetaParams(hazard=1000.0)
+    )
+    return [orderly, disorderly, physical, compound, scaled, overflow]
+
+
+def _reference(linked, scenario, top_k):
+    credit_rows, total_el = portfolio_credit(linked, scenario)
+    valuation_rows, metric = portfolio_valuation(linked, scenario, credit_rows)
+    result = StressResult(
+        scenario_id=scenario.id,
+        rows=tuple(
+            StressRow(c.id, c.pd_s, c.lgd_s, c.el_s, v.dv_s)
+            for c, v in zip(credit_rows, valuation_rows)
+        ),
+        total_el=total_el,
+        climate_var=metric,
+    )
+    report = exposure_summary(
+        linked, scenario, credit_rows, valuation_rows, metric, top_k=top_k
+    )
+    return result, report
+
+
+@pytest.mark.parametrize("scenario", _scenarios(), ids=lambda s: s.id)
+@pytest.mark.parametrize("top_k", [3, 1000])
+def test_fused_path_is_bit_identical_to_layers(scenario, top_k):
+    linked = _mixed_linked()
+    result, report = run_scenario(linked, scenario, top_k=top_k)
+    expected_result, expected_report = _reference(linked, scenario, top_k)
+    # Dataclass equality compares floats exactly; repr also tells -0.0 from 0.0.
+    assert result == expected_result
+    assert report == expected_report
+    assert repr(result) == repr(expected_result)
+    assert repr(report) == repr(expected_report)
+    assert len(report.top_contributors) == min(top_k, len(result.rows))
+
+
+def test_fixture_exercises_sharing_defaults_and_clamps():
+    linked = _mixed_linked()
+    assert len({id(c) for c in linked.contexts}) == 17  # 4 shared + 12 single + hot
+    by_id = {s.id: s for s in _scenarios()}
+    assert "mining" not in by_id["compound"].transition.by_sector
+    result, _ = run_scenario(linked, by_id["compound-scaled"])
+    values = {i.id: i.value for i in linked.portfolio.instruments}
+    assert any(row.pd_s == 1.0 for row in result.rows)
+    assert any(row.pd_s < 1.0 for row in result.rows)
+    assert any(row.dv_s == -values[row.id] for row in result.rows)
+    assert any(row.dv_s > -values[row.id] for row in result.rows)
+    overflowed, _ = run_scenario(linked, by_id["physical-overflow"])
+    baseline = {i.id: i.pd0 for i in linked.portfolio.instruments}
+    assert {row.pd_s for row in overflowed.rows if baseline[row.id] == 0.0} == {0.0}
+
+
+def _outcome(evaluate):
+    try:
+        return repr(evaluate())
+    except Exception as exc:  # the outcome under test may be any error
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _with_instrument(linked, index, **changes):
+    instruments = list(linked.portfolio.instruments)
+    instruments[index] = dataclasses.replace(instruments[index], **changes)
+    portfolio = dataclasses.replace(linked.portfolio, instruments=tuple(instruments))
+    return dataclasses.replace(linked, portfolio=portfolio)
+
+
+def _with_context(linked, index, **changes):
+    contexts = list(linked.contexts)
+    contexts[index] = dataclasses.replace(contexts[index], **changes)
+    return dataclasses.replace(linked, contexts=tuple(contexts))
+
+
+_COMPOUND = builtin_scenarios()[3]
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "linked_change, scenario",
+    [
+        (None, dataclasses.replace(_COMPOUND, betas=BetaParams(hazard=-1.0))),
+        (None, dataclasses.replace(_COMPOUND, lgd_gamma=-0.5)),
+        (None, dataclasses.replace(_COMPOUND, financing_tightening=-0.3)),
+        (None, dataclasses.replace(_COMPOUND, repricing=Repricing(delta_financing=-0.1))),
+        (None, dataclasses.replace(_COMPOUND, lam=-1.0)),
+        (None, dataclasses.replace(_COMPOUND, lam=_NAN)),
+        (None, dataclasses.replace(
+            _COMPOUND, transition=dataclasses.replace(_COMPOUND.transition, by_sector={"mining": -0.2})
+        )),
+        (None, dataclasses.replace(
+            _COMPOUND, transition=dataclasses.replace(_COMPOUND.transition, default=_NAN)
+        )),
+        (lambda lk: _with_instrument(lk, 20, pd0=1.5), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, lgd0=_NAN), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, adaptation=-1.0), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, adaptation=_NAN), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, ead=-5.0), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, value=-2.0), _COMPOUND),
+        (lambda lk: _with_context(lk, 60, fragility=-0.1), _COMPOUND),
+        (lambda lk: _with_context(lk, 60, fragility=_NAN), _COMPOUND),
+        (lambda lk: _with_context(
+            lk, 60, baseline_hazards={h: -1.0 for h in HazardType}
+        ), _COMPOUND),
+    ],
+)
+def test_fused_path_checks_match_layers(linked_change, scenario):
+    linked = _mixed_linked()
+    if linked_change is not None:
+        linked = linked_change(linked)
+    fused = _outcome(lambda: run_scenario(linked, scenario))
+    assert fused == _outcome(lambda: _reference(linked, scenario, 10))
