@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_BUILTIN_INDEX = {"orderly": 0, "disorderly": 1, "physical": 2, "compound": 3}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; mirrors the ``stress run`` flags."""
@@ -50,7 +47,7 @@ class RunConfig:
     fragility: str
     geounits: str
     scenario_paths: tuple[str, ...] = ()
-    builtin: Optional[str] = None  # "all" or one of the builtin names
+    builtin: Optional[str] = None  # "all" or the id of one built-in
     out: str = ""
     format: str = "json"
     top_k: int = 10
@@ -78,11 +75,14 @@ def _load_scenarios(config: RunConfig) -> list[Scenario]:
                 raise ScenarioParseError(f"{path}: not UTF-8: {exc}") from None
         scenarios.append(parse_scenario(text))
     if config.builtin is not None:
-        builtins = builtin_scenarios()
-        if config.builtin == "all":
-            scenarios.extend(builtins)
-        else:
-            scenarios.append(builtins[_BUILTIN_INDEX[config.builtin]])
+        scenarios.extend(
+            s for s in builtin_scenarios() if config.builtin in ("all", s.id)
+        )
+    seen: set[str] = set()
+    for scenario in scenarios:
+        if scenario.id in seen:
+            raise ScenarioParseError(f"duplicate scenario id {scenario.id!r} in one run")
+        seen.add(scenario.id)
     return scenarios
 
 
@@ -151,8 +151,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--geounits", required=True)
     parser.add_argument("--scenario", action="append", default=[], metavar="PATH")
     parser.add_argument(
-        "--builtin",
-        choices=["all", "orderly", "disorderly", "physical", "compound"],
+        "--builtin", choices=["all", *(s.id for s in builtin_scenarios())]
     )
 
 

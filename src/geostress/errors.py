@@ -36,7 +36,7 @@ class MalformedRow(StressError):
 
 
 class SchemaMismatch(StressError):
-    """A CSV header does not match the documented schema."""
+    """A CSV file does not match the documented schema: header or encoding."""
 
 
 class InvariantViolation(StressError):

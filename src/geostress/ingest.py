@@ -7,10 +7,11 @@ File schemas (exact, ordered headers, UTF-8, "." decimal point):
 * fragility.csv:  geo_id,fragility
 * geounits.csv:   geo_id,name,channel
 
-Loading is strict: duplicate keys, unknown enum tokens, negative
-quantities, and missing columns are hard errors. A geo unit used by any
-instrument must carry all four hazard types and a fragility entry;
-truly absent hazards are encoded as explicit 0.0 rows.
+Loading is strict: duplicate keys, unknown enum tokens, negative or
+non-finite quantities, missing columns and bytes that are not UTF-8 are
+hard errors. A geo unit used by any instrument must carry all four
+hazard types and a fragility entry; truly absent hazards are encoded as
+explicit 0.0 rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from math import isfinite
 from typing import IO, Iterable, Sequence
 
 from .errors import (
@@ -77,29 +79,37 @@ def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[t
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     reader = csv.reader(text)
     try:
-        first = next(reader)
-    except StopIteration:
-        raise SchemaMismatch(f"{filename}: empty file, expected header {','.join(header)}") from None
-    if first != list(header):
-        missing = [col for col in header if col not in first]
-        if missing:
-            raise SchemaMismatch(f"{filename}: header missing column(s) {', '.join(missing)}")
-        raise SchemaMismatch(
-            f"{filename}: header {','.join(first)} != expected {','.join(header)}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and row[0] == ""):
-            continue  # blank trailing line permitted
-        if len(row) != len(header):
-            raise MalformedRow(filename, lineno, f"expected {len(header)} fields, got {len(row)}")
-        yield lineno, row
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise SchemaMismatch(f"{filename}: empty file, expected header {','.join(header)}") from None
+        if first != list(header):
+            missing = [col for col in header if col not in first]
+            if missing:
+                raise SchemaMismatch(f"{filename}: header missing column(s) {', '.join(missing)}")
+            raise SchemaMismatch(
+                f"{filename}: header {','.join(first)} != expected {','.join(header)}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and row[0] == ""):
+                continue  # blank trailing line permitted
+            if len(row) != len(header):
+                raise MalformedRow(filename, lineno, f"expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+    except UnicodeDecodeError as exc:
+        # The text layer decodes ahead of the reader in blocks, so the
+        # failing line is not known here; name the file.
+        raise SchemaMismatch(f"{filename}: not UTF-8: {exc.reason}") from None
 
 
 def _float(token: str, filename: str, lineno: int, column: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise MalformedRow(filename, lineno, f"{column}: not a number: {token!r}") from None
+    if not isfinite(value):
+        raise MalformedRow(filename, lineno, f"{column}: not a finite number: {token!r}")
+    return value
 
 
 def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfolio:

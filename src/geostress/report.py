@@ -3,6 +3,13 @@
 Both formats are canonical: JSON has sorted keys and numbers rounded to
 at most 12 significant digits, CSV has a fixed column order, so the same
 inputs always produce byte-identical reports.
+
+The JSON report is written from fixed templates, one per object shape,
+and must match ``json.dumps(docs, sort_keys=True, indent=2)`` byte for
+byte, where each number is ``float(f"{x:.12g}")``. The stdlib encoder
+runs in pure Python whenever ``indent`` is set, which made it the
+largest cost of a default run. ``tests/test_report.py`` holds the
+``json.dumps`` path as the reference and checks the two agree.
 """
 
 from __future__ import annotations
@@ -10,48 +17,106 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 from typing import Sequence
 
 from .analytics import ExposureReport
 from .model import StressResult
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+_ROW = (
+    "      {\n"
+    '        "dv_s": %s,\n'
+    '        "el_s": %s,\n'
+    '        "id": %s,\n'
+    '        "lgd_s": %s,\n'
+    '        "pd_s": %s\n'
+    "      }"
+)
+
+_CONTRIBUTOR = (
+    "        {\n"
+    '          "el_s": %s,\n'
+    '          "id": %s,\n'
+    '          "share": %s\n'
+    "        }"
+)
+
+_ENTRY = (
+    "  {\n"
+    '    "climate_var": %s,\n'
+    '    "report": {\n'
+    '      "el_by_geo": %s,\n'
+    '      "el_by_hazard_channel": %s,\n'
+    '      "el_by_sector": %s,\n'
+    '      "hhi_channel": %s,\n'
+    '      "hhi_geo": %s,\n'
+    '      "hhi_geo_ead": %s,\n'
+    '      "hhi_sector": %s,\n'
+    '      "top_contributors": %s,\n'
+    '      "weight_source": %s\n'
+    "    },\n"
+    '    "rows": %s,\n'
+    '    "scenario_id": %s,\n'
+    '    "total_el": %s\n'
+    "  }"
+)
 
 
-def _result_doc(result: StressResult, report: ExposureReport) -> dict:
-    return {
-        "scenario_id": result.scenario_id,
-        "rows": [
-            {
-                "id": row.id,
-                "pd_s": _round12(row.pd_s),
-                "lgd_s": _round12(row.lgd_s),
-                "el_s": _round12(row.el_s),
-                "dv_s": _round12(row.dv_s),
-            }
-            for row in result.rows
-        ],
-        "total_el": _round12(result.total_el),
-        "climate_var": _round12(result.climate_var),
-        "report": {
-            "el_by_geo": {k: _round12(v) for k, v in report.el_by_geo.items()},
-            "el_by_hazard_channel": {
-                k: _round12(v) for k, v in report.el_by_hazard_channel.items()
-            },
-            "el_by_sector": {k: _round12(v) for k, v in report.el_by_sector.items()},
-            "hhi_geo": _round12(report.hhi_geo),
-            "hhi_sector": _round12(report.hhi_sector),
-            "hhi_channel": _round12(report.hhi_channel),
-            "hhi_geo_ead": _round12(report.hhi_geo_ead),
-            "top_contributors": [
-                {"id": c.id, "el_s": _round12(c.el_s), "share": _round12(c.share)}
-                for c in report.top_contributors
-            ],
-            "weight_source": report.weight_source,
-        },
-    }
+def _number(x: float) -> str:
+    """What ``json.dumps`` writes for ``x`` rounded to 12 significant digits."""
+    s = "%.12g" % x
+    if "." in s and "e" not in s:
+        # Fixed notation, at most 12 significant digits, no trailing
+        # zeros: repr(float(s)) prints exactly these characters.
+        return s
+    # Integral values, exponents, -0.0 and non-finite values.
+    v = float(s)
+    return repr(v) if isfinite(v) else json.dumps(v)
+
+
+def _container(members: list[str], indent: str, brackets: str) -> str:
+    """A JSON array (``brackets`` is ``"[]"``) or object (``"{}"``) from
+    members that carry their own indent; empty ones stay on one line."""
+    if not members:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{indent}{brackets[1]}"
+
+
+def _group(sums: dict[str, float]) -> str:
+    return _container(
+        [f"        {_string(k)}: {_number(v)}" for k, v in sorted(sums.items())],
+        "      ",
+        "{}",
+    )
+
+
+def _entry(result: StressResult, report: ExposureReport) -> str:
+    num, string = _number, _string
+    rows = [
+        _ROW % (num(r.dv_s), num(r.el_s), string(r.id), num(r.lgd_s), num(r.pd_s))
+        for r in result.rows
+    ]
+    contributors = [
+        _CONTRIBUTOR % (num(c.el_s), string(c.id), num(c.share))
+        for c in report.top_contributors
+    ]
+    return _ENTRY % (
+        num(result.climate_var),
+        _group(report.el_by_geo),
+        _group(report.el_by_hazard_channel),
+        _group(report.el_by_sector),
+        num(report.hhi_channel),
+        num(report.hhi_geo),
+        num(report.hhi_geo_ead),
+        num(report.hhi_sector),
+        _container(contributors, "      ", "[]"),
+        string(report.weight_source),
+        _container(rows, "    ", "[]"),
+        string(result.scenario_id),
+        num(result.total_el),
+    )
 
 
 def emit_report(
@@ -61,8 +126,8 @@ def emit_report(
     if not results:
         raise ValueError("emit_report needs at least one result")
     if format == "json":
-        docs = [_result_doc(result, report) for result, report in results]
-        return (json.dumps(docs, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        entries = [_entry(result, report) for result, report in results]
+        return ("[\n" + ",\n".join(entries) + "\n]\n").encode("ascii")
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

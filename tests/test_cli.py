@@ -161,6 +161,36 @@ class TestRun:
         assert "ScenarioParseError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_portfolio_number_exits_2(self, fixture_files, tmp_path, capsys):
+        bad = portfolio_csv().replace(b"1000000.0", b"nan", 1)
+        fixture_files["portfolio"].write_bytes(bad)
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "compound")
+        assert code == 2
+        assert "MalformedRow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_portfolio_exits_2(self, fixture_files, tmp_path, capsys):
+        bad = portfolio_csv().replace(b"retail", b"r\xe9tail", 1)
+        fixture_files["portfolio"].write_bytes(bad)
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "SchemaMismatch" in err and "portfolio.csv: not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["builtin", "scenario"])
+    def test_duplicate_scenario_id_exits_2(self, fixture_files, tmp_path, capsys, second):
+        scenario_path = tmp_path / "mine.json"
+        scenario_path.write_text('{"id":"compound","kind":"physical_shock"}')
+        extra = ["--scenario", str(scenario_path)]
+        extra += ["--builtin", "all"] if second == "builtin" else extra
+        code, out = run_cli(fixture_files, tmp_path, *extra)
+        assert code == 2
+        err = capsys.readouterr()
+        assert "ScenarioParseError" in err.err and "'compound'" in err.err
+        assert err.out == ""  # rejected before any scenario ran
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
     )

@@ -26,6 +26,7 @@ from geostress import (
 from geostress.errors import (
     DuplicateKey,
     InvariantViolation,
+    MalformedRow,
     MissingFragility,
     MissingHazard,
     NegativeFragility,
@@ -183,6 +184,55 @@ class TestLinkExposures:
         )
         linked = link_exposures(weighted, hazards, fragility, registry)
         assert linked.weight_source == "provided"
+
+
+# (loader, header, one valid row) for every loader with a numeric column.
+_NUMERIC_FILES = {
+    "portfolio": (load_portfolio, "id,geo_id,sector,ead,pd0,lgd0,value,adaptation",
+                  "a,g1,retail,100,0.02,0.4,120,0.1"),
+    "hazards": (load_hazard_table, "geo_id,hazard,intensity", "g1,flood,0.5"),
+    "fragility": (load_fragility, "geo_id,fragility", "g1,0.5"),
+}
+_NUMERIC_COLUMNS = [
+    ("portfolio", "ead"), ("portfolio", "pd0"), ("portfolio", "lgd0"),
+    ("portfolio", "value"), ("portfolio", "adaptation"),
+    ("hazards", "intensity"), ("fragility", "fragility"),
+]
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400"])
+@pytest.mark.parametrize("kind, column", _NUMERIC_COLUMNS)
+def test_non_finite_number_rejected(kind, column, token):
+    loader, header, row = _NUMERIC_FILES[kind]
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = token
+    data = f"{header}\n{row}\n{','.join(fields)}\n".encode()
+    with pytest.raises(MalformedRow, match=f"{kind}.csv:3: .*{column}: not a finite number"):
+        loader(as_stream(data), filename=f"{kind}.csv")
+
+
+_ALL_FILES = {
+    **_NUMERIC_FILES,
+    "geounits": (load_geounits, "geo_id,name,channel", "g1,G1,wui"),
+}
+
+
+@pytest.mark.parametrize("where", ["header", "first-row", "late-row"])
+@pytest.mark.parametrize("kind", sorted(_ALL_FILES))
+def test_non_utf8_file_rejected(kind, where):
+    loader, header, row = _ALL_FILES[kind]
+    lines = [header.encode(), row.encode()]
+    if where == "header":
+        lines[0] = lines[0].replace(b"geo_id", b"geo_\xe9d")
+    elif where == "first-row":
+        lines[1] = lines[1].replace(b"g1", b"g\xe9")
+    else:
+        # Past the text layer's first decoded block.
+        lines += [row.replace("g1", f"g{k}").encode() for k in range(2, 2000)]
+        lines.append(row.replace("g1", "g\xff").encode("latin-1"))
+    data = b"\n".join(lines) + b"\n"
+    with pytest.raises(SchemaMismatch, match=f"{kind}.csv: not UTF-8"):
+        loader(as_stream(data), filename=f"{kind}.csv")
 
 
 def test_fixture_files_load(fixture_files):
