@@ -9,16 +9,20 @@ File schemas (exact, ordered headers, UTF-8, "." decimal point):
 
 Loading is strict: duplicate keys, unknown enum tokens, negative or
 non-finite quantities, missing columns and bytes that are not UTF-8 are
-hard errors. A geo unit used by any instrument must carry all four
-hazard types and a fragility entry; truly absent hazards are encoded as
-explicit 0.0 rows.
+hard errors. Numbers are ASCII decimal or exponent notation, which
+covers ``repr`` of every finite float: no surrounding whitespace, no
+underscores, no other digits. A geo unit used by any instrument must
+carry all four hazard types and a fragility entry; truly absent hazards
+are encoded as explicit 0.0 rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from typing import IO, Iterable, Sequence
 
@@ -35,6 +39,8 @@ from .errors import (
     UnresolvedGeo,
 )
 from .model import (
+    CHANNEL_BY_TOKEN,
+    HAZARD_BY_TOKEN,
     HAZARD_TYPES,
     Channel,
     FragilityTable,
@@ -67,6 +73,33 @@ class ExposureContext:
 
 
 @dataclass(frozen=True)
+class LinkCodes:
+    """Integer codes for what repeats across a linked portfolio's rows.
+
+    Each ``*_codes`` list holds one index per instrument into the
+    distinct values beside it, which are kept in first-appearance order.
+    Contexts are told apart by identity; ``context_channels`` holds each
+    distinct context's index into ``channels``.
+    """
+
+    contexts: tuple[ExposureContext, ...]
+    context_codes: list[int]
+    geo_ids: tuple[str, ...]
+    geo_codes: list[int]
+    sectors: tuple[str, ...]
+    sector_codes: list[int]
+    channels: tuple[str, ...]
+    context_channels: tuple[int, ...]
+
+
+def _codes(keys: Iterable[object]) -> tuple[dict, list[int]]:
+    """First-appearance codes for ``keys``: the key-to-code map and the
+    code of each key in turn."""
+    index: dict = {}
+    return index, [index.setdefault(key, len(index)) for key in keys]
+
+
+@dataclass(frozen=True)
 class LinkedPortfolio:
     """A weight-normalized portfolio with resolved geo context per row."""
 
@@ -74,8 +107,39 @@ class LinkedPortfolio:
     contexts: tuple[ExposureContext, ...]
     weight_source: str  # "provided" or "derived_from_value"
 
+    @cached_property
+    def codes(self) -> LinkCodes:
+        """The rows' integer codes, derived from the fields on first use.
+
+        ``dataclasses.replace`` builds a new object, so the codes never
+        outlive the fields they were derived from.
+        """
+        instruments = self.portfolio.instruments
+        _, context_codes = _codes(map(id, self.contexts))
+        contexts = tuple({id(c): c for c in self.contexts}.values())
+        geo_index, geo_codes = _codes(inst.geo_id for inst in instruments)
+        if geo_codes == context_codes:
+            geo_codes = context_codes  # one context per geo unit: share the list
+        sector_index, sector_codes = _codes(inst.sector for inst in instruments)
+        channel_index, context_channels = _codes(c.channel.value for c in contexts)
+        return LinkCodes(
+            contexts=contexts,
+            context_codes=context_codes,
+            geo_ids=tuple(geo_index),
+            geo_codes=geo_codes,
+            sectors=tuple(sector_index),
+            sector_codes=sector_codes,
+            channels=tuple(channel_index),
+            context_channels=tuple(context_channels),
+        )
+
 
 def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
+    """The data rows of a CSV stream after its header, with line numbers.
+
+    The caller's stream stays open: the text layer is detached from it
+    once the rows are read or the reading stops.
+    """
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     reader = csv.reader(text)
     try:
@@ -100,6 +164,14 @@ def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[t
         # The text layer decodes ahead of the reader in blocks, so the
         # failing line is not known here; name the file.
         raise SchemaMismatch(f"{filename}: not UTF-8: {exc.reason}") from None
+    finally:
+        text.detach()
+
+
+# The characters of numbers joined by ",". A string that float() reads
+# and that matches this is "." decimal or exponent notation: float() also
+# reads underscores, surrounding whitespace, non-ASCII digits, nan and inf.
+_PLAIN_NUMBERS = re.compile(r"[-+.0-9eE,]+")
 
 
 def _float(token: str, filename: str, lineno: int, column: str) -> float:
@@ -109,7 +181,27 @@ def _float(token: str, filename: str, lineno: int, column: str) -> float:
         raise MalformedRow(filename, lineno, f"{column}: not a number: {token!r}") from None
     if not isfinite(value):
         raise MalformedRow(filename, lineno, f"{column}: not a finite number: {token!r}")
+    if not _PLAIN_NUMBERS.fullmatch(token):
+        raise MalformedRow(filename, lineno, f"{column}: not a number: {token!r}")
     return value
+
+
+def _portfolio_numbers(cells: list[str], filename: str, lineno: int) -> list[float]:
+    """A portfolio row's five numbers, checked as one string; the cells are
+    checked one by one only to name a bad one."""
+    try:
+        numbers = list(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        # float() read every cell, so no cell holds a ",".
+        if isfinite(sum(numbers)) and _PLAIN_NUMBERS.fullmatch(",".join(cells)):
+            return numbers
+    # A bad cell raises; if none does, only the sum above overflowed.
+    return [
+        _float(cell, filename, lineno, column)
+        for cell, column in zip(cells, PORTFOLIO_HEADER[3:])
+    ]
 
 
 def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfolio:
@@ -117,21 +209,8 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     instruments = []
     for lineno, row in _rows(source, filename, PORTFOLIO_HEADER):
         inst_id, geo_id, sector = row[0], row[1], row[2]
-        ead, pd0, lgd0, value, adaptation = (
-            _float(row[i], filename, lineno, PORTFOLIO_HEADER[i]) for i in range(3, 8)
-        )
-        instruments.append(
-            Instrument(
-                id=inst_id,
-                geo_id=geo_id,
-                sector=sector,
-                ead=ead,
-                pd0=pd0,
-                lgd0=lgd0,
-                value=value,
-                adaptation=adaptation,
-            )
-        )
+        ead, pd0, lgd0, value, adaptation = _portfolio_numbers(row[3:], filename, lineno)
+        instruments.append(Instrument(inst_id, geo_id, sector, ead, pd0, lgd0, value, adaptation))
     portfolio = Portfolio(instruments=tuple(instruments))
     violations = validate_portfolio(portfolio)
     if violations:
@@ -167,10 +246,9 @@ def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> Hazar
     entries: dict[tuple[str, HazardType], float] = {}
     for lineno, row in _rows(source, filename, HAZARDS_HEADER):
         geo_id, token = row[0], row[1]
-        try:
-            hazard = HazardType.from_token(token)
-        except KeyError:
-            raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}") from None
+        hazard = HAZARD_BY_TOKEN.get(token)
+        if hazard is None:
+            raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}")
         intensity = _float(row[2], filename, lineno, "intensity")
         if intensity < 0.0:
             raise NegativeIntensity(f"{filename}:{lineno}: intensity {intensity} < 0")
@@ -206,12 +284,9 @@ def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[Geo
         if geo_id in seen:
             raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
         seen.add(geo_id)
-        try:
-            channel = Channel.from_token(channel_token)
-        except KeyError:
-            raise MalformedRow(
-                filename, lineno, f"unknown channel {channel_token!r}"
-            ) from None
+        channel = CHANNEL_BY_TOKEN.get(channel_token)
+        if channel is None:
+            raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
         units.append(GeoUnit(id=geo_id, name=name, channel=channel))
     return units
 
@@ -231,6 +306,7 @@ def link_exposures(
     which lets scenario evaluation compute per-geo terms once.
     """
     by_geo = {unit.id: unit for unit in registry}
+    intensities, fragilities = hazards.entries, fragility.entries
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
 
@@ -245,11 +321,11 @@ def link_exposures(
             baseline = {}
             for hazard in HAZARD_TYPES:
                 try:
-                    baseline[hazard] = hazards.intensity(inst.geo_id, hazard)
+                    baseline[hazard] = intensities[(inst.geo_id, hazard)]
                 except KeyError:
                     raise MissingHazard(inst.geo_id, hazard.value) from None
             try:
-                frag = fragility.fragility(inst.geo_id)
+                frag = fragilities[inst.geo_id]
             except KeyError:
                 raise MissingFragility(inst.geo_id) from None
             context = resolved[inst.geo_id] = ExposureContext(

@@ -1,7 +1,7 @@
 """Core domain types: geo units, hazards, instruments, portfolios, results.
 
-All types are frozen dataclasses (or enums) and safe to share read-only
-across workers. Numeric conventions:
+All types are frozen dataclasses, named tuples or enums, and safe to
+share read-only across workers. Numeric conventions:
 
 * probabilities and fractions live in [0, 1]
 * hazard intensities, fragility, and adaptation are dimensionless, >= 0
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidWeights, ZeroTotalValue
 
@@ -27,15 +27,9 @@ class HazardType(enum.Enum):
     FLOOD = "flood"
     HEAT = "heat"
 
-    @classmethod
-    def from_token(cls, token: str) -> "HazardType":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise KeyError(token)
-
 
 HAZARD_TYPES: tuple[HazardType, ...] = tuple(HazardType)
+HAZARD_BY_TOKEN: dict[str, HazardType] = {h.value: h for h in HazardType}
 
 
 class Channel(enum.Enum):
@@ -47,12 +41,8 @@ class Channel(enum.Enum):
     URBAN_HEAT = "urban_heat"
     OTHER = "other"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Channel":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise KeyError(token)
+
+CHANNEL_BY_TOKEN: dict[str, Channel] = {c.value: c for c in Channel}
 
 
 @dataclass(frozen=True)
@@ -130,9 +120,12 @@ class Portfolio:
     weights: Optional[tuple[float, ...]] = None
 
 
-@dataclass(frozen=True)
-class StressRow:
-    """Per-instrument outcome under one scenario."""
+class StressRow(NamedTuple):
+    """Per-instrument outcome under one scenario.
+
+    A named tuple because one is built per instrument per scenario: it is
+    immutable, and several times cheaper to build than a dataclass.
+    """
 
     id: str
     pd_s: float

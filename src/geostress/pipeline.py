@@ -1,19 +1,20 @@
 """End-to-end scenario evaluation over a linked portfolio.
 
 ``run_scenario`` is the fused evaluation path: link once, evaluate many.
-For each scenario it computes the binding hazard H once per geo unit and
-the transition shock T once per sector, then makes one pass over the
-instruments. The layer functions (``portfolio_credit`` ->
-``portfolio_valuation`` -> ``exposure_summary``) are the reference path:
-the fused path performs the same float operations in the same order, so
-its results are bit-identical to theirs, and it runs every domain check
-they run, each once per scenario, geo context, sector or instrument.
+For each scenario it computes the binding hazard H once per geo context
+and the transition shock T once per sector, into lists indexed by the
+linked portfolio's integer codes (``LinkedPortfolio.codes``), then makes
+one pass over the instruments that sums into lists indexed the same way.
+The layer functions (``portfolio_credit`` -> ``portfolio_valuation`` ->
+``exposure_summary``) are the reference path: the fused path performs
+the same float operations in the same order, so its results are
+bit-identical to theirs, and it runs every domain check they run, each
+once per scenario, geo context, sector or instrument.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from .analytics import ExposureReport, hhi, top_contributors
 from .credit import (
@@ -71,42 +72,44 @@ def run_scenario(
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
 
-    # Filled on first use: per geo context (b_H*H, b_U*U, 1 + gamma*H, dH*H,
-    # channel tag); per sector (b_T*T, dT*T).
-    context_terms: dict[int, tuple[float, float, float, float, str]] = {}
-    sector_terms: dict[str, tuple[float, float]] = {}
+    codes = linked.codes
+    # Per distinct geo context: b_H*H, b_U*U, 1 + gamma*H, dH*H, channel code.
+    context_terms = []
+    for context, channel_code in zip(codes.contexts, codes.context_channels):
+        hazard = effective_hazard(context, scenario)
+        _require_nonnegative(hazard=hazard, fragility=context.fragility)
+        context_terms.append((
+            betas.hazard * hazard,
+            betas.fragility * context.fragility,
+            1.0 + scenario.lgd_gamma * hazard,
+            repricing.delta_hazard * hazard,
+            channel_code,
+        ))
+    # Per sector: b_T*T, dT*T.
+    sector_terms = []
+    for sector in codes.sectors:
+        transition = scenario.transition.for_sector(sector)
+        _require_nonnegative(transition=transition)
+        sector_terms.append(
+            (betas.transition * transition, repricing.delta_transition * transition)
+        )
 
     exp = math.exp
+    new_row = tuple.__new__  # StressRow(...) without its Python-level __new__
     rows = []
+    append_row = rows.append
     total_el = 0.0
     weighted_dv = 0.0
-    geo_el: defaultdict[str, float] = defaultdict(float)
-    sector_el: defaultdict[str, float] = defaultdict(float)
-    channel_el: defaultdict[str, float] = defaultdict(float)
-    geo_ead: defaultdict[str, float] = defaultdict(float)
-    for inst, context, weight in zip(instruments, contexts, weights):
-        terms = context_terms.get(id(context))
-        if terms is None:
-            hazard = effective_hazard(context, scenario)
-            _require_nonnegative(hazard=hazard, fragility=context.fragility)
-            terms = context_terms[id(context)] = (
-                betas.hazard * hazard,
-                betas.fragility * context.fragility,
-                1.0 + scenario.lgd_gamma * hazard,
-                repricing.delta_hazard * hazard,
-                context.channel.value,
-            )
-        b_h, b_u, lgd_factor, d_h, channel = terms
-        sector = inst.sector
-        shocks = sector_terms.get(sector)
-        if shocks is None:
-            transition = scenario.transition.for_sector(sector)
-            _require_nonnegative(transition=transition)
-            shocks = sector_terms[sector] = (
-                betas.transition * transition,
-                repricing.delta_transition * transition,
-            )
-        b_t, d_t = shocks
+    # Sums indexed by code, each added to in row order.
+    geo_el = [0.0] * len(codes.geo_ids)
+    geo_ead = [0.0] * len(codes.geo_ids)
+    sector_el = [0.0] * len(codes.sectors)
+    channel_el = [0.0] * len(codes.channels)
+    for inst, context_code, geo_code, sector_code, weight in zip(
+        instruments, codes.context_codes, codes.geo_codes, codes.sector_codes, weights
+    ):
+        b_h, b_u, lgd_factor, d_h, channel_code = context_terms[context_code]
+        b_t, d_t = sector_terms[sector_code]
         pd0, lgd0, ead, value, adaptation = (
             inst.pd0, inst.lgd0, inst.ead, inst.value, inst.adaptation
         )
@@ -137,14 +140,13 @@ def run_scenario(
             loss_fraction = 1.0
         dv_s = -value * loss_fraction
 
-        rows.append(StressRow(inst.id, pd_s, lgd_s, el_s, dv_s))
+        append_row(new_row(StressRow, (inst.id, pd_s, lgd_s, el_s, dv_s)))
         total_el += el_s
         weighted_dv += weight * dv_s
-        geo = inst.geo_id
-        geo_el[geo] += el_s
-        sector_el[sector] += el_s
-        channel_el[channel] += el_s
-        geo_ead[geo] += ead
+        geo_el[geo_code] += el_s
+        sector_el[sector_code] += el_s
+        channel_el[channel_code] += el_s
+        geo_ead[geo_code] += ead
 
     _check_weights(weights, len(instruments))
     _require_nonnegative(**{"lambda": scenario.lam})
@@ -154,7 +156,12 @@ def run_scenario(
         scenario_id=scenario.id, rows=tuple(rows), total_el=total_el, climate_var=metric
     )
     el_by_geo, el_by_sector, el_by_channel = (
-        dict(sorted(sums.items())) for sums in (geo_el, sector_el, channel_el)
+        dict(sorted(zip(names, sums)))
+        for names, sums in (
+            (codes.geo_ids, geo_el),
+            (codes.sectors, sector_el),
+            (codes.channels, channel_el),
+        )
     )
     report = ExposureReport(
         scenario_id=scenario.id,
@@ -164,7 +171,7 @@ def run_scenario(
         hhi_geo=hhi(list(el_by_geo.values())),
         hhi_sector=hhi(list(el_by_sector.values())),
         hhi_channel=hhi(list(el_by_channel.values())),
-        hhi_geo_ead=hhi(list(geo_ead.values())),
+        hhi_geo_ead=hhi(geo_ead),
         top_contributors=tuple(top_contributors(result.rows, top_k)),
         climate_var=metric,
         weight_source=linked.weight_source,

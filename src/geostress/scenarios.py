@@ -28,7 +28,7 @@ from .errors import (
     UnknownHazardToken,
     UnknownKind,
 )
-from .model import HAZARD_TYPES, BetaParams, HazardType
+from .model import HAZARD_BY_TOKEN, HAZARD_TYPES, BetaParams, HazardType
 
 
 class ScenarioKind(enum.Enum):
@@ -37,12 +37,8 @@ class ScenarioKind(enum.Enum):
     PHYSICAL_SHOCK = "physical_shock"
     COMPOUND = "compound"
 
-    @classmethod
-    def from_token(cls, token: str) -> "ScenarioKind":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise KeyError(token)
+
+_KIND_BY_TOKEN: dict[str, ScenarioKind] = {k.value: k for k in ScenarioKind}
 
 
 @dataclass(frozen=True)
@@ -152,14 +148,14 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc["id"], str) or not doc["id"]:
         raise ScenarioParseError("id must be a nonempty string")
     try:
-        kind = ScenarioKind.from_token(doc["kind"])
-    except (KeyError, TypeError):
+        kind = _KIND_BY_TOKEN[doc["kind"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable token
         raise UnknownKind(repr(doc["kind"])) from None
 
     multipliers = {h: 1.0 for h in HAZARD_TYPES}
     for token, value in _object(doc, "hazard_multipliers").items():
         try:
-            hazard = HazardType.from_token(token)
+            hazard = HAZARD_BY_TOKEN[token]
         except KeyError:
             raise UnknownHazardToken(token) from None
         multipliers[hazard] = _num(value, f"hazard_multipliers.{token}")

@@ -55,7 +55,7 @@ def make_portfolio(instrument_dicts=INSTRUMENT_DICTS) -> Portfolio:
 def make_hazard_field(baselines=BASELINE_HAZARDS) -> HazardField:
     return HazardField(
         entries={
-            (geo, HazardType.from_token(token)): intensity
+            (geo, HazardType(token)): intensity
             for geo, per_geo in baselines.items()
             for token, intensity in per_geo.items()
         }
@@ -64,7 +64,7 @@ def make_hazard_field(baselines=BASELINE_HAZARDS) -> HazardField:
 
 def make_registry(channels=GEO_CHANNELS) -> list[GeoUnit]:
     return [
-        GeoUnit(id=geo, name=geo.upper(), channel=Channel.from_token(tag))
+        GeoUnit(id=geo, name=geo.upper(), channel=Channel(tag))
         for geo, tag in channels.items()
     ]
 

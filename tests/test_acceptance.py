@@ -235,13 +235,13 @@ def _synthetic_inputs(n_instruments, n_geos=50):
 
     field = HazardField(
         entries={
-            (geo, HazardType.from_token(token)): x
+            (geo, HazardType(token)): x
             for geo, per in hazards.items()
             for token, x in per.items()
         }
     )
     registry = [
-        GeoUnit(id=geo, name=geo, channel=Channel.from_token(channels[k % len(channels)]))
+        GeoUnit(id=geo, name=geo, channel=Channel(channels[k % len(channels)]))
         for k, geo in enumerate(geo_ids)
     ]
     return Portfolio(instruments=tuple(instruments)), field, FragilityTable(entries=fragility), registry

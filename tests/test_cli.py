@@ -169,6 +169,15 @@ class TestRun:
         assert "MalformedRow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underscored_portfolio_number_exits_2(self, fixture_files, tmp_path, capsys):
+        bad = portfolio_csv().replace(b"1000000.0", b"1_000_000.0", 1)
+        fixture_files["portfolio"].write_bytes(bad)
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "compound")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow" in err and "ead: not a number: '1_000_000.0'" in err
+        assert not out.exists()
+
     def test_non_utf8_portfolio_exits_2(self, fixture_files, tmp_path, capsys):
         bad = portfolio_csv().replace(b"retail", b"r\xe9tail", 1)
         fixture_files["portfolio"].write_bytes(bad)

@@ -1,6 +1,11 @@
 """CSV loaders, strict schema handling, and exposure linking."""
 
+import csv
+import io
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     FRAGILITY,
@@ -23,6 +28,7 @@ from geostress import (
     load_hazard_table,
     load_portfolio,
 )
+from geostress import ingest
 from geostress.errors import (
     DuplicateKey,
     InvariantViolation,
@@ -242,3 +248,94 @@ def test_fixture_files_load(fixture_files):
         assert len(load_hazard_table(fh)) == 16
     with open(fixture_files["fragility"], "rb") as fh:
         assert len(load_fragility(fh)) == 4
+
+
+def _with_cell(kind, column, token):
+    """The kind's CSV: the header, then one valid row with ``column`` set
+    to ``token`` (quoted, so any character survives)."""
+    loader, header, row = _NUMERIC_FILES[kind]
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = token
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerows([header.split(","), fields])
+    return loader, out.getvalue().encode()
+
+
+# float() reads each of these; the schema's "." decimal numbers do not
+# allow underscores, surrounding whitespace or non-ASCII digits.
+_LOOSE_NUMBERS = [
+    "1_0.5", "0.5_0", " 0.5", "0.5 ", " 1_0.5 ", "\t0.5", "0.5\n", "0.5\u00a0",
+    "\u0661\u0662", "\uff10.5", "0.\u0665",
+]
+
+
+@pytest.mark.parametrize("token", _LOOSE_NUMBERS)
+@pytest.mark.parametrize("kind, column", _NUMERIC_COLUMNS)
+def test_loose_number_rejected(kind, column, token):
+    loader, data = _with_cell(kind, column, token)
+    with pytest.raises(MalformedRow, match=f"{kind}.csv:2: malformed row: {column}: not a number: "):
+        loader(as_stream(data), filename=f"{kind}.csv")
+
+
+@pytest.mark.parametrize("token", ["1", "1.", ".5", "+0.5", "1E-3", "5e-324", "0.0", "-0.0"])
+@pytest.mark.parametrize("kind, column", _NUMERIC_COLUMNS)
+def test_plain_number_forms_accepted(kind, column, token):
+    loader, data = _with_cell(kind, column, token)
+    loaded = loader(as_stream(data))
+    if kind == "portfolio":
+        value = getattr(loaded.instruments[0], column)
+    elif kind == "hazards":
+        value = loaded.entries[("g1", HazardType.FLOOD)]
+    else:
+        value = loaded.entries["g1"]
+    assert repr(value) == repr(float(token))
+
+
+def test_finite_numbers_whose_sum_overflows_accepted():
+    data = (
+        b"id,geo_id,sector,ead,pd0,lgd0,value,adaptation\n"
+        b"a,g1,retail,1.7976931348623157e+308,0.5,0.5,1.7976931348623157e+308,1e+308\n"
+    )
+    (inst,) = load_portfolio(as_stream(data)).instruments
+    assert (inst.ead, inst.value, inst.adaptation) == (1.7976931348623157e308,) * 2 + (1e308,)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite)
+def test_every_float_repr_is_a_number(x):
+    assert repr(ingest._float(repr(x), "f.csv", 2, "c")) == repr(x)
+
+
+@given(st.lists(_finite, min_size=5, max_size=5))
+def test_every_portfolio_row_of_float_reprs_is_read(xs):
+    read = ingest._portfolio_numbers([repr(x) for x in xs], "portfolio.csv", 2)
+    assert [repr(x) for x in read] == [repr(x) for x in xs]
+
+
+def _stream_cases():
+    """(kind, bytes, error) for each loader: clean, then each fault it can meet."""
+    for kind, (_, header, row) in sorted(_ALL_FILES.items()):
+        yield kind, f"{header}\n{row}\n".encode(), None
+        yield kind, b"", SchemaMismatch
+        yield kind, b"wrong,header\n", SchemaMismatch
+        yield kind, f"{header}\n{row},extra\n".encode(), MalformedRow
+        yield kind, f"{header}\n".encode() + b"\xff\n", SchemaMismatch
+        if kind != "geounits":  # the one loader without a numeric column
+            yield kind, f"{header}\n{row[:-3]}x.5\n".encode(), MalformedRow
+
+
+@pytest.mark.parametrize("kind, data, error", _stream_cases())
+def test_loader_leaves_the_stream_open(kind, data, error):
+    loader = _ALL_FILES[kind][0]
+    stream = as_stream(data)
+    if error is None:
+        loader(stream)
+    else:
+        with pytest.raises(error):
+            loader(stream)
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == data

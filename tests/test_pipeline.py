@@ -189,3 +189,87 @@ def test_fused_path_checks_match_layers(linked_change, scenario):
         linked = linked_change(linked)
     fused = _outcome(lambda: run_scenario(linked, scenario))
     assert fused == _outcome(lambda: _reference(linked, scenario, 10))
+
+
+def _assert_fused_matches_reference(linked):
+    for scenario in _scenarios():
+        result, report = run_scenario(linked, scenario, top_k=5)
+        expected_result, expected_report = _reference(linked, scenario, 5)
+        assert repr(result) == repr(expected_result)
+        assert repr(report) == repr(expected_report)
+
+
+def test_one_geo_id_served_by_two_equal_context_objects():
+    linked = _mixed_linked()
+    contexts = list(linked.contexts)
+    first = contexts[0]
+    twin = dataclasses.replace(first)  # equal, but another object
+    assert twin == first and twin is not first
+    served = [k for k, c in enumerate(contexts) if c is first]
+    for k in served[1::2]:
+        contexts[k] = twin
+    split = dataclasses.replace(linked, contexts=tuple(contexts))
+    codes = split.codes
+    assert len(codes.contexts) == len(linked.codes.contexts) + 1
+    assert codes.geo_ids == linked.codes.geo_ids
+    assert codes.geo_codes is not codes.context_codes
+    _assert_fused_matches_reference(split)
+
+
+def _reordered(linked, order):
+    """The linked portfolio with its rows, contexts and weights in ``order``."""
+    portfolio = linked.portfolio
+    return dataclasses.replace(
+        linked,
+        portfolio=dataclasses.replace(
+            portfolio,
+            instruments=tuple(portfolio.instruments[k] for k in order),
+            weights=tuple(portfolio.weights[k] for k in order),
+        ),
+        contexts=tuple(linked.contexts[k] for k in order),
+    )
+
+
+def test_first_appearance_order_need_not_be_sorted():
+    linked = _mixed_linked()
+    reordered = _reordered(linked, range(len(linked.contexts) - 1, -1, -1))
+    codes = reordered.codes
+    assert list(codes.geo_ids) != sorted(codes.geo_ids)
+    assert list(codes.sectors) != sorted(codes.sectors)
+    assert list(codes.channels) != sorted(codes.channels)
+    assert codes.geo_ids[0] == reordered.portfolio.instruments[0].geo_id
+    assert codes.geo_codes is codes.context_codes  # one context per geo id
+    _assert_fused_matches_reference(reordered)
+    result, report = run_scenario(reordered, _COMPOUND)
+    assert list(report.el_by_geo) == sorted(report.el_by_geo)
+    assert list(report.el_by_sector) == sorted(report.el_by_sector)
+
+
+def test_codes_follow_a_replaced_portfolio():
+    linked = _mixed_linked()
+    before = run_scenario(linked, _COMPOUND)
+    old_codes = linked.codes
+    moved = _with_instrument(linked, 5, geo_id="zz-new", sector="aa-new")
+    codes = moved.codes
+    assert codes is not old_codes
+    assert set(codes.geo_ids) == {*old_codes.geo_ids, "zz-new"}
+    assert set(codes.sectors) == {*old_codes.sectors, "aa-new"}
+    assert codes.geo_ids[codes.geo_codes[5]] == "zz-new"
+    assert codes.sectors[codes.sector_codes[5]] == "aa-new"
+    _assert_fused_matches_reference(moved)
+    result, report = run_scenario(moved, _COMPOUND)
+    assert "zz-new" in report.el_by_geo and "aa-new" in report.el_by_sector
+    assert linked.codes is old_codes
+    assert repr(run_scenario(linked, _COMPOUND)) == repr(before)
+
+
+def test_stress_row_is_an_immutable_named_tuple():
+    row = StressRow("i1", 0.25, 0.5, 125.0, -0.0)
+    assert repr(row) == "StressRow(id='i1', pd_s=0.25, lgd_s=0.5, el_s=125.0, dv_s=-0.0)"
+    assert row == ("i1", 0.25, 0.5, 125.0, -0.0)
+    assert row._replace(el_s=1.0).el_s == 1.0
+    with pytest.raises(AttributeError):
+        row.el_s = 1.0
+    result, _ = run_scenario(_mixed_linked(), _COMPOUND)
+    assert all(type(r) is StressRow for r in result.rows)
+    assert repr(result.rows[0]).startswith("StressRow(id='i000', pd_s=")

@@ -89,6 +89,11 @@ class TestParse:
         with pytest.raises(UnknownKind):
             parse_scenario('{"id":"x","kind":"apocalypse"}')
 
+    @pytest.mark.parametrize("kind", ['["compound"]', '{"compound": 1}', "1", "null"])
+    def test_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(UnknownKind):
+            parse_scenario('{"id":"x","kind":%s}' % kind)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(ScenarioParseError, match="line"):
             parse_scenario('{"id": "x",')
