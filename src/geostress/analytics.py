@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 from .credit import CreditRow
 from .errors import AllZero, Misalignment, ZeroDenominator
 from .ingest import LinkedPortfolio
-from .model import StressResult, StressRow
+from .model import StressResult, StressRow, ordered_sum
 from .scenarios import Scenario
 from .valuation import ValuationRow
 
@@ -58,10 +58,10 @@ def hhi(basis: Sequence[float]) -> float:
     Shares are basis entries normalized by their sum; the result lies in
     [1/n, 1] with 1/n at equal shares and 1 at full concentration.
     """
-    total = sum(basis)
+    total = ordered_sum(basis)
     if total <= 0.0:
         raise AllZero("HHI needs at least one strictly positive entry")
-    return sum((x / total) ** 2 for x in basis)
+    return ordered_sum((x / total) ** 2 for x in basis)
 
 
 def _check_alignment(rows: Sequence[CreditRow], linked: LinkedPortfolio) -> None:
@@ -101,9 +101,15 @@ def top_contributors(
     """The k largest loss contributors, ties broken by id ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    total = sum(row.el_s for row in rows)
-    # Equivalent to sorted(rows, key=...)[:k], without sorting every row.
-    ranked = heapq.nsmallest(k, rows, key=lambda row: (-row.el_s, row.id))
+    losses = [row.el_s for row in rows]
+    total = ordered_sum(losses)
+    # sorted(rows, key=...)[:k], sorting only the rows that reach the k-th
+    # largest loss; rows tied with it stay, to be ranked by id.
+    ranked = rows
+    if len(losses) > k:
+        threshold = heapq.nlargest(k, losses)[-1]
+        ranked = [row for row, el_s in zip(rows, losses) if el_s >= threshold]
+    ranked = sorted(ranked, key=lambda row: (-row.el_s, row.id))[:k]
     return [
         Contributor(
             id=row.id,

@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/validation error, 3 internal error.
 Reports go to ``--out``; stdout carries one summary line per scenario.
-Output files are written atomically, so a failed run never leaves a
-partial report behind.
+``stress run`` evaluates one scenario at a time and streams its part of
+the report into a temporary file beside ``--out``, which replaces
+``--out`` only when the whole report is written, so a failed run never
+leaves a partial report behind.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .analytics import ExposureReport
 from .errors import ScenarioParseError, StressError
 from .ingest import (
     LinkedPortfolio,
@@ -30,8 +33,9 @@ from .ingest import (
     load_hazard_table,
     load_portfolio,
 )
+from .model import StressResult
 from .pipeline import run_scenario
-from .report import emit_report
+from .report import report_blocks
 from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_scenario
 
 EXIT_OK = 0
@@ -86,7 +90,7 @@ def _load_scenarios(config: RunConfig) -> list[Scenario]:
     return scenarios
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -96,11 +100,26 @@ def _write_atomic(path: str, data: bytes) -> None:
             # mkstemp creates the file 0600; give the report the mode a
             # plain open() would.
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
         raise
+
+
+def _evaluate(
+    linked: LinkedPortfolio,
+    scenarios: Sequence[Scenario],
+    top_k: int,
+    summary: list[tuple[str, float, float]],
+) -> Iterator[tuple[StressResult, ExposureReport]]:
+    """Evaluate the scenarios lazily, in order, and note each one's
+    (scenario_id, total_el, climate_var) in ``summary``."""
+    for scenario in scenarios:
+        result, report = run_scenario(linked, scenario, top_k=top_k)
+        summary.append((result.scenario_id, result.total_el, result.climate_var))
+        yield result, report
+        del result, report  # freed before the next scenario runs
 
 
 def run(config: RunConfig) -> int:
@@ -111,23 +130,20 @@ def run(config: RunConfig) -> int:
     if config.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
+    summary: list[tuple[str, float, float]] = []
     try:
         linked = _load_linked(config)
         scenarios = _load_scenarios(config)
-        results = [run_scenario(linked, s, top_k=config.top_k) for s in scenarios]
-        payload = emit_report(results, format=config.format)
-        _write_atomic(config.out, payload)
+        results = _evaluate(linked, scenarios, config.top_k, summary)
+        _write_atomic(config.out, report_blocks(results, format=config.format))
     except (StressError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    for result, _ in results:
-        print(
-            f"{result.scenario_id}: total_el={result.total_el:.12g} "
-            f"climate_var={result.climate_var:.12g}"
-        )
+    for scenario_id, total_el, climate_var in summary:
+        print(f"{scenario_id}: total_el={total_el:.12g} climate_var={climate_var:.12g}")
     return EXIT_OK
 
 
@@ -140,6 +156,9 @@ def validate(config: RunConfig) -> int:
     except (StressError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # pragma: no cover - defensive
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print("ok")
     return EXIT_OK
 

@@ -34,9 +34,11 @@ class CreditRow:
 
 
 def _require_nonnegative(**kwargs: float) -> None:
+    """Raise ``DomainError`` naming the first value that is negative, NaN
+    or infinite."""
     for name, value in kwargs.items():
-        if value < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be >= 0 and finite, got {value}")
 
 
 def scenario_pd(
@@ -100,8 +102,7 @@ def expected_loss(pd: float, lgd: float, ead: float) -> float:
         raise DomainError(f"pd must lie in [0,1], got {pd}")
     if not 0.0 <= lgd <= 1.0:
         raise DomainError(f"lgd must lie in [0,1], got {lgd}")
-    if ead < 0.0:
-        raise DomainError(f"ead must be >= 0, got {ead}")
+    _require_nonnegative(ead=ead)
     return pd * lgd * ead
 
 

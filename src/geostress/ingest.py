@@ -164,6 +164,9 @@ def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[t
         # The text layer decodes ahead of the reader in blocks, so the
         # failing line is not known here; name the file.
         raise SchemaMismatch(f"{filename}: not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        # An over-long field, or a NUL byte before Python 3.11.
+        raise MalformedRow(filename, reader.line_num, str(exc)) from None
     finally:
         text.detach()
 

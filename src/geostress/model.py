@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from math import inf
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidWeights, ZeroTotalValue
 
@@ -156,6 +157,18 @@ class Violation:
         return f"instrument {self.instrument_id!r}: {self.field}: {self.rule}"
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right in floating point.
+
+    The builtin ``sum`` compensates rounding error from Python 3.12 on,
+    so its low bits depend on the Python version; this sum's do not.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
     """Check every Instrument and Portfolio invariant.
 
@@ -177,12 +190,14 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
             violations.append(Violation(inst.id, "pd0", "pd0 ∈ [0,1]"))
         if not 0.0 <= inst.lgd0 <= 1.0:
             violations.append(Violation(inst.id, "lgd0", "lgd0 ∈ [0,1]"))
-        if inst.ead < 0.0:
-            violations.append(Violation(inst.id, "ead", "ead >= 0"))
-        if inst.value < 0.0:
-            violations.append(Violation(inst.id, "value", "value >= 0"))
-        if inst.adaptation < 0.0:
-            violations.append(Violation(inst.id, "adaptation", "adaptation >= 0"))
+        if not 0.0 <= inst.ead < inf:
+            violations.append(Violation(inst.id, "ead", "ead >= 0 and finite"))
+        if not 0.0 <= inst.value < inf:
+            violations.append(Violation(inst.id, "value", "value >= 0 and finite"))
+        if not 0.0 <= inst.adaptation < inf:
+            violations.append(
+                Violation(inst.id, "adaptation", "adaptation >= 0 and finite")
+            )
 
     if portfolio.weights is not None:
         if len(portfolio.weights) != len(portfolio.instruments):
@@ -192,7 +207,7 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
         else:
             if any(w < 0.0 for w in portfolio.weights):
                 violations.append(Violation("<portfolio>", "weights", "each w >= 0"))
-            if abs(sum(portfolio.weights) - 1.0) > WEIGHT_SUM_TOL:
+            if not abs(ordered_sum(portfolio.weights) - 1.0) <= WEIGHT_SUM_TOL:
                 violations.append(
                     Violation("<portfolio>", "weights", "Σw = 1 within 1e-9")
                 )
@@ -204,8 +219,9 @@ def _check_weights(weights: Sequence[float], n: int) -> None:
         raise InvalidWeights(f"expected {n} weights, got {len(weights)}")
     if any(w < 0.0 for w in weights):
         raise InvalidWeights("weights must be >= 0")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidWeights(f"weights sum to {sum(weights)!r}, expected 1")
+    total = ordered_sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise InvalidWeights(f"weights sum to {total!r}, expected 1")
 
 
 def normalize_weights(portfolio: Portfolio) -> Portfolio:
@@ -219,7 +235,7 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     if portfolio.weights is not None:
         _check_weights(portfolio.weights, n)
         return portfolio
-    total = sum(inst.value for inst in portfolio.instruments)
+    total = ordered_sum(inst.value for inst in portfolio.instruments)
     if total <= 0.0:
         raise ZeroTotalValue(
             "cannot derive value weights: total instrument value is 0"

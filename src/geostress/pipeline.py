@@ -94,7 +94,7 @@ def run_scenario(
             (betas.transition * transition, repricing.delta_transition * transition)
         )
 
-    exp = math.exp
+    exp, inf = math.exp, math.inf
     new_row = tuple.__new__  # StressRow(...) without its Python-level __new__
     rows = []
     append_row = rows.append
@@ -113,11 +113,12 @@ def run_scenario(
         pd0, lgd0, ead, value, adaptation = (
             inst.pd0, inst.lgd0, inst.ead, inst.value, inst.adaptation
         )
-        if (
-            not (0.0 <= pd0 <= 1.0 and 0.0 <= lgd0 <= 1.0)
-            or adaptation < 0.0
-            or ead < 0.0
-            or value < 0.0
+        if not (
+            0.0 <= pd0 <= 1.0
+            and 0.0 <= lgd0 <= 1.0
+            and 0.0 <= adaptation < inf
+            and 0.0 <= ead < inf
+            and 0.0 <= value < inf
         ):
             _check_fields(inst)
 

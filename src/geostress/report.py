@@ -10,6 +10,11 @@ byte, where each number is ``float(f"{x:.12g}")``. The stdlib encoder
 runs in pure Python whenever ``indent`` is set, which made it the
 largest cost of a default run. ``tests/test_report.py`` holds the
 ``json.dumps`` path as the reference and checks the two agree.
+
+``report_blocks`` is the one writer: it renders a report from any
+iterable of results, one scenario at a time, in blocks of rows, so the
+CLI streams the report into its output file while it evaluates the
+scenarios. ``emit_report`` joins the same blocks into one document.
 """
 
 from __future__ import annotations
@@ -17,13 +22,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analytics import ExposureReport
 from .model import StressResult
 
+
+# Rows rendered and encoded together: the report text held at once is one
+# block, whatever the portfolio's size.
+ROWS_PER_BLOCK = 1024
 
 _ROW = (
     "      {\n"
@@ -43,7 +53,8 @@ _CONTRIBUTOR = (
     "        }"
 )
 
-_ENTRY = (
+# One scenario's entry is the head, then its rows, then the tail.
+_ENTRY_HEAD = (
     "  {\n"
     '    "climate_var": %s,\n'
     '    "report": {\n'
@@ -57,11 +68,17 @@ _ENTRY = (
     '      "top_contributors": %s,\n'
     '      "weight_source": %s\n'
     "    },\n"
-    '    "rows": %s,\n'
+    '    "rows": '
+)
+
+_ENTRY_TAIL = (
+    ",\n"
     '    "scenario_id": %s,\n'
     '    "total_el": %s\n'
     "  }"
 )
+
+_CSV_HEADER = "scenario_id,instrument_id,pd_s,lgd_s,el_s,dv_s\n"
 
 
 def _number(x: float) -> str:
@@ -92,17 +109,17 @@ def _group(sums: dict[str, float]) -> str:
     )
 
 
-def _entry(result: StressResult, report: ExposureReport) -> str:
+def _json_entry(
+    result: StressResult, report: ExposureReport, opening: str
+) -> Iterator[str]:
+    """One scenario's JSON entry, after ``opening``, in blocks of at most
+    ``ROWS_PER_BLOCK`` rows."""
     num, string = _number, _string
-    rows = [
-        _ROW % (num(r.dv_s), num(r.el_s), string(r.id), num(r.lgd_s), num(r.pd_s))
-        for r in result.rows
-    ]
     contributors = [
         _CONTRIBUTOR % (num(c.el_s), string(c.id), num(c.share))
         for c in report.top_contributors
     ]
-    return _ENTRY % (
+    head = _ENTRY_HEAD % (
         num(result.climate_var),
         _group(report.el_by_geo),
         _group(report.el_by_hazard_channel),
@@ -113,46 +130,105 @@ def _entry(result: StressResult, report: ExposureReport) -> str:
         num(report.hhi_sector),
         _container(contributors, "      ", "[]"),
         string(report.weight_source),
-        _container(rows, "    ", "[]"),
-        string(result.scenario_id),
-        num(result.total_el),
     )
+    tail = _ENTRY_TAIL % (string(result.scenario_id), num(result.total_el))
+    rows = result.rows
+    if not rows:
+        yield opening + head + "[]" + tail
+        return
+    separator = opening + head + "[\n"
+    for start in range(0, len(rows), ROWS_PER_BLOCK):
+        yield separator + ",\n".join([
+            _ROW % (num(r.dv_s), num(r.el_s), string(r.id), num(r.lgd_s), num(r.pd_s))
+            for r in rows[start:start + ROWS_PER_BLOCK]
+        ])
+        separator = ",\n"
+    yield "\n    ]" + tail
+
+
+def _json_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
+    opening = "[\n"
+    for result, report in results:
+        yield from _json_entry(result, report, opening)
+        opening = ",\n"
+        del result, report  # freed before the next result is made
+    if opening == "[\n":  # no entry was written
+        raise ValueError("a report needs at least one result")
+    yield "\n]\n"
+
+
+# A field holding none of these is written bare by csv.writer on every
+# supported Python. NUL is here too: csv.writer's handling of it differs
+# between versions.
+_CSV_SPECIAL = re.compile('[,"\r\n\x00]')
+
+
+def _csv_lines(rows: Iterable[list[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _csv_rows(result: StressResult, opening: str) -> Iterator[str]:
+    """One scenario's CSV rows, after ``opening``, in blocks of at most
+    ``ROWS_PER_BLOCK`` rows."""
+    rows, scenario_id = result.rows, result.scenario_id
+    plain = not _CSV_SPECIAL.search(scenario_id + "".join([r.id for r in rows]))
+    # What csv.writer writes for plain fields; a StressRow is the tuple
+    # (id, pd_s, lgd_s, el_s, dv_s), in column order.
+    line = scenario_id.replace("%", "%%") + ",%s,%.12g,%.12g,%.12g,%.12g\n"
+    for start in range(0, len(rows), ROWS_PER_BLOCK):
+        block = rows[start:start + ROWS_PER_BLOCK]
+        if plain:
+            text = "".join([line % r for r in block])
+        else:
+            text = _csv_lines(
+                [scenario_id, r.id, f"{r.pd_s:.12g}", f"{r.lgd_s:.12g}",
+                 f"{r.el_s:.12g}", f"{r.dv_s:.12g}"]
+                for r in block
+            )
+        yield opening + text
+        opening = ""
+    if opening:
+        yield opening
+
+
+def _csv_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
+    totals = []
+    for result, report in results:
+        yield from _csv_rows(result, "" if totals else _CSV_HEADER)
+        totals.append((result.scenario_id, result.total_el, result.climate_var))
+        del result, report  # freed before the next result is made
+    if not totals:
+        raise ValueError("a report needs at least one result")
+    yield _csv_lines([
+        [],
+        ["scenario_id", "total_el", "climate_var"],
+        *([scenario_id, f"{total_el:.12g}", f"{climate_var:.12g}"]
+          for scenario_id, total_el, climate_var in totals),
+    ])
+
+
+def report_blocks(
+    results: Iterable[tuple[StressResult, ExposureReport]], format: str = "json"
+) -> Iterator[bytes]:
+    """The report, one entry per scenario in input order, as encoded blocks.
+
+    ``results`` is read one pair at a time, and each pair is unreachable
+    from here once its blocks are out, before the next pair is asked for;
+    so a lazy ``results`` keeps one scenario's results in memory, and the
+    caller one block of text. Raises ``ValueError`` for an unknown format
+    now, and for an empty ``results`` once it is exhausted.
+    """
+    if format == "json":
+        return (block.encode("ascii") for block in _json_blocks(results))
+    if format == "csv":
+        return (block.encode("utf-8") for block in _csv_blocks(results))
+    raise ValueError(f"unknown format {format!r}")
 
 
 def emit_report(
     results: Sequence[tuple[StressResult, ExposureReport]], format: str = "json"
 ) -> bytes:
     """Serialize one entry per scenario, in input order."""
-    if not results:
-        raise ValueError("emit_report needs at least one result")
-    if format == "json":
-        entries = [_entry(result, report) for result, report in results]
-        return ("[\n" + ",\n".join(entries) + "\n]\n").encode("ascii")
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["scenario_id", "instrument_id", "pd_s", "lgd_s", "el_s", "dv_s"])
-        for result, _ in results:
-            for row in result.rows:
-                writer.writerow(
-                    [
-                        result.scenario_id,
-                        row.id,
-                        f"{row.pd_s:.12g}",
-                        f"{row.lgd_s:.12g}",
-                        f"{row.el_s:.12g}",
-                        f"{row.dv_s:.12g}",
-                    ]
-                )
-        writer.writerow([])
-        writer.writerow(["scenario_id", "total_el", "climate_var"])
-        for result, _ in results:
-            writer.writerow(
-                [
-                    result.scenario_id,
-                    f"{result.total_el:.12g}",
-                    f"{result.climate_var:.12g}",
-                ]
-            )
-        return out.getvalue().encode("utf-8")
-    raise ValueError(f"unknown format {format!r}")
+    return b"".join(report_blocks(results, format))

@@ -12,12 +12,13 @@ valuation burden) is a calibration choice, not fixed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 from typing import Sequence
 
-from .credit import CreditRow, effective_hazard
-from .errors import DomainError, InvalidWeights, LengthMismatch, Misalignment
+from .credit import CreditRow, _require_nonnegative, effective_hazard
+from .errors import DomainError, LengthMismatch, Misalignment
 from .ingest import LinkedPortfolio
-from .model import WEIGHT_SUM_TOL
+from .model import _check_weights
 from .scenarios import Repricing, Scenario
 
 
@@ -37,17 +38,15 @@ def repricing_delta(
     repricing: Repricing,
 ) -> float:
     """Mark-to-market change: -value * min(1, dH*H + dT*T + dF*F)."""
-    for name, arg in (
-        ("value", value),
-        ("hazard", hazard),
-        ("transition", transition),
-        ("financing", financing),
-        ("delta_hazard", repricing.delta_hazard),
-        ("delta_transition", repricing.delta_transition),
-        ("delta_financing", repricing.delta_financing),
-    ):
-        if arg < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {arg}")
+    _require_nonnegative(
+        value=value,
+        hazard=hazard,
+        transition=transition,
+        financing=financing,
+        delta_hazard=repricing.delta_hazard,
+        delta_transition=repricing.delta_transition,
+        delta_financing=repricing.delta_financing,
+    )
     loss_fraction = min(
         1.0,
         repricing.delta_hazard * hazard
@@ -71,19 +70,17 @@ def climate_var(
         raise LengthMismatch(
             f"weights/dvs/els lengths differ: {len(weights)}/{len(dvs)}/{len(els)}"
         )
-    if any(w < 0.0 for w in weights):
-        raise InvalidWeights("weights must be >= 0")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidWeights(f"weights sum to {sum(weights)!r}, expected 1")
-    if lam < 0.0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    _check_weights(weights, len(weights))
+    _require_nonnegative(**{"lambda": lam})
     weighted_dv = 0.0
     for w, dv in zip(weights, dvs):
+        if not isfinite(dv):
+            raise DomainError(f"dv must be finite, got {dv}")
         weighted_dv += w * dv
     total_el = 0.0
     for el in els:
-        if el < 0.0:
-            raise DomainError(f"expected loss must be >= 0, got {el}")
+        if not 0.0 <= el < inf:
+            raise DomainError(f"expected loss must be >= 0 and finite, got {el}")
         total_el += el
     return weighted_dv + lam * total_el
 

@@ -38,6 +38,10 @@ from oracle import oracle_portfolio
 
 
 class TestHhi:
+    def test_left_to_right_sum_on_every_python(self):
+        # Python 3.12's compensated builtin sum gives 0.5555555555555554.
+        assert hhi([1.0, 1e-16, 1e-16, 0.5]) == 0.5555555555555556
+
     def test_two_equal_shares(self):
         assert hhi([0.5, 0.5]) == pytest.approx(0.5)
 
@@ -125,6 +129,28 @@ class TestTopContributors:
     def test_deterministic(self):
         rows = self._rows({"A": 5.0, "B": 5.0, "C": 5.0})
         assert top_contributors(rows, 2) == top_contributors(list(rows), 2)
+
+    def test_tie_at_the_kth_place_breaks_by_id(self):
+        # Four rows tie at the 3rd-largest loss: all four are ranked by id.
+        rows = self._rows({"E": 4.0, "D": 4.0, "Z": 9.0, "C": 4.0, "A": 1.0, "B": 4.0, "Y": 7.0})
+        assert [c.id for c in top_contributors(rows, 3)] == ["Z", "Y", "B"]
+        assert [c.id for c in top_contributors(rows, 5)] == ["Z", "Y", "B", "C", "D"]
+        assert [c.id for c in top_contributors(rows, 6)] == ["Z", "Y", "B", "C", "D", "E"]
+
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abc", max_size=3),
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, 2.5, 1e-300, 7.0]),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=1, max_value=14),
+    )
+    def test_matches_a_full_sort(self, els, k):
+        rows = self._rows(els)
+        expected = sorted(rows, key=lambda row: (-row.el_s, row.id))[:k]
+        assert [c.id for c in top_contributors(rows, k)] == [row.id for row in expected]
 
 
 def _linked_for(instrument_dicts):

@@ -1,16 +1,19 @@
 """Report emission and the CLI surface."""
 
 import csv
+import gc
 import io
 import json
 import os
 import stat
+import weakref
 
 import pytest
 
 from conftest import portfolio_csv
-from geostress import builtin_scenarios, emit_report, run_scenario
+from geostress import builtin_scenarios, cli, emit_report, run_scenario
 from geostress.cli import main
+from geostress.errors import DomainError
 
 
 class TestEmitReport:
@@ -214,24 +217,120 @@ class TestRun:
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".stress-")] == []
 
 
-class TestValidate:
-    def _argv(self, fixture_files):
-        return [
-            "validate",
-            "--portfolio", str(fixture_files["portfolio"]),
-            "--hazards", str(fixture_files["hazards"]),
-            "--fragility", str(fixture_files["fragility"]),
-            "--geounits", str(fixture_files["geounits"]),
-        ]
+def validate_argv(fixture_files):
+    return [
+        "validate",
+        "--portfolio", str(fixture_files["portfolio"]),
+        "--hazards", str(fixture_files["hazards"]),
+        "--fragility", str(fixture_files["fragility"]),
+        "--geounits", str(fixture_files["geounits"]),
+    ]
 
+
+class TestStreaming:
+    def test_each_result_is_dropped_before_the_next_scenario_runs(
+        self, fixture_files, fixture_linked, tmp_path, monkeypatch
+    ):
+        previous = []
+        dropped = []
+
+        def watched(linked, scenario, top_k):
+            if previous:
+                gc.collect()
+                dropped.append(previous[-1]() is None)
+            pair = run_scenario(linked, scenario, top_k=top_k)
+            previous.append(weakref.ref(pair[0]))
+            return pair
+
+        monkeypatch.setattr(cli, "run_scenario", watched)
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        assert code == 0
+        assert dropped == [True, True, True]
+        results = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
+        assert out.read_bytes() == emit_report(results)
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "error, code, stderr",
+        [
+            (DomainError("boom"), 2, "error: DomainError: boom\n"),
+            (RuntimeError("boom"), 3, "internal error: RuntimeError: boom\n"),
+        ],
+        ids=["input-error", "internal-error"],
+    )
+    def test_failure_after_the_first_scenario_leaves_nothing(
+        self, fixture_files, tmp_path, monkeypatch, capsys, format, error, code, stderr
+    ):
+        calls = []
+
+        def failing_second(linked, scenario, top_k):
+            calls.append(scenario.id)
+            if len(calls) == 2:
+                raise error
+            return run_scenario(linked, scenario, top_k=top_k)
+
+        monkeypatch.setattr(cli, "run_scenario", failing_second)
+        exit_code, out = run_cli(fixture_files, tmp_path, "--builtin", "all", "--format", format)
+        assert exit_code == code
+        assert calls == ["orderly", "disorderly"]
+        assert capsys.readouterr() == ("", stderr)
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".stress-")] == []
+
+    def test_out_that_cannot_be_created_fails_before_evaluation(
+        self, fixture_files, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: calls.append(a))
+        code, _ = run_cli(
+            fixture_files, tmp_path, "--builtin", "all", out_name="missing/report.json"
+        )
+        assert code == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: FileNotFoundError" in captured.err
+
+
+class TestCsvErrors:
+    """A field over the csv module's limit is a malformed row (exit 2) in
+    both subcommands, not an internal error."""
+
+    def _long_field_portfolio(self, fixture_files):
+        bad = portfolio_csv().replace(b"i02", b"i" * 200_000, 1)
+        fixture_files["portfolio"].write_bytes(bad)
+
+    def test_run(self, fixture_files, tmp_path, capsys):
+        self._long_field_portfolio(fixture_files)
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow" in err and "portfolio.csv:3: malformed row: field larger" in err
+        assert not out.exists()
+
+    def test_validate(self, fixture_files, capsys):
+        self._long_field_portfolio(fixture_files)
+        assert main(validate_argv(fixture_files)) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRow" in err and "portfolio.csv:3: malformed row: field larger" in err
+
+
+class TestValidate:
     def test_clean_inputs(self, fixture_files, capsys):
-        assert main(self._argv(fixture_files)) == 0
+        assert main(validate_argv(fixture_files)) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
     def test_bad_inputs(self, fixture_files, capsys):
         fixture_files["hazards"].write_bytes(b"geo_id,hazard,intensity\ng1,smog,1\n")
-        assert main(self._argv(fixture_files)) == 2
+        assert main(validate_argv(fixture_files)) == 2
         assert "UnknownHazardToken" in capsys.readouterr().err
+
+    def test_unexpected_error_exits_3(self, fixture_files, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_load_linked", broken)
+        assert main(validate_argv(fixture_files)) == 3
+        assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
 
 
 class TestScenariosPrint:

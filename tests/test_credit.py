@@ -56,6 +56,16 @@ class TestScenarioPd:
         with pytest.raises(DomainError):
             scenario_pd(1.5, 0.0, 0.0, 0.0, 0.0, BetaParams())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_non_finite_argument_rejected(self, position, bad):
+        args = [0.02, 0.1, 0.1, 0.1, 0.1]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            scenario_pd(*args, BetaParams())
+        with pytest.raises(DomainError):
+            scenario_pd(0.02, 0.1, 0.1, 0.1, 0.1, BetaParams(adaptation=bad))
+
     @given(unit, shock, shock, shock, shock, betas_strategy)
     @settings(max_examples=300)
     def test_bounds(self, pd0, h, t, u, a, betas):
@@ -115,6 +125,12 @@ class TestExpectedLoss:
             expected_loss(0.5, -0.1, 1.0)
         with pytest.raises(DomainError):
             expected_loss(0.5, 0.5, -1.0)
+
+
+    @pytest.mark.parametrize("ead", [math.nan, math.inf])
+    def test_non_finite_ead_rejected(self, ead):
+        with pytest.raises(DomainError, match="ead must be >= 0 and finite"):
+            expected_loss(0.5, 0.5, ead)
 
     @given(unit, unit, st.floats(min_value=0.0, max_value=1e9))
     def test_el_within_ead(self, pd, lgd, ead):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from geostress import Instrument, Portfolio, normalize_weights, validate_portfolio
 from geostress.errors import InvalidWeights, ZeroTotalValue
+from geostress.model import ordered_sum
 
 
 def inst(id="a", value=100.0, **overrides):
@@ -87,9 +88,28 @@ class TestValidatePortfolio:
         violations = validate_portfolio(p)
         assert [v.field for v in violations] == [field]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["ead", "value", "adaptation"])
+    def test_non_finite_quantities(self, field, bad):
+        p = Portfolio(instruments=(inst("a", **{field: bad}),))
+        assert [v.field for v in validate_portfolio(p)] == [field]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_weight(self, bad):
+        p = Portfolio(instruments=(inst("a"), inst("b")), weights=(1.0, bad))
+        assert [v.field for v in validate_portfolio(p)] == ["weights"]
+        with pytest.raises(InvalidWeights):
+            normalize_weights(p)
+
     def test_weight_sum_checked(self):
         p = Portfolio(instruments=(inst("a"), inst("b")), weights=(0.7, 0.7))
         assert any(v.field == "weights" for v in validate_portfolio(p))
+
+
+def test_ordered_sum_adds_left_to_right():
+    # A compensated sum, such as Python 3.12's builtin sum, gives 1.0000000000000002.
+    assert ordered_sum([1.0, 1e-16, 1e-16]) == 1.0
+    assert ordered_sum([]) == 0.0
 
 
 def test_instruments_are_immutable():

@@ -153,6 +153,7 @@ def _with_context(linked, index, **changes):
 
 _COMPOUND = builtin_scenarios()[3]
 _NAN = float("nan")
+_INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -181,6 +182,17 @@ _NAN = float("nan")
         (lambda lk: _with_context(
             lk, 60, baseline_hazards={h: -1.0 for h in HazardType}
         ), _COMPOUND),
+        (lambda lk: _with_context(
+            lk, 60, baseline_hazards={h: _NAN for h in HazardType}
+        ), _COMPOUND),
+        (None, dataclasses.replace(_COMPOUND, lam=_INF)),
+        (None, dataclasses.replace(_COMPOUND, lgd_gamma=_INF)),
+        (lambda lk: _with_instrument(lk, 20, adaptation=_INF), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, ead=_NAN), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, ead=_INF), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, value=_NAN), _COMPOUND),
+        (lambda lk: _with_instrument(lk, 20, value=_INF), _COMPOUND),
+        (lambda lk: _with_context(lk, 60, fragility=_INF), _COMPOUND),
     ],
 )
 def test_fused_path_checks_match_layers(linked_change, scenario):
@@ -188,6 +200,7 @@ def test_fused_path_checks_match_layers(linked_change, scenario):
     if linked_change is not None:
         linked = linked_change(linked)
     fused = _outcome(lambda: run_scenario(linked, scenario))
+    assert fused.startswith("DomainError: ")
     assert fused == _outcome(lambda: _reference(linked, scenario, 10))
 
 

@@ -1,15 +1,22 @@
-"""The canonical JSON report writer against the stdlib ``json`` encoder.
+"""The report writer against the stdlib ``json`` and ``csv`` writers.
 
-``reference_json`` is the path the writer replaced: build one dict per
-scenario and serialize the list with ``json.dumps(sort_keys=True,
-indent=2)``. The writer must produce exactly its bytes.
+``reference_json`` is the path the JSON writer replaced: build one dict
+per scenario and serialize the list with ``json.dumps(sort_keys=True,
+indent=2)``. ``reference_csv`` writes every CSV line with ``csv.writer``.
+The writer must produce exactly their bytes, whatever its block size, and
+stream: it holds one scenario's results at a time.
 """
 
+import csv
+import gc
+import io
 import json
 import math
 import operator
 import random
+import weakref
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +35,8 @@ from geostress import (
 )
 from geostress.analytics import Contributor, ExposureReport
 from geostress.model import StressResult, StressRow
-from geostress.report import _number
+from geostress import report as report_module
+from geostress.report import _number, report_blocks
 
 
 def _round12(x: float) -> float:
@@ -72,6 +80,25 @@ def _result_doc(result: StressResult, report: ExposureReport) -> dict:
 def reference_json(results) -> bytes:
     docs = [_result_doc(result, report) for result, report in results]
     return (json.dumps(docs, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def reference_csv(results) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["scenario_id", "instrument_id", "pd_s", "lgd_s", "el_s", "dv_s"])
+    for result, _ in results:
+        for row in result.rows:
+            writer.writerow(
+                [result.scenario_id, row.id]
+                + [f"{x:.12g}" for x in (row.pd_s, row.lgd_s, row.el_s, row.dv_s)]
+            )
+    writer.writerow([])
+    writer.writerow(["scenario_id", "total_el", "climate_var"])
+    for result, _ in results:
+        writer.writerow(
+            [result.scenario_id, f"{result.total_el:.12g}", f"{result.climate_var:.12g}"]
+        )
+    return out.getvalue().encode("utf-8")
 
 
 def assert_same_bytes(results):
@@ -145,6 +172,65 @@ class TestSameBytesAsJsonDumps:
         assert_same_bytes([(result, report)])
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3, 5, 10, 11])
+@pytest.mark.parametrize("format, reference", [("json", reference_json), ("csv", reference_csv)])
+def test_same_bytes_in_any_block_size(fixture_linked, monkeypatch, rows_per_block, format, reference):
+    monkeypatch.setattr(report_module, "ROWS_PER_BLOCK", rows_per_block)
+    results = [run_scenario(fixture_linked, s, top_k=3) for s in builtin_scenarios()]
+    blocks = list(report_blocks(results, format))
+    assert b"".join(blocks) == emit_report(results, format) == reference(results)
+    # No block holds more rows than the block size; the last CSV block is
+    # the totals table.
+    if format == "json":
+        rows_per = [block.count(b'"dv_s"') for block in blocks]
+    else:
+        rows_per = [block.count(b"\n") - block.startswith(b"scenario_id,") for block in blocks[:-1]]
+    assert max(rows_per) == min(rows_per_block, 10)
+    assert sum(rows_per) == 40
+
+
+def test_csv_reference_on_seeded_portfolio():
+    linked = _synthetic_linked(2_000)
+    results = [run_scenario(linked, s) for s in builtin_scenarios()]
+    assert emit_report(results, "csv") == reference_csv(results)
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_writer_streams_one_result_at_a_time(fixture_linked, format):
+    """The writer drops each result, and has written its entry, before it
+    asks for the next one."""
+    written = []
+    dropped = []
+
+    def results():
+        previous = None
+        for scenario in builtin_scenarios():
+            if previous is not None:
+                gc.collect()
+                dropped.append(previous() is None)
+                assert previous_id.encode() in b"".join(written)
+            pair = run_scenario(fixture_linked, scenario)
+            previous, previous_id = weakref.ref(pair[0]), scenario.id
+            yield pair
+            del pair
+
+    for block in report_blocks(results(), format):
+        written.append(block)
+    assert dropped == [True, True, True]
+    everything = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
+    assert b"".join(written) == emit_report(everything, format)
+
+
+def test_empty_results_and_unknown_format_rejected(fixture_linked):
+    for format in ("json", "csv"):
+        with pytest.raises(ValueError):
+            emit_report([], format)
+        with pytest.raises(ValueError):
+            list(report_blocks(iter([]), format))
+    with pytest.raises(ValueError):
+        report_blocks([run_scenario(fixture_linked, builtin_scenarios()[0])], "xml")
+
+
 _SIGNS = st.sampled_from([1.0, -1.0])
 
 
@@ -209,3 +295,30 @@ def test_strings_match_json_dumps(row_ids, group_keys, scenario_id, weight_sourc
         weight_source=weight_source,
     )
     assert_same_bytes([(result, report)])
+
+
+_CSV_IDS = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n\x00 %é☃'), st.characters()), max_size=8
+)
+
+
+@settings(max_examples=300)
+@given(
+    row_ids=st.lists(st.one_of(_CSV_IDS, st.sampled_from(["n1", "a b", "é"])), max_size=6),
+    scenario_ids=st.lists(_CSV_IDS, min_size=1, max_size=3),
+    values=st.lists(_FLOATS, min_size=4, max_size=4),
+)
+def test_csv_matches_csv_writer(row_ids, scenario_ids, values):
+    results = [
+        (
+            StressResult(
+                scenario_id=scenario_id,
+                rows=tuple(StressRow(i, *values) for i in row_ids),
+                total_el=values[0],
+                climate_var=values[1],
+            ),
+            None,
+        )
+        for scenario_id in scenario_ids
+    ]
+    assert emit_report(results, "csv") == reference_csv(results)

@@ -1,6 +1,7 @@
 """Valuation transmission: repricing and the scenario stress metric."""
 
 import json
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from geostress import (
     repricing_delta,
     serialize_scenario,
 )
-from geostress.errors import DomainError, LengthMismatch, Misalignment
+from geostress.errors import DomainError, InvalidWeights, LengthMismatch, Misalignment
 from oracle import oracle_portfolio
 
 shock = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -38,6 +39,16 @@ class TestRepricingDelta:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             repricing_delta(-1.0, 0.0, 0.0, 0.0, Repricing())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        for position in range(4):
+            args = [100.0, 0.1, 0.1, 0.1]
+            args[position] = bad
+            with pytest.raises(DomainError):
+                repricing_delta(*args, Repricing())
+        with pytest.raises(DomainError):
+            repricing_delta(100.0, 0.1, 0.1, 0.1, Repricing(delta_transition=bad))
 
     @given(shock, shock, shock, shock, shock, shock, shock)
     @settings(max_examples=300)
@@ -60,6 +71,27 @@ class TestClimateVar:
 
     def test_single_instrument(self):
         assert climate_var([1.0], [-7.0], [4.0], 1.0) == pytest.approx(-3.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([1.0], [-7.0], [4.0], math.nan),
+            ([1.0], [-7.0], [4.0], math.inf),
+            ([1.0], [math.nan], [4.0], 1.0),
+            ([1.0], [-math.inf], [4.0], 1.0),
+            ([1.0], [-7.0], [math.nan], 1.0),
+            ([1.0], [-7.0], [math.inf], 1.0),
+        ],
+        ids=["lambda-nan", "lambda-inf", "dv-nan", "dv-inf", "el-nan", "el-inf"],
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError):
+            climate_var(*args)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(InvalidWeights):
+            climate_var([0.5, weight], [-7.0, -1.0], [4.0, 1.0], 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
