@@ -15,7 +15,6 @@ from .analytics import (
     top_contributors,
 )
 from .credit import (
-    CreditRow,
     expected_loss,
     portfolio_credit,
     scenario_lgd,
@@ -58,13 +57,12 @@ from .scenarios import (
     parse_scenario,
     serialize_scenario,
 )
-from .valuation import ValuationRow, climate_var, portfolio_valuation, repricing_delta
+from .valuation import climate_var, portfolio_valuation, repricing_delta
 
 __all__ = [
     "BetaParams",
     "Channel",
     "Contributor",
-    "CreditRow",
     "ExposureContext",
     "ExposureReport",
     "FragilityTable",
@@ -80,7 +78,6 @@ __all__ = [
     "StressResult",
     "StressRow",
     "TransitionMap",
-    "ValuationRow",
     "Violation",
     "builtin_scenarios",
     "climate_var",

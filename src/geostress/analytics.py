@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import isfinite
 from typing import Literal, Sequence
 
-from .credit import CreditRow
-from .errors import AllZero, Misalignment, ZeroDenominator
+from .errors import AllZero, Misalignment, NonFiniteSum, ZeroDenominator
 from .ingest import LinkedPortfolio
 from .model import StressResult, StressRow, ordered_sum
 from .scenarios import Scenario
-from .valuation import ValuationRow
 
 GroupKey = Literal["geo", "sector", "channel"]
 
@@ -61,19 +60,23 @@ def hhi(basis: Sequence[float]) -> float:
     total = ordered_sum(basis)
     if total <= 0.0:
         raise AllZero("HHI needs at least one strictly positive entry")
+    if not isfinite(total):
+        raise NonFiniteSum(f"HHI basis sums to {total!r}")
     return ordered_sum((x / total) ** 2 for x in basis)
 
 
-def _check_alignment(rows: Sequence[CreditRow], linked: LinkedPortfolio) -> None:
+def _check_alignment(
+    rows: Sequence[StressRow], linked: LinkedPortfolio, layer: str = "credit"
+) -> None:
     instruments = linked.portfolio.instruments
     if len(rows) != len(instruments) or any(
         row.id != inst.id for row, inst in zip(rows, instruments)
     ):
-        raise Misalignment("credit rows do not match portfolio ids/order")
+        raise Misalignment(f"{layer} rows do not match portfolio ids/order")
 
 
 def group_el(
-    rows: Sequence[CreditRow], linked: LinkedPortfolio, by: GroupKey
+    rows: Sequence[StressRow], linked: LinkedPortfolio, by: GroupKey
 ) -> dict[str, float]:
     """Sum expected loss by geo unit, sector, or channel tag.
 
@@ -96,7 +99,7 @@ def group_el(
 
 
 def top_contributors(
-    rows: Sequence[CreditRow | StressRow], k: int
+    rows: Sequence[StressRow], k: int
 ) -> list[Contributor]:
     """The k largest loss contributors, ties broken by id ascending."""
     if k < 1:
@@ -137,25 +140,21 @@ def concentration_comparison(
 def exposure_summary(
     linked: LinkedPortfolio,
     scenario: Scenario,
-    credit_rows: Sequence[CreditRow],
-    valuation_rows: Sequence[ValuationRow],
+    credit_rows: Sequence[StressRow],
+    valuation_rows: Sequence[StressRow],
     metric: float,
     top_k: int = 10,
 ) -> ExposureReport:
     """Build the full diagnostic report for one scenario run."""
     _check_alignment(credit_rows, linked)
-    instruments = linked.portfolio.instruments
-    if len(valuation_rows) != len(instruments) or any(
-        row.id != inst.id for row, inst in zip(valuation_rows, instruments)
-    ):
-        raise Misalignment("valuation rows do not match portfolio ids/order")
+    _check_alignment(valuation_rows, linked, "valuation")
 
     el_by_geo = group_el(credit_rows, linked, "geo")
     el_by_sector = group_el(credit_rows, linked, "sector")
     el_by_channel = group_el(credit_rows, linked, "channel")
 
     ead_by_geo: dict[str, float] = {}
-    for inst in instruments:
+    for inst in linked.portfolio.instruments:
         ead_by_geo[inst.geo_id] = ead_by_geo.get(inst.geo_id, 0.0) + inst.ead
 
     return ExposureReport(

@@ -15,22 +15,12 @@ sum into a single hazard's baseline if desired.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .errors import DomainError
 from .ingest import ExposureContext, LinkedPortfolio
-from .model import BetaParams
-from .scenarios import Scenario
-
-
-@dataclass(frozen=True)
-class CreditRow:
-    """Per-instrument credit outcome under one scenario."""
-
-    id: str
-    pd_s: float
-    lgd_s: float
-    el_s: float
+from .model import BetaParams, StressRow
+from .scenarios import Repricing, Scenario
 
 
 def _require_nonnegative(**kwargs: float) -> None:
@@ -116,22 +106,15 @@ def effective_hazard(context: ExposureContext, scenario: Scenario) -> float:
 
 def portfolio_credit(
     linked: LinkedPortfolio, scenario: Scenario
-) -> tuple[list[CreditRow], float]:
-    """Evaluate the credit layer for every instrument.
+) -> tuple[list[StressRow], float]:
+    """Evaluate the credit layer for every instrument, in portfolio order.
 
-    Rows come back in portfolio order; the total is a deterministic
-    left-to-right sum, so identical inputs give bit-identical totals.
+    These are ``run_scenario``'s rows and total with financing, repricing
+    and lambda zeroed: this layer neither reads nor checks them, and each
+    row's ``dv_s`` is -0.0.
     """
-    rows: list[CreditRow] = []
-    total_el = 0.0
-    for inst, context in zip(linked.portfolio.instruments, linked.contexts):
-        hazard = effective_hazard(context, scenario)
-        transition = scenario.transition.for_sector(inst.sector)
-        pd_s = scenario_pd(
-            inst.pd0, hazard, transition, context.fragility, inst.adaptation, scenario.betas
-        )
-        lgd_s = scenario_lgd(inst.lgd0, hazard, scenario.lgd_gamma)
-        el_s = expected_loss(pd_s, lgd_s, inst.ead)
-        rows.append(CreditRow(id=inst.id, pd_s=pd_s, lgd_s=lgd_s, el_s=el_s))
-        total_el += el_s
-    return rows, total_el
+    from .pipeline import run_scenario  # pipeline imports this module
+
+    credit_only = replace(scenario, financing_tightening=0.0, lam=0.0, repricing=Repricing())
+    result, _ = run_scenario(linked, credit_only)
+    return list(result.rows), result.total_el

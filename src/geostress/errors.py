@@ -15,6 +15,10 @@ class DomainError(StressError):
     """An argument violates a numeric domain rule (sign or bound)."""
 
 
+class NonFiniteSum(DomainError):
+    """A sum of finite inputs overflowed: it is not a finite float."""
+
+
 class ZeroTotalValue(StressError):
     """Weights cannot be derived: every instrument value is zero."""
 
@@ -130,3 +134,7 @@ class AllZero(StressError):
 
 class ZeroDenominator(StressError):
     """A comparison ratio has a zero denominator."""
+
+
+class UnencodableText(StressError):
+    """Report text cannot be encoded, such as an id holding a lone surrogate."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from math import inf
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import InvalidWeights, ZeroTotalValue
+from .errors import InvalidWeights, NonFiniteSum, ZeroTotalValue
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -240,5 +240,7 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
         raise ZeroTotalValue(
             "cannot derive value weights: total instrument value is 0"
         )
+    if not total < inf:
+        raise NonFiniteSum(f"cannot derive value weights: total instrument value is {total!r}")
     weights = tuple(inst.value / total for inst in portfolio.instruments)
     return replace(portfolio, weights=weights)

@@ -1,36 +1,33 @@
 """End-to-end scenario evaluation over a linked portfolio.
 
-``run_scenario`` is the fused evaluation path: link once, evaluate many.
+``run_scenario`` is the one evaluation path: link once, evaluate many.
 For each scenario it computes the binding hazard H once per geo context
 and the transition shock T once per sector, into lists indexed by the
 linked portfolio's integer codes (``LinkedPortfolio.codes``), then makes
 one pass over the instruments that sums into lists indexed the same way.
-The layer functions (``portfolio_credit`` -> ``portfolio_valuation`` ->
-``exposure_summary``) are the reference path: the fused path performs
-the same float operations in the same order, so its results are
-bit-identical to theirs, and it runs every domain check they run, each
-once per scenario, geo context, sector or instrument.
+Each row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
+``expected_loss`` and ``repricing_delta`` in their order, so it is
+bit-identical to composing them, and every domain check they make runs
+once per scenario, geo context, sector or instrument. The layer
+functions ``portfolio_credit`` and ``portfolio_valuation`` are
+projections of its output.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 from .analytics import ExposureReport, hhi, top_contributors
-from .credit import (
-    _require_nonnegative,
-    effective_hazard,
-    expected_loss,
-    pd_after_overflow,
-)
-from .errors import DomainError, LengthMismatch, Misalignment
+from .credit import _require_nonnegative, effective_hazard, pd_after_overflow
+from .errors import DomainError, Misalignment, NonFiniteSum
 from .ingest import LinkedPortfolio
 from .model import Instrument, StressResult, StressRow, _check_weights
 from .scenarios import Scenario
 
 
 def _check_fields(inst: Instrument) -> None:
-    """The reference path's checks on an instrument's own fields."""
+    """Raise the error that names an instrument's out-of-domain field."""
     for name, value in (("pd0", inst.pd0), ("lgd0", inst.lgd0)):
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"{name} must lie in [0,1], got {value}")
@@ -47,27 +44,19 @@ def run_scenario(
     evaluate many.
     """
     instruments = linked.portfolio.instruments
-    contexts = linked.contexts
     weights = linked.portfolio.weights
     assert weights is not None  # linking normalizes weights
-    if len(contexts) != len(instruments):
+    if len(linked.contexts) != len(instruments):
         raise Misalignment("contexts do not match portfolio ids/order")
-    if len(weights) != len(instruments):
-        raise LengthMismatch(
-            f"weights/instruments lengths differ: {len(weights)}/{len(instruments)}"
-        )
+    _check_weights(weights, len(instruments))
 
     betas, repricing = scenario.betas, scenario.repricing
     _require_nonnegative(
-        beta_hazard=betas.hazard,
-        beta_transition=betas.transition,
-        beta_fragility=betas.fragility,
-        beta_adaptation=betas.adaptation,
+        **{f"beta_{name}": value for name, value in asdict(betas).items()},
         lgd_gamma=scenario.lgd_gamma,
         financing=scenario.financing_tightening,
-        delta_hazard=repricing.delta_hazard,
-        delta_transition=repricing.delta_transition,
-        delta_financing=repricing.delta_financing,
+        **asdict(repricing),
+        **{"lambda": scenario.lam},
     )
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
@@ -132,10 +121,9 @@ def run_scenario(
         lgd_s = lgd0 * lgd_factor
         if not lgd_s < 1.0:
             lgd_s = 1.0
+        # The clamps keep pd_s and lgd_s in [0, 1] (a NaN clamps to 1),
+        # so 0 <= el_s <= ead.
         el_s = pd_s * lgd_s * ead
-        if not (0.0 <= pd_s <= 1.0 and 0.0 <= lgd_s <= 1.0) or el_s < 0.0:
-            expected_loss(pd_s, lgd_s, ead)  # raises the reference path's error
-            raise DomainError(f"expected loss must be >= 0, got {el_s}")
         loss_fraction = d_h + d_t + d_f
         if not loss_fraction < 1.0:
             loss_fraction = 1.0
@@ -149,9 +137,13 @@ def run_scenario(
         channel_el[channel_code] += el_s
         geo_ead[geo_code] += ead
 
-    _check_weights(weights, len(instruments))
-    _require_nonnegative(**{"lambda": scenario.lam})
     metric = weighted_dv + scenario.lam * total_el
+    # Finite inputs can still overflow a sum. A finite total_el bounds every
+    # grouped EL sum, a finite metric needs a finite weighted dV sum, and
+    # hhi rejects an EAD basis whose total overflows.
+    for name, total in (("total_el", total_el), ("climate_var", metric)):
+        if not -math.inf < total < math.inf:
+            raise NonFiniteSum(f"{name} is {total!r}: a sum of finite inputs overflowed")
 
     result = StressResult(
         scenario_id=scenario.id, rows=tuple(rows), total_el=total_el, climate_var=metric

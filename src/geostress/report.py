@@ -28,6 +28,7 @@ from math import isfinite
 from typing import Iterable, Iterator, Sequence
 
 from .analytics import ExposureReport
+from .errors import UnencodableText
 from .model import StressResult
 
 
@@ -209,6 +210,14 @@ def _csv_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Itera
     ])
 
 
+def _utf8(blocks: Iterable[str]) -> Iterator[bytes]:
+    try:
+        for block in blocks:
+            yield block.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate in an id
+        raise UnencodableText(f"report text is not UTF-8 encodable: {exc}") from None
+
+
 def report_blocks(
     results: Iterable[tuple[StressResult, ExposureReport]], format: str = "json"
 ) -> Iterator[bytes]:
@@ -218,12 +227,13 @@ def report_blocks(
     from here once its blocks are out, before the next pair is asked for;
     so a lazy ``results`` keeps one scenario's results in memory, and the
     caller one block of text. Raises ``ValueError`` for an unknown format
-    now, and for an empty ``results`` once it is exhausted.
+    now, and for an empty ``results`` once it is exhausted; CSV raises
+    ``UnencodableText`` for an id that UTF-8 cannot encode.
     """
     if format == "json":
         return (block.encode("ascii") for block in _json_blocks(results))
     if format == "csv":
-        return (block.encode("utf-8") for block in _csv_blocks(results))
+        return _utf8(_csv_blocks(results))
     raise ValueError(f"unknown format {format!r}")
 
 

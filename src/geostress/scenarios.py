@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import TypeVar
 
 from .errors import (
     KindMismatch,
@@ -80,19 +81,10 @@ class Scenario:
     betas: BetaParams = field(default_factory=BetaParams)
 
 
-_TOP_FIELDS = {
-    "id",
-    "kind",
-    "hazard_multipliers",
-    "transition",
-    "financing_tightening",
-    "lambda",
-    "repricing",
-    "lgd_gamma",
-    "betas",
-}
-_REPRICING_FIELDS = {"delta_hazard", "delta_transition", "delta_financing"}
-_BETA_FIELDS = {"hazard", "transition", "fragility", "adaptation"}
+# A document's keys are Scenario's fields, with ``lam`` spelled "lambda".
+_TOP_FIELDS = {"lambda" if f.name == "lam" else f.name for f in fields(Scenario)}
+
+_Params = TypeVar("_Params", Repricing, BetaParams)
 
 
 def _num(value: object, path: str) -> float:
@@ -118,6 +110,16 @@ def _object(doc: dict, name: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioParseError(f"{name}: expected an object, got {value!r}")
     return dict(value)
+
+
+def _params(doc: dict, name: str, cls: type[_Params]) -> _Params:
+    """The object ``doc[name]`` as ``cls``; every key must name a field."""
+    raw = _object(doc, name)
+    names = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise UnknownField(f"{name}.{key}")
+    return cls(**{key: _num(value, f"{name}.{key}") for key, value in raw.items()})
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -148,6 +150,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc["id"], str) or not doc["id"]:
         raise ScenarioParseError("id must be a nonempty string")
     try:
+        doc["id"].encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which JSON allows
+        raise ScenarioParseError(f"id cannot be encoded as UTF-8: {doc['id']!r}") from None
+    try:
         kind = _KIND_BY_TOKEN[doc["kind"]]
     except (KeyError, TypeError):  # TypeError: an unhashable token
         raise UnknownKind(repr(doc["kind"])) from None
@@ -167,19 +173,8 @@ def parse_scenario(text: str) -> Scenario:
         for sector, value in raw_transition.items()
     }
 
-    raw_repricing = _object(doc, "repricing")
-    for name in raw_repricing:
-        if name not in _REPRICING_FIELDS:
-            raise UnknownField(f"repricing.{name}")
-    repricing = Repricing(
-        **{k: _num(v, f"repricing.{k}") for k, v in raw_repricing.items()}
-    )
-
-    raw_betas = _object(doc, "betas")
-    for name in raw_betas:
-        if name not in _BETA_FIELDS:
-            raise UnknownField(f"betas.{name}")
-    betas = BetaParams(**{k: _num(v, f"betas.{k}") for k, v in raw_betas.items()})
+    repricing = _params(doc, "repricing", Repricing)
+    betas = _params(doc, "betas", BetaParams)
 
     return Scenario(
         id=doc["id"],
@@ -215,20 +210,16 @@ def serialize_scenario(scenario: Scenario) -> str:
         },
         "financing_tightening": scenario.financing_tightening,
         "lambda": scenario.lam,
-        "repricing": {
-            "delta_hazard": scenario.repricing.delta_hazard,
-            "delta_transition": scenario.repricing.delta_transition,
-            "delta_financing": scenario.repricing.delta_financing,
-        },
+        "repricing": asdict(scenario.repricing),
         "lgd_gamma": scenario.lgd_gamma,
-        "betas": {
-            "hazard": scenario.betas.hazard,
-            "transition": scenario.betas.transition,
-            "fragility": scenario.betas.fragility,
-            "adaptation": scenario.betas.adaptation,
-        },
+        "betas": asdict(scenario.betas),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2)
+
+
+def _field_max(a: _Params, b: _Params) -> _Params:
+    """The parameters whose every field is the max of ``a``'s and ``b``'s."""
+    return type(a)(**{f.name: max(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)})
 
 
 def compose_compound(
@@ -275,26 +266,9 @@ def compose_compound(
         transition=merged_transition,
         financing_tightening=financing_tightening,
         lam=max(physical.lam, transition.lam),
-        repricing=Repricing(
-            delta_hazard=max(
-                physical.repricing.delta_hazard, transition.repricing.delta_hazard
-            ),
-            delta_transition=max(
-                physical.repricing.delta_transition,
-                transition.repricing.delta_transition,
-            ),
-            delta_financing=max(
-                physical.repricing.delta_financing,
-                transition.repricing.delta_financing,
-            ),
-        ),
+        repricing=_field_max(physical.repricing, transition.repricing),
         lgd_gamma=max(physical.lgd_gamma, transition.lgd_gamma),
-        betas=BetaParams(
-            hazard=max(physical.betas.hazard, transition.betas.hazard),
-            transition=max(physical.betas.transition, transition.betas.transition),
-            fragility=max(physical.betas.fragility, transition.betas.fragility),
-            adaptation=max(physical.betas.adaptation, transition.betas.adaptation),
-        ),
+        betas=_field_max(physical.betas, transition.betas),
     )
 
 

@@ -11,23 +11,16 @@ valuation burden) is a calibration choice, not fixed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, isfinite
 from typing import Sequence
 
-from .credit import CreditRow, _require_nonnegative, effective_hazard
-from .errors import DomainError, LengthMismatch, Misalignment
+from .analytics import _check_alignment
+from .credit import _require_nonnegative
+from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
-from .model import _check_weights
+from .model import StressRow, _check_weights
+from .pipeline import run_scenario
 from .scenarios import Repricing, Scenario
-
-
-@dataclass(frozen=True)
-class ValuationRow:
-    """Per-instrument repricing outcome; losses are negative."""
-
-    id: str
-    dv_s: float
 
 
 def repricing_delta(
@@ -86,33 +79,16 @@ def climate_var(
 
 
 def portfolio_valuation(
-    linked: LinkedPortfolio, scenario: Scenario, credit_rows: Sequence[CreditRow]
-) -> tuple[list[ValuationRow], float]:
+    linked: LinkedPortfolio, scenario: Scenario, credit_rows: Sequence[StressRow]
+) -> tuple[list[StressRow], float]:
     """Evaluate the valuation layer and aggregate the stress metric.
 
-    Credit rows must align one-to-one with portfolio order; hazard and
-    transition shocks are resolved exactly as in the credit layer.
+    Rows come from ``run_scenario``; the metric takes its expected losses
+    from ``credit_rows``, which must align one-to-one with portfolio
+    order.
     """
-    instruments = linked.portfolio.instruments
-    if len(credit_rows) != len(instruments) or any(
-        row.id != inst.id for row, inst in zip(credit_rows, instruments)
-    ):
-        raise Misalignment("credit rows do not match portfolio ids/order")
-
-    rows: list[ValuationRow] = []
-    for inst, context in zip(instruments, linked.contexts):
-        hazard = effective_hazard(context, scenario)
-        transition = scenario.transition.for_sector(inst.sector)
-        dv = repricing_delta(
-            inst.value, hazard, transition, scenario.financing_tightening, scenario.repricing
-        )
-        rows.append(ValuationRow(id=inst.id, dv_s=dv))
-
-    assert linked.portfolio.weights is not None  # linking normalizes weights
-    metric = climate_var(
-        linked.portfolio.weights,
-        [row.dv_s for row in rows],
-        [row.el_s for row in credit_rows],
-        scenario.lam,
-    )
-    return rows, metric
+    _check_alignment(credit_rows, linked)
+    result, _ = run_scenario(linked, scenario)
+    dvs = [row.dv_s for row in result.rows]
+    els = [row.el_s for row in credit_rows]
+    return list(result.rows), climate_var(linked.portfolio.weights, dvs, els, scenario.lam)

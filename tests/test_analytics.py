@@ -32,8 +32,8 @@ from geostress import (
     serialize_scenario,
     top_contributors,
 )
-from geostress.credit import CreditRow
 from geostress.errors import AllZero, Misalignment, ZeroDenominator
+from geostress.model import StressRow
 from oracle import oracle_portfolio
 
 
@@ -108,7 +108,7 @@ class TestGroupEl:
 
 class TestTopContributors:
     def _rows(self, els):
-        return [CreditRow(id=k, pd_s=0.1, lgd_s=0.5, el_s=v) for k, v in els.items()]
+        return [StressRow(id=k, pd_s=0.1, lgd_s=0.5, el_s=v, dv_s=0.0) for k, v in els.items()]
 
     def test_sorted_descending(self):
         top = top_contributors(self._rows({"A": 5.0, "B": 9.0, "C": 1.0}), k=2)

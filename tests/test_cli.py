@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from conftest import portfolio_csv
+from conftest import INSTRUMENT_DICTS, portfolio_csv
 from geostress import builtin_scenarios, cli, emit_report, run_scenario
 from geostress.cli import main
 from geostress.errors import DomainError
@@ -189,6 +189,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert "SchemaMismatch" in err and "portfolio.csv: not UTF-8" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, fields, fmt, error",
+        [
+            ({"ead": 1.7e308}, {}, "json", "NonFiniteSum: total_el is inf"),
+            ({"ead": 9e307}, {}, "json", "NonFiniteSum: total_el is inf"),
+            ({"value": 1.7e308}, {}, "json", "NonFiniteSum: cannot derive value weights"),
+            ({"ead": 1e308, "pd0": 0.0}, {}, "json", "NonFiniteSum: HHI basis sums to inf"),
+            ({}, {"lambda": 1e308}, "json", "NonFiniteSum: climate_var is inf"),
+            ({}, {"id": "\ud800"}, "json", "ScenarioParseError: id cannot be encoded"),
+            ({}, {"id": "\ud800"}, "csv", "ScenarioParseError: id cannot be encoded"),
+        ],
+        ids=["ead-max", "ead-half-max", "value-max", "geo-ead", "lambda", "id-json", "id-csv"],
+    )
+    def test_unreportable_input_exits_2(
+        self, fixture_files, tmp_path, capsys, change, fields, fmt, error
+    ):
+        # The first two rows lose their whole EAD; every number is finite.
+        dicts = [{**d, "pd0": 1.0, "lgd0": 1.0, **change} for d in INSTRUMENT_DICTS[:2]]
+        fixture_files["portfolio"].write_bytes(portfolio_csv(dicts + INSTRUMENT_DICTS[2:]))
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps({"id": "x", "kind": "compound", **fields}))
+        extra = ("--scenario", str(scenario_path), "--builtin", "compound", "--format", fmt)
+        code, out = run_cli(fixture_files, tmp_path, *extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and f"error: {error}" in captured.err
+        assert not out.exists() and not list(tmp_path.glob(".stress-*"))
 
     @pytest.mark.parametrize("second", ["builtin", "scenario"])
     def test_duplicate_scenario_id_exits_2(self, fixture_files, tmp_path, capsys, second):

@@ -1,5 +1,6 @@
 """Credit transmission: PD response, LGD adjustment, expected loss."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import BASELINE_HAZARDS, FRAGILITY, INSTRUMENT_DICTS
 from geostress import (
     BetaParams,
+    Repricing,
     Scenario,
     ScenarioKind,
     builtin_scenarios,
@@ -184,3 +186,11 @@ class TestPortfolioCredit:
     def test_rows_in_portfolio_order(self, fixture_linked):
         rows, _ = portfolio_credit(fixture_linked, builtin_scenarios()[0])
         assert [r.id for r in rows] == [i.id for i in fixture_linked.portfolio.instruments]
+
+    def test_valuation_parameters_are_neither_read_nor_checked(self, fixture_linked):
+        scenario = builtin_scenarios()[3]
+        expected = repr(portfolio_credit(fixture_linked, scenario))
+        for change in ({"lam": -1.0}, {"financing_tightening": -0.3},
+                       {"repricing": Repricing(delta_hazard=0.1, delta_financing=-0.2)}):
+            changed = portfolio_credit(fixture_linked, dataclasses.replace(scenario, **change))
+            assert repr(changed) == expected

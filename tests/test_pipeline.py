@@ -1,4 +1,4 @@
-"""The fused run_scenario against the layered reference path, bit for bit."""
+"""run_scenario against the public scalar functions, bit for bit."""
 
 import dataclasses
 
@@ -17,12 +17,17 @@ from geostress import (
     StressResult,
     StressRow,
     builtin_scenarios,
+    climate_var,
+    expected_loss,
     exposure_summary,
     link_exposures,
-    portfolio_credit,
-    portfolio_valuation,
+    repricing_delta,
     run_scenario,
+    scenario_lgd,
+    scenario_pd,
 )
+from geostress.credit import effective_hazard
+from geostress.model import ordered_sum
 
 # Sectors named by the built-in transition maps, then two that take the default.
 SECTORS = ("agriculture", "real_estate", "tourism", "retail", "mining")
@@ -84,20 +89,24 @@ def _scenarios():
 
 
 def _reference(linked, scenario, top_k):
-    credit_rows, total_el = portfolio_credit(linked, scenario)
-    valuation_rows, metric = portfolio_valuation(linked, scenario, credit_rows)
-    result = StressResult(
-        scenario_id=scenario.id,
-        rows=tuple(
-            StressRow(c.id, c.pd_s, c.lgd_s, c.el_s, v.dv_s)
-            for c, v in zip(credit_rows, valuation_rows)
-        ),
-        total_el=total_el,
-        climate_var=metric,
-    )
-    report = exposure_summary(
-        linked, scenario, credit_rows, valuation_rows, metric, top_k=top_k
-    )
+    """The scalar equations applied one instrument at a time."""
+    rows = []
+    for inst, context in zip(linked.portfolio.instruments, linked.contexts):
+        hazard = effective_hazard(context, scenario)
+        transition = scenario.transition.for_sector(inst.sector)
+        pd_s = scenario_pd(
+            inst.pd0, hazard, transition, context.fragility, inst.adaptation, scenario.betas
+        )
+        lgd_s = scenario_lgd(inst.lgd0, hazard, scenario.lgd_gamma)
+        el_s = expected_loss(pd_s, lgd_s, inst.ead)
+        dv_s = repricing_delta(
+            inst.value, hazard, transition, scenario.financing_tightening, scenario.repricing
+        )
+        rows.append(StressRow(inst.id, pd_s, lgd_s, el_s, dv_s))
+    els = [row.el_s for row in rows]
+    metric = climate_var(linked.portfolio.weights, [row.dv_s for row in rows], els, scenario.lam)
+    result = StressResult(scenario.id, tuple(rows), ordered_sum(els), metric)
+    report = exposure_summary(linked, scenario, rows, rows, metric, top_k=top_k)
     return result, report
 
 

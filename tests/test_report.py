@@ -34,6 +34,7 @@ from geostress import (
     run_scenario,
 )
 from geostress.analytics import Contributor, ExposureReport
+from geostress.errors import UnencodableText
 from geostress.model import StressResult, StressRow
 from geostress import report as report_module
 from geostress.report import _number, report_blocks
@@ -308,6 +309,7 @@ _CSV_IDS = st.text(
     scenario_ids=st.lists(_CSV_IDS, min_size=1, max_size=3),
     values=st.lists(_FLOATS, min_size=4, max_size=4),
 )
+@example(row_ids=["\ud800"], scenario_ids=["s"], values=[0.1, 0.2, 0.3, -0.4])
 def test_csv_matches_csv_writer(row_ids, scenario_ids, values):
     results = [
         (
@@ -321,4 +323,8 @@ def test_csv_matches_csv_writer(row_ids, scenario_ids, values):
         )
         for scenario_id in scenario_ids
     ]
-    assert emit_report(results, "csv") == reference_csv(results)
+    try:
+        assert emit_report(results, "csv") == reference_csv(results)
+    except UnencodableText:  # only for what csv.writer's text cannot encode either
+        with pytest.raises(UnicodeEncodeError):
+            reference_csv(results)

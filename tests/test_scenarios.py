@@ -203,6 +203,12 @@ class TestCompose:
         assert c.hazard_multipliers[HazardType.WILDFIRE] == 3.0
         assert c.hazard_multipliers[HazardType.DROUGHT] == 2.0
 
+    def test_repricing_and_betas_are_fieldwise_max(self):
+        p = self._physical(repricing=Repricing(0.1, 0.5, 0.0), betas=BetaParams(0.3, 0.0, 0.9, 0.2))
+        t = self._transition(repricing=Repricing(0.4, 0.2, 0.3), betas=BetaParams(0.1, 0.6, 0.0, 0.2))
+        c = compose_compound(p, t, 0.0)
+        assert (c.repricing, c.betas) == (Repricing(0.4, 0.5, 0.3), BetaParams(0.3, 0.6, 0.9, 0.2))
+
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatch):
             compose_compound(self._transition(), self._transition(id="T2"), 0.1)

@@ -141,7 +141,7 @@ class TestPortfolioValuation:
         scenario = dataclasses.replace(builtin_scenarios()[1], lam=0.0)
         credit_rows, _ = portfolio_credit(fixture_linked, scenario)
         _, metric = portfolio_valuation(fixture_linked, scenario, credit_rows)
-        scaled_rows = [dataclasses.replace(r, el_s=r.el_s * 10.0) for r in credit_rows]
+        scaled_rows = [r._replace(el_s=r.el_s * 10.0) for r in credit_rows]
         _, metric2 = portfolio_valuation(fixture_linked, scenario, scaled_rows)
         assert metric == metric2
 
