@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import isfinite
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from .errors import AllZero, Misalignment, NonFiniteSum, ZeroDenominator
 from .ingest import LinkedPortfolio
@@ -23,6 +23,7 @@ from .model import StressResult, StressRow, ordered_sum
 from .scenarios import Scenario
 
 GroupKey = Literal["geo", "sector", "channel"]
+_GROUP_KEYS = get_args(GroupKey)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,22 @@ def _check_alignment(
         raise Misalignment(f"{layer} rows do not match portfolio ids/order")
 
 
+def _grouped(values: Sequence[float], linked: LinkedPortfolio) -> tuple[dict[str, float], ...]:
+    """Sum one value per row by geo unit, sector and channel tag, in
+    ``GroupKey`` order. Each group adds its values in row order; keys are
+    sorted for reproducible reports."""
+    codes = linked.codes
+    names = (codes.geo_ids, codes.sectors, codes.channels)
+    by_geo, by_sector, by_channel = sums = [[0.0] * len(keys) for keys in names]
+    for value, geo, sector, channel in zip(
+        values, codes.geo_codes, codes.sector_codes, codes.channel_codes
+    ):
+        by_geo[geo] += value
+        by_sector[sector] += value
+        by_channel[channel] += value
+    return tuple(dict(sorted(zip(keys, group))) for keys, group in zip(names, sums))
+
+
 def group_el(
     rows: Sequence[StressRow], linked: LinkedPortfolio, by: GroupKey
 ) -> dict[str, float]:
@@ -84,18 +101,9 @@ def group_el(
     reproducible reports.
     """
     _check_alignment(rows, linked)
-    sums: dict[str, float] = {}
-    for row, inst, context in zip(rows, linked.portfolio.instruments, linked.contexts):
-        if by == "geo":
-            key = inst.geo_id
-        elif by == "sector":
-            key = inst.sector
-        elif by == "channel":
-            key = context.channel.value
-        else:
-            raise ValueError(f"unknown grouping key {by!r}")
-        sums[key] = sums.get(key, 0.0) + row.el_s
-    return dict(sorted(sums.items()))
+    if by not in _GROUP_KEYS:
+        raise ValueError(f"unknown grouping key {by!r}")
+    return _grouped([row.el_s for row in rows], linked)[_GROUP_KEYS.index(by)]
 
 
 def top_contributors(
@@ -148,25 +156,24 @@ def exposure_summary(
     """Build the full diagnostic report for one scenario run."""
     _check_alignment(credit_rows, linked)
     _check_alignment(valuation_rows, linked, "valuation")
+    return _report(linked, scenario.id, credit_rows, metric, top_k)
 
-    el_by_geo = group_el(credit_rows, linked, "geo")
-    el_by_sector = group_el(credit_rows, linked, "sector")
-    el_by_channel = group_el(credit_rows, linked, "channel")
 
-    ead_by_geo: dict[str, float] = {}
-    for inst in linked.portfolio.instruments:
-        ead_by_geo[inst.geo_id] = ead_by_geo.get(inst.geo_id, 0.0) + inst.ead
-
+def _report(
+    linked: LinkedPortfolio, scenario_id: str, rows: Sequence[StressRow], metric: float, top_k: int
+) -> ExposureReport:
+    """The diagnostic report over rows in portfolio order."""
+    el_by_geo, el_by_sector, el_by_channel = _grouped([row.el_s for row in rows], linked)
     return ExposureReport(
-        scenario_id=scenario.id,
+        scenario_id=scenario_id,
         el_by_geo=el_by_geo,
         el_by_hazard_channel=el_by_channel,
         el_by_sector=el_by_sector,
         hhi_geo=hhi(list(el_by_geo.values())),
         hhi_sector=hhi(list(el_by_sector.values())),
         hhi_channel=hhi(list(el_by_channel.values())),
-        hhi_geo_ead=hhi(list(ead_by_geo.values())),
-        top_contributors=tuple(top_contributors(credit_rows, top_k)),
+        hhi_geo_ead=hhi(linked.codes.geo_ead),
+        top_contributors=tuple(top_contributors(rows, top_k)),
         climate_var=metric,
         weight_source=linked.weight_source,
     )

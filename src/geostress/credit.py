@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteSum
 from .ingest import ExposureContext, LinkedPortfolio
 from .model import BetaParams, StressRow
 from .scenarios import Repricing, Scenario
@@ -63,16 +63,21 @@ def scenario_pd(
         - betas.adaptation * adaptation
     )
     try:
-        return min(1.0, pd0 * math.exp(exponent))
+        pd = pd0 * math.exp(exponent)
     except OverflowError:
-        return pd_after_overflow(pd0, exponent)
+        pd = math.nan
+    return pd_after_overflow(pd0, exponent) if math.isnan(pd) else min(1.0, pd)
 
 
 def pd_after_overflow(pd0: float, exponent: float) -> float:
-    """min(1, pd0 * exp(exponent)) for an exponent whose exp overflows.
+    """min(1, pd0 * exp(exponent)) where that product is NaN: exp
+    overflowed, or a zero baseline met exp(inf).
 
-    The product is formed in log space; a zero baseline stays zero.
+    The product is formed in log space; a zero baseline stays zero. A NaN
+    exponent, whose terms overflowed to +inf and -inf, has no PD.
     """
+    if math.isnan(exponent):
+        raise NonFiniteSum("PD exponent is nan: its terms overflowed to +inf and -inf")
     if pd0 == 0.0:
         return 0.0
     return math.exp(min(0.0, exponent + math.log(pd0)))

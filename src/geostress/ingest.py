@@ -78,8 +78,8 @@ class LinkCodes:
 
     Each ``*_codes`` list holds one index per instrument into the
     distinct values beside it, which are kept in first-appearance order.
-    Contexts are told apart by identity; ``context_channels`` holds each
-    distinct context's index into ``channels``.
+    Contexts are told apart by identity. ``geo_ead`` is the EAD summed
+    per geo code in row order: it does not depend on the scenario.
     """
 
     contexts: tuple[ExposureContext, ...]
@@ -89,7 +89,8 @@ class LinkCodes:
     sectors: tuple[str, ...]
     sector_codes: list[int]
     channels: tuple[str, ...]
-    context_channels: tuple[int, ...]
+    channel_codes: list[int]
+    geo_ead: tuple[float, ...]
 
 
 def _codes(keys: Iterable[object]) -> tuple[dict, list[int]]:
@@ -121,7 +122,10 @@ class LinkedPortfolio:
         if geo_codes == context_codes:
             geo_codes = context_codes  # one context per geo unit: share the list
         sector_index, sector_codes = _codes(inst.sector for inst in instruments)
-        channel_index, context_channels = _codes(c.channel.value for c in contexts)
+        channel_index, channel_codes = _codes(c.channel.value for c in self.contexts)
+        geo_ead = [0.0] * len(geo_index)
+        for geo_code, inst in zip(geo_codes, instruments):
+            geo_ead[geo_code] += inst.ead
         return LinkCodes(
             contexts=contexts,
             context_codes=context_codes,
@@ -130,7 +134,8 @@ class LinkedPortfolio:
             sectors=tuple(sector_index),
             sector_codes=sector_codes,
             channels=tuple(channel_index),
-            context_channels=tuple(context_channels),
+            channel_codes=channel_codes,
+            geo_ead=tuple(geo_ead),
         )
 
 

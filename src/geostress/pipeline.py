@@ -4,13 +4,14 @@
 For each scenario it computes the binding hazard H once per geo context
 and the transition shock T once per sector, into lists indexed by the
 linked portfolio's integer codes (``LinkedPortfolio.codes``), then makes
-one pass over the instruments that sums into lists indexed the same way.
-Each row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
+one pass over the instruments that emits the rows and the totals. Each
+row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
 ``expected_loss`` and ``repricing_delta`` in their order, so it is
 bit-identical to composing them, and every domain check they make runs
-once per scenario, geo context, sector or instrument. The layer
-functions ``portfolio_credit`` and ``portfolio_valuation`` are
-projections of its output.
+once per scenario, geo context, sector or instrument. The grouped sums,
+HHIs and top contributors come from ``analytics``, which builds them the
+same way for any rows. The layer functions ``portfolio_credit`` and
+``portfolio_valuation`` are projections of its output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
-from .analytics import ExposureReport, hhi, top_contributors
+from .analytics import ExposureReport, _report
 from .credit import _require_nonnegative, effective_hazard, pd_after_overflow
 from .errors import DomainError, Misalignment, NonFiniteSum
 from .ingest import LinkedPortfolio
@@ -32,6 +33,19 @@ def _check_fields(inst: Instrument) -> None:
         if not 0.0 <= value <= 1.0:
             raise DomainError(f"{name} must lie in [0,1], got {value}")
     _require_nonnegative(adaptation=inst.adaptation, ead=inst.ead, value=inst.value)
+
+
+def _stress_metric(weighted_dv: float, total_el: float, lam: float) -> float:
+    """The stress metric ``weighted_dv + lam * total_el``.
+
+    Finite inputs can still overflow a sum; ``NonFiniteSum`` names it. A
+    finite ``total_el`` bounds every grouped EL sum.
+    """
+    metric = weighted_dv + lam * total_el
+    for name, total in (("total_el", total_el), ("climate_var", metric)):
+        if not -math.inf < total < math.inf:
+            raise NonFiniteSum(f"{name} is {total!r}: a sum of finite inputs overflowed")
+    return metric
 
 
 def run_scenario(
@@ -62,9 +76,9 @@ def run_scenario(
     d_f = repricing.delta_financing * scenario.financing_tightening
 
     codes = linked.codes
-    # Per distinct geo context: b_H*H, b_U*U, 1 + gamma*H, dH*H, channel code.
+    # Per distinct geo context: b_H*H, b_U*U, 1 + gamma*H, dH*H.
     context_terms = []
-    for context, channel_code in zip(codes.contexts, codes.context_channels):
+    for context in codes.contexts:
         hazard = effective_hazard(context, scenario)
         _require_nonnegative(hazard=hazard, fragility=context.fragility)
         context_terms.append((
@@ -72,7 +86,6 @@ def run_scenario(
             betas.fragility * context.fragility,
             1.0 + scenario.lgd_gamma * hazard,
             repricing.delta_hazard * hazard,
-            channel_code,
         ))
     # Per sector: b_T*T, dT*T.
     sector_terms = []
@@ -83,21 +96,16 @@ def run_scenario(
             (betas.transition * transition, repricing.delta_transition * transition)
         )
 
-    exp, inf = math.exp, math.inf
+    exp, inf, nan = math.exp, math.inf, math.nan
     new_row = tuple.__new__  # StressRow(...) without its Python-level __new__
     rows = []
     append_row = rows.append
     total_el = 0.0
     weighted_dv = 0.0
-    # Sums indexed by code, each added to in row order.
-    geo_el = [0.0] * len(codes.geo_ids)
-    geo_ead = [0.0] * len(codes.geo_ids)
-    sector_el = [0.0] * len(codes.sectors)
-    channel_el = [0.0] * len(codes.channels)
-    for inst, context_code, geo_code, sector_code, weight in zip(
-        instruments, codes.context_codes, codes.geo_codes, codes.sector_codes, weights
+    for inst, context_code, sector_code, weight in zip(
+        instruments, codes.context_codes, codes.sector_codes, weights
     ):
-        b_h, b_u, lgd_factor, d_h, channel_code = context_terms[context_code]
+        b_h, b_u, lgd_factor, d_h = context_terms[context_code]
         b_t, d_t = sector_terms[sector_code]
         pd0, lgd0, ead, value, adaptation = (
             inst.pd0, inst.lgd0, inst.ead, inst.value, inst.adaptation
@@ -115,13 +123,15 @@ def run_scenario(
         try:
             pd_s = pd0 * exp(exponent)
         except OverflowError:
-            pd_s = pd_after_overflow(pd0, exponent)
+            pd_s = nan
         if not pd_s < 1.0:
-            pd_s = 1.0
+            # A NaN product (exp overflowed, a zero baseline met exp(inf),
+            # or the exponent is NaN) goes to pd_after_overflow.
+            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
         lgd_s = lgd0 * lgd_factor
         if not lgd_s < 1.0:
             lgd_s = 1.0
-        # The clamps keep pd_s and lgd_s in [0, 1] (a NaN clamps to 1),
+        # The clamps keep pd_s and lgd_s in [0, 1] (a NaN LGD clamps to 1),
         # so 0 <= el_s <= ead.
         el_s = pd_s * lgd_s * ead
         loss_fraction = d_h + d_t + d_f
@@ -132,41 +142,9 @@ def run_scenario(
         append_row(new_row(StressRow, (inst.id, pd_s, lgd_s, el_s, dv_s)))
         total_el += el_s
         weighted_dv += weight * dv_s
-        geo_el[geo_code] += el_s
-        sector_el[sector_code] += el_s
-        channel_el[channel_code] += el_s
-        geo_ead[geo_code] += ead
 
-    metric = weighted_dv + scenario.lam * total_el
-    # Finite inputs can still overflow a sum. A finite total_el bounds every
-    # grouped EL sum, a finite metric needs a finite weighted dV sum, and
-    # hhi rejects an EAD basis whose total overflows.
-    for name, total in (("total_el", total_el), ("climate_var", metric)):
-        if not -math.inf < total < math.inf:
-            raise NonFiniteSum(f"{name} is {total!r}: a sum of finite inputs overflowed")
-
+    metric = _stress_metric(weighted_dv, total_el, scenario.lam)
     result = StressResult(
         scenario_id=scenario.id, rows=tuple(rows), total_el=total_el, climate_var=metric
     )
-    el_by_geo, el_by_sector, el_by_channel = (
-        dict(sorted(zip(names, sums)))
-        for names, sums in (
-            (codes.geo_ids, geo_el),
-            (codes.sectors, sector_el),
-            (codes.channels, channel_el),
-        )
-    )
-    report = ExposureReport(
-        scenario_id=scenario.id,
-        el_by_geo=el_by_geo,
-        el_by_hazard_channel=el_by_channel,
-        el_by_sector=el_by_sector,
-        hhi_geo=hhi(list(el_by_geo.values())),
-        hhi_sector=hhi(list(el_by_sector.values())),
-        hhi_channel=hhi(list(el_by_channel.values())),
-        hhi_geo_ead=hhi(geo_ead),
-        top_contributors=tuple(top_contributors(result.rows, top_k)),
-        climate_var=metric,
-        weight_source=linked.weight_source,
-    )
-    return result, report
+    return result, _report(linked, scenario.id, result.rows, metric, top_k)

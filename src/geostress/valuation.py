@@ -19,7 +19,7 @@ from .credit import _require_nonnegative
 from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
 from .model import StressRow, _check_weights
-from .pipeline import run_scenario
+from .pipeline import _stress_metric, run_scenario
 from .scenarios import Repricing, Scenario
 
 
@@ -57,7 +57,8 @@ def climate_var(
 ) -> float:
     """Scenario stress metric: sum(w_i * dv_i) + lambda * sum(el_i).
 
-    Summation is deterministic left-to-right over the input order.
+    Summation is deterministic left-to-right over the input order; a
+    total of finite inputs that overflows raises ``NonFiniteSum``.
     """
     if not len(weights) == len(dvs) == len(els):
         raise LengthMismatch(
@@ -75,7 +76,7 @@ def climate_var(
         if not 0.0 <= el < inf:
             raise DomainError(f"expected loss must be >= 0 and finite, got {el}")
         total_el += el
-    return weighted_dv + lam * total_el
+    return _stress_metric(weighted_dv, total_el, lam)
 
 
 def portfolio_valuation(

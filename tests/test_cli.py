@@ -1,16 +1,27 @@
 """Report emission and the CLI surface."""
 
+import contextlib
 import csv
 import gc
 import io
 import json
 import os
 import stat
+import tempfile
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import INSTRUMENT_DICTS, portfolio_csv
+from conftest import (
+    GEO_CHANNELS,
+    INSTRUMENT_DICTS,
+    fragility_csv,
+    geounits_csv,
+    hazards_csv,
+    portfolio_csv,
+)
 from geostress import builtin_scenarios, cli, emit_report, run_scenario
 from geostress.cli import main
 from geostress.errors import DomainError
@@ -217,6 +228,24 @@ class TestRun:
         assert (code, captured.out) == (2, "") and f"error: {error}" in captured.err
         assert not out.exists() and not list(tmp_path.glob(".stress-*"))
 
+    def test_nan_pd_exponent_exits_2(self, fixture_files, tmp_path, capsys):
+        # Row i01 (wildfire 0.8 x 10) takes b_H*H to +inf and b_A*A to +inf,
+        # so its PD exponent is inf - inf.
+        dicts = [{**INSTRUMENT_DICTS[0], "adaptation": 2.0}, *INSTRUMENT_DICTS[1:]]
+        fixture_files["portfolio"].write_bytes(portfolio_csv(dicts))
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps({
+            "id": "x",
+            "kind": "compound",
+            "hazard_multipliers": {"wildfire": 10},
+            "betas": {"hazard": 1e308, "adaptation": 1e308},
+        }))
+        code, out = run_cli(fixture_files, tmp_path, "--scenario", str(scenario_path))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "error: NonFiniteSum: PD exponent is nan" in captured.err
+        assert not out.exists() and not list(tmp_path.glob(".stress-*"))
+
     @pytest.mark.parametrize("second", ["builtin", "scenario"])
     def test_duplicate_scenario_id_exits_2(self, fixture_files, tmp_path, capsys, second):
         scenario_path = tmp_path / "mine.json"
@@ -377,3 +406,78 @@ class TestScenariosPrint:
         assert [d["id"] for d in docs] == ["orderly", "disorderly", "physical", "compound"]
         for d in docs:
             parse_scenario(json.dumps(d))
+
+
+# Each number comes from a plain range or from its full range, whose ends
+# Hypothesis favours, so a run mixes ordinary and extreme magnitudes. A beta
+# of 1e308 is drawn often: times a hazard above 1.8 it overflows to inf.
+_amount = st.floats(min_value=0.0, max_value=1e9) | st.floats(min_value=0.0, max_value=1.7e308)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_beta = (
+    st.floats(min_value=0.0, max_value=3.0)
+    | st.just(1e308)
+    | st.floats(min_value=0.0, max_value=1e308)
+)
+_extreme_rows = st.lists(
+    st.fixed_dictionaries({
+        "geo_id": st.sampled_from(sorted(GEO_CHANNELS)),
+        "sector": st.sampled_from(["agriculture", "retail", "mining"]),
+        "ead": _amount,
+        "pd0": st.just(0.0) | _unit,
+        "lgd0": _unit,
+        "value": _amount,
+        "adaptation": st.floats(min_value=0.0, max_value=1e3),
+    }),
+    min_size=1,
+    max_size=6,
+)
+_extreme_scenarios = st.fixed_dictionaries({
+    "hazard_multipliers": st.fixed_dictionaries(
+        {"wildfire": st.floats(min_value=0.0, max_value=10.0)}
+    ),
+    "transition": st.fixed_dictionaries({"default": _unit}),
+    "betas": st.fixed_dictionaries(
+        {name: _beta for name in ("hazard", "transition", "fragility", "adaptation")}
+    ),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_extreme_rows, scenario=_extreme_scenarios)
+@example(
+    rows=[{**INSTRUMENT_DICTS[0], "pd0": 0.0}],
+    scenario={"hazard_multipliers": {"wildfire": 10.0}, "betas": {"hazard": 1e308}},
+)
+def test_extreme_finite_inputs_give_a_finite_report_or_exit_2(rows, scenario):
+    """Finite inputs at the float limits never exit 3, never put NaN or
+    Infinity into a report, and keep a zero baseline PD at 0."""
+    dicts = [{**row, "id": f"i{k}"} for k, row in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in [
+            ("portfolio", portfolio_csv(dicts)),
+            ("hazards", hazards_csv()),
+            ("fragility", fragility_csv()),
+            ("geounits", geounits_csv()),
+        ]:
+            paths[name] = os.path.join(tmp, f"{name}.csv")
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        scenario_path = os.path.join(tmp, "s.json")
+        with open(scenario_path, "w") as fh:
+            json.dump({"id": "x", "kind": "compound", **scenario}, fh)
+        out = os.path.join(tmp, "report.json")
+        argv = ["run", "--scenario", scenario_path, "--out", out]
+        for name, path in paths.items():
+            argv += [f"--{name}", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        with open(out) as fh:
+            text = fh.read()
+    assert "NaN" not in text and "Infinity" not in text
+    zero = {d["id"] for d in dicts if d["pd0"] == 0.0}
+    assert all(row["pd_s"] == 0.0 for row in json.loads(text)[0]["rows"] if row["id"] in zero)

@@ -21,7 +21,7 @@ from geostress import (
     scenario_pd,
     serialize_scenario,
 )
-from geostress.errors import DomainError
+from geostress.errors import DomainError, NonFiniteSum
 from oracle import oracle_portfolio
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -51,6 +51,16 @@ class TestScenarioPd:
         assert scenario_pd(1e-320, 710.0, 0.0, 0.0, 0.0, steep) == pytest.approx(
             math.exp(710.0 + math.log(1e-320)), rel=1e-9
         )
+
+    def test_infinite_exponent(self):
+        # 1e308 * 8.0 is inf, and exp(inf) is inf without an OverflowError.
+        steep = BetaParams(hazard=1e308)
+        assert scenario_pd(0.5, 8.0, 0.0, 0.0, 0.0, steep) == 1.0
+        assert scenario_pd(0.0, 8.0, 0.0, 0.0, 0.0, steep) == 0.0
+        both = BetaParams(hazard=1e308, adaptation=1e308)
+        for pd0 in (0.0, 0.5):
+            with pytest.raises(NonFiniteSum, match="^PD exponent is nan"):
+                scenario_pd(pd0, 8.0, 0.0, 0.0, 2.0, both)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""run_scenario against the public scalar functions, bit for bit."""
+"""run_scenario against the public scalar functions and a per-row dict
+grouping, bit for bit."""
 
 import dataclasses
 
@@ -7,6 +8,7 @@ import pytest
 from geostress import (
     BetaParams,
     Channel,
+    ExposureReport,
     FragilityTable,
     GeoUnit,
     HazardField,
@@ -19,12 +21,13 @@ from geostress import (
     builtin_scenarios,
     climate_var,
     expected_loss,
-    exposure_summary,
+    hhi,
     link_exposures,
     repricing_delta,
     run_scenario,
     scenario_lgd,
     scenario_pd,
+    top_contributors,
 )
 from geostress.credit import effective_hazard
 from geostress.model import ordered_sum
@@ -85,11 +88,22 @@ def _scenarios():
     overflow = dataclasses.replace(
         physical, id="physical-overflow", betas=BetaParams(hazard=1000.0)
     )
-    return [orderly, disorderly, physical, compound, scaled, overflow]
+    infinite = dataclasses.replace(physical, id="physical-inf", betas=BetaParams(hazard=1e308))
+    return [orderly, disorderly, physical, compound, scaled, overflow, infinite]
+
+
+def _group(rows, linked, key):
+    """Expected loss summed per key in row order, with sorted keys."""
+    sums = {}
+    for row, inst, context in zip(rows, linked.portfolio.instruments, linked.contexts):
+        name = key(inst, context)
+        sums[name] = sums.get(name, 0.0) + row.el_s
+    return dict(sorted(sums.items()))
 
 
 def _reference(linked, scenario, top_k):
-    """The scalar equations applied one instrument at a time."""
+    """The scalar equations applied one instrument at a time, grouped in
+    dicts keyed by name."""
     rows = []
     for inst, context in zip(linked.portfolio.instruments, linked.contexts):
         hazard = effective_hazard(context, scenario)
@@ -106,7 +120,25 @@ def _reference(linked, scenario, top_k):
     els = [row.el_s for row in rows]
     metric = climate_var(linked.portfolio.weights, [row.dv_s for row in rows], els, scenario.lam)
     result = StressResult(scenario.id, tuple(rows), ordered_sum(els), metric)
-    report = exposure_summary(linked, scenario, rows, rows, metric, top_k=top_k)
+    el_by_geo = _group(rows, linked, lambda inst, _: inst.geo_id)
+    el_by_sector = _group(rows, linked, lambda inst, _: inst.sector)
+    el_by_channel = _group(rows, linked, lambda _, context: context.channel.value)
+    ead_by_geo = {}  # in first-appearance order, the order hhi_geo_ead adds in
+    for inst in linked.portfolio.instruments:
+        ead_by_geo[inst.geo_id] = ead_by_geo.get(inst.geo_id, 0.0) + inst.ead
+    report = ExposureReport(
+        scenario_id=scenario.id,
+        el_by_geo=el_by_geo,
+        el_by_hazard_channel=el_by_channel,
+        el_by_sector=el_by_sector,
+        hhi_geo=hhi(list(el_by_geo.values())),
+        hhi_sector=hhi(list(el_by_sector.values())),
+        hhi_channel=hhi(list(el_by_channel.values())),
+        hhi_geo_ead=hhi(list(ead_by_geo.values())),
+        top_contributors=tuple(top_contributors(rows, top_k)),
+        climate_var=metric,
+        weight_source=linked.weight_source,
+    )
     return result, report
 
 
@@ -138,6 +170,14 @@ def test_fixture_exercises_sharing_defaults_and_clamps():
     overflowed, _ = run_scenario(linked, by_id["physical-overflow"])
     baseline = {i.id: i.pd0 for i in linked.portfolio.instruments}
     assert {row.pd_s for row in overflowed.rows if baseline[row.id] == 0.0} == {0.0}
+
+
+@pytest.mark.parametrize("scenario", _scenarios(), ids=lambda s: s.id)
+def test_zero_baseline_pd_stays_zero(scenario):
+    linked = _mixed_linked()
+    result, _ = run_scenario(linked, scenario)
+    zero = {i.id for i in linked.portfolio.instruments if i.pd0 == 0.0}
+    assert zero and {row.pd_s for row in result.rows if row.id in zero} == {0.0}
 
 
 def _outcome(evaluate):

@@ -20,7 +20,13 @@ from geostress import (
     repricing_delta,
     serialize_scenario,
 )
-from geostress.errors import DomainError, InvalidWeights, LengthMismatch, Misalignment
+from geostress.errors import (
+    DomainError,
+    InvalidWeights,
+    LengthMismatch,
+    Misalignment,
+    NonFiniteSum,
+)
 from oracle import oracle_portfolio
 
 shock = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -86,6 +92,19 @@ class TestClimateVar:
     )
     def test_non_finite_rejected(self, args):
         with pytest.raises(DomainError):
+            climate_var(*args)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (([1.0], [-1.0], [10.0], 1e308), "climate_var is inf"),
+            (([0.5, 0.5], [-1.0, -1.0], [1e308, 1e308], 0.0), "total_el is inf"),
+        ],
+        ids=["metric", "total-el"],
+    )
+    def test_overflow_raises_non_finite_sum(self, args, name):
+        # The kernel's check and message: finite inputs, a sum that overflows.
+        with pytest.raises(NonFiniteSum, match=f"^{name}: a sum of finite inputs overflowed$"):
             climate_var(*args)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
