@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .analytics import ExposureReport
@@ -42,45 +41,31 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs; mirrors the ``stress run`` flags."""
 
-    portfolio: str
-    hazards: str
-    fragility: str
-    geounits: str
-    scenario_paths: tuple[str, ...] = ()
-    builtin: Optional[str] = None  # "all" or the id of one built-in
-    out: str = ""
-    format: str = "json"
-    top_k: int = 10
-
-
-def _load_linked(config: RunConfig) -> LinkedPortfolio:
-    with open(config.portfolio, "rb") as fh:
-        portfolio = load_portfolio(fh, filename=config.portfolio)
-    with open(config.hazards, "rb") as fh:
-        hazards = load_hazard_table(fh, filename=config.hazards)
-    with open(config.fragility, "rb") as fh:
-        fragility = load_fragility(fh, filename=config.fragility)
-    with open(config.geounits, "rb") as fh:
-        registry = load_geounits(fh, filename=config.geounits)
+def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
+    with open(args.portfolio, "rb") as fh:
+        portfolio = load_portfolio(fh, filename=args.portfolio)
+    with open(args.hazards, "rb") as fh:
+        hazards = load_hazard_table(fh, filename=args.hazards)
+    with open(args.fragility, "rb") as fh:
+        fragility = load_fragility(fh, filename=args.fragility)
+    with open(args.geounits, "rb") as fh:
+        registry = load_geounits(fh, filename=args.geounits)
     return link_exposures(portfolio, hazards, fragility, registry)
 
 
-def _load_scenarios(config: RunConfig) -> list[Scenario]:
+def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
     scenarios: list[Scenario] = []
-    for path in config.scenario_paths:
+    for path in args.scenario:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ScenarioParseError(f"{path}: not UTF-8: {exc}") from None
         scenarios.append(parse_scenario(text))
-    if config.builtin is not None:
+    if args.builtin is not None:
         scenarios.extend(
-            s for s in builtin_scenarios() if config.builtin in ("all", s.id)
+            s for s in builtin_scenarios() if args.builtin in ("all", s.id)
         )
     seen: set[str] = set()
     for scenario in scenarios:
@@ -94,7 +79,11 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".stress-")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".stress-")
+    except OSError as exc:
+        exc.filename = path  # name --out, not the temporary file
+        raise
     try:
         with os.fdopen(fd, "wb") as fh:
             # mkstemp creates the file 0600; give the report the mode a
@@ -122,20 +111,20 @@ def _evaluate(
         del result, report  # freed before the next scenario runs
 
 
-def run(config: RunConfig) -> int:
-    """Execute the full pipeline for every configured scenario."""
-    if not config.scenario_paths and config.builtin is None:
+def run(args: argparse.Namespace) -> int:
+    """Execute the full pipeline for every scenario named on the command line."""
+    if not args.scenario and args.builtin is None:
         print("error: at least one --scenario or --builtin required", file=sys.stderr)
         return EXIT_INPUT
-    if config.top_k < 1:
+    if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     summary: list[tuple[str, float, float]] = []
     try:
-        linked = _load_linked(config)
-        scenarios = _load_scenarios(config)
-        results = _evaluate(linked, scenarios, config.top_k, summary)
-        _write_atomic(config.out, report_blocks(results, format=config.format))
+        linked = _load_linked(args)
+        scenarios = _load_scenarios(args)
+        results = _evaluate(linked, scenarios, args.top_k, summary)
+        _write_atomic(args.out, report_blocks(results, format=args.format))
     except (StressError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -147,12 +136,12 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def validate(config: RunConfig) -> int:
+def validate(args: argparse.Namespace) -> int:
     """Load and link only, reporting the first validation failure."""
     try:
-        _load_linked(config)
-        if config.scenario_paths:
-            _load_scenarios(config)
+        _load_linked(args)
+        if args.scenario:
+            _load_scenarios(args)
     except (StressError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -203,20 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for scenario in builtin_scenarios():
             print(serialize_scenario(scenario))
         return EXIT_OK
-    config = RunConfig(
-        portfolio=args.portfolio,
-        hazards=args.hazards,
-        fragility=args.fragility,
-        geounits=args.geounits,
-        scenario_paths=tuple(args.scenario),
-        builtin=args.builtin,
-        out=getattr(args, "out", ""),
-        format=getattr(args, "format", "json"),
-        top_k=getattr(args, "top_k", 10),
-    )
-    if args.command == "run":
-        return run(config)
-    return validate(config)
+    return run(args) if args.command == "run" else validate(args)
 
 
 if __name__ == "__main__":

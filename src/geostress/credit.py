@@ -88,7 +88,9 @@ def scenario_lgd(lgd0: float, hazard: float, lgd_gamma: float) -> float:
     if not 0.0 <= lgd0 <= 1.0:
         raise DomainError(f"lgd0 must lie in [0,1], got {lgd0}")
     _require_nonnegative(hazard=hazard, lgd_gamma=lgd_gamma)
-    return min(1.0, lgd0 * (1.0 + lgd_gamma * hazard))
+    lgd = lgd0 * (1.0 + lgd_gamma * hazard)
+    # A NaN product is a zero baseline times an overflowed factor.
+    return 0.0 if math.isnan(lgd) else min(1.0, lgd)
 
 
 def expected_loss(pd: float, lgd: float, ead: float) -> float:

@@ -130,9 +130,9 @@ def run_scenario(
             pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
         lgd_s = lgd0 * lgd_factor
         if not lgd_s < 1.0:
-            lgd_s = 1.0
-        # The clamps keep pd_s and lgd_s in [0, 1] (a NaN LGD clamps to 1),
-        # so 0 <= el_s <= ead.
+            # A NaN product is a zero baseline times an overflowed factor.
+            lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
+        # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
         el_s = pd_s * lgd_s * ead
         loss_fraction = d_h + d_t + d_f
         if not loss_fraction < 1.0:

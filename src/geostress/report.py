@@ -110,11 +110,8 @@ def _group(sums: dict[str, float]) -> str:
     )
 
 
-def _json_entry(
-    result: StressResult, report: ExposureReport, opening: str
-) -> Iterator[str]:
-    """One scenario's JSON entry, after ``opening``, in blocks of at most
-    ``ROWS_PER_BLOCK`` rows."""
+def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
+    """One scenario's JSON entry, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
     num, string = _number, _string
     contributors = [
         _CONTRIBUTOR % (num(c.el_s), string(c.id), num(c.share))
@@ -135,9 +132,9 @@ def _json_entry(
     tail = _ENTRY_TAIL % (string(result.scenario_id), num(result.total_el))
     rows = result.rows
     if not rows:
-        yield opening + head + "[]" + tail
+        yield head + "[]" + tail
         return
-    separator = opening + head + "[\n"
+    separator = head + "[\n"
     for start in range(0, len(rows), ROWS_PER_BLOCK):
         yield separator + ",\n".join([
             _ROW % (num(r.dv_s), num(r.el_s), string(r.id), num(r.lgd_s), num(r.pd_s))
@@ -150,7 +147,8 @@ def _json_entry(
 def _json_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
     opening = "[\n"
     for result, report in results:
-        yield from _json_entry(result, report, opening)
+        yield opening
+        yield from _json_entry(result, report)
         opening = ",\n"
         del result, report  # freed before the next result is made
     if opening == "[\n":  # no entry was written
@@ -170,9 +168,8 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
     return out.getvalue()
 
 
-def _csv_rows(result: StressResult, opening: str) -> Iterator[str]:
-    """One scenario's CSV rows, after ``opening``, in blocks of at most
-    ``ROWS_PER_BLOCK`` rows."""
+def _csv_rows(result: StressResult) -> Iterator[str]:
+    """One scenario's CSV rows, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
     rows, scenario_id = result.rows, result.scenario_id
     plain = not _CSV_SPECIAL.search(scenario_id + "".join([r.id for r in rows]))
     # What csv.writer writes for plain fields; a StressRow is the tuple
@@ -188,16 +185,15 @@ def _csv_rows(result: StressResult, opening: str) -> Iterator[str]:
                  f"{r.el_s:.12g}", f"{r.dv_s:.12g}"]
                 for r in block
             )
-        yield opening + text
-        opening = ""
-    if opening:
-        yield opening
+        yield text
 
 
 def _csv_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
     totals = []
     for result, report in results:
-        yield from _csv_rows(result, "" if totals else _CSV_HEADER)
+        if not totals:
+            yield _CSV_HEADER
+        yield from _csv_rows(result)
         totals.append((result.scenario_id, result.total_el, result.climate_var))
         del result, report  # freed before the next result is made
     if not totals:

@@ -345,6 +345,8 @@ class TestStreaming:
         assert calls == []
         captured = capsys.readouterr()
         assert captured.out == "" and "error: FileNotFoundError" in captured.err
+        assert os.path.join("missing", "report.json") in captured.err
+        assert ".stress-" not in captured.err
 
 
 class TestCsvErrors:
@@ -379,6 +381,12 @@ class TestValidate:
         fixture_files["hazards"].write_bytes(b"geo_id,hazard,intensity\ng1,smog,1\n")
         assert main(validate_argv(fixture_files)) == 2
         assert "UnknownHazardToken" in capsys.readouterr().err
+
+    def test_stress_script_reads_sys_argv(self, fixture_files, capsys, monkeypatch):
+        # The installed ``stress`` script calls main() with no arguments.
+        monkeypatch.setattr("sys.argv", ["stress", *validate_argv(fixture_files)])
+        assert main() == 0
+        assert capsys.readouterr() == ("ok\n", "")
 
     def test_unexpected_error_exits_3(self, fixture_files, capsys, monkeypatch):
         def broken(config):
@@ -424,7 +432,7 @@ _extreme_rows = st.lists(
         "sector": st.sampled_from(["agriculture", "retail", "mining"]),
         "ead": _amount,
         "pd0": st.just(0.0) | _unit,
-        "lgd0": _unit,
+        "lgd0": st.just(0.0) | _unit,
         "value": _amount,
         "adaptation": st.floats(min_value=0.0, max_value=1e3),
     }),
@@ -436,6 +444,7 @@ _extreme_scenarios = st.fixed_dictionaries({
         {"wildfire": st.floats(min_value=0.0, max_value=10.0)}
     ),
     "transition": st.fixed_dictionaries({"default": _unit}),
+    "lgd_gamma": _beta,
     "betas": st.fixed_dictionaries(
         {name: _beta for name in ("hazard", "transition", "fragility", "adaptation")}
     ),
@@ -448,9 +457,17 @@ _extreme_scenarios = st.fixed_dictionaries({
     rows=[{**INSTRUMENT_DICTS[0], "pd0": 0.0}],
     scenario={"hazard_multipliers": {"wildfire": 10.0}, "betas": {"hazard": 1e308}},
 )
+@example(
+    rows=[{**INSTRUMENT_DICTS[0], "lgd0": 0.0}],
+    scenario={
+        "lgd_gamma": 1e308,
+        "hazard_multipliers": {"wildfire": 10.0},
+        "betas": {"hazard": 0.35},
+    },
+)
 def test_extreme_finite_inputs_give_a_finite_report_or_exit_2(rows, scenario):
     """Finite inputs at the float limits never exit 3, never put NaN or
-    Infinity into a report, and keep a zero baseline PD at 0."""
+    Infinity into a report, and keep a zero baseline PD or LGD at 0."""
     dicts = [{**row, "id": f"i{k}"} for k, row in enumerate(rows)]
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -479,5 +496,8 @@ def test_extreme_finite_inputs_give_a_finite_report_or_exit_2(rows, scenario):
         with open(out) as fh:
             text = fh.read()
     assert "NaN" not in text and "Infinity" not in text
-    zero = {d["id"] for d in dicts if d["pd0"] == 0.0}
-    assert all(row["pd_s"] == 0.0 for row in json.loads(text)[0]["rows"] if row["id"] in zero)
+    reported = json.loads(text)[0]["rows"]
+    zero_pd = {d["id"] for d in dicts if d["pd0"] == 0.0}
+    assert all(row["pd_s"] == 0.0 for row in reported if row["id"] in zero_pd)
+    zero_lgd = {d["id"] for d in dicts if d["lgd0"] == 0.0}
+    assert all(row["lgd_s"] == 0.0 for row in reported if row["id"] in zero_lgd)

@@ -111,6 +111,12 @@ class TestScenarioLgd:
     def test_clamp(self):
         assert scenario_lgd(0.8, 2.0, 1.0) == 1.0
 
+    def test_zero_baseline_with_an_overflowing_factor(self):
+        # gamma * hazard overflows to inf, and 0.0 * inf is NaN.
+        assert repr(scenario_lgd(0.0, 2.0, 1e308)) == "0.0"
+        assert scenario_lgd(0.5, 2.0, 1e308) == 1.0
+        assert repr(scenario_lgd(-0.0, 2.0, 1.0)) == "-0.0"
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             scenario_lgd(0.4, -1.0, 0.5)

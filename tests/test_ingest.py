@@ -38,6 +38,7 @@ from geostress.errors import (
     NegativeFragility,
     NegativeIntensity,
     SchemaMismatch,
+    StressError,
     UnknownHazardToken,
     UnresolvedGeo,
 )
@@ -339,3 +340,23 @@ def test_loader_leaves_the_stream_open(kind, data, error):
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == data
+
+
+# Arbitrary bytes, and text from the characters valid rows are made of, so
+# that some draws load.
+_file_bytes = st.binary() | st.text(
+    alphabet='g1a,.05e-+_ \n\r"\x00\xe9floodwuiretail', max_size=200
+).map(str.encode)
+
+
+@given(kind=st.sampled_from(sorted(_ALL_FILES)), header=st.booleans(), data=_file_bytes)
+def test_any_bytes_load_or_raise_a_stress_error(kind, header, data):
+    loader, header_line, _ = _ALL_FILES[kind]
+    if header:
+        data = f"{header_line}\n".encode() + data
+    stream = as_stream(data)
+    try:
+        loader(stream)
+    except StressError:
+        pass
+    assert not stream.closed

@@ -180,6 +180,19 @@ def test_zero_baseline_pd_stays_zero(scenario):
     assert zero and {row.pd_s for row in result.rows if row.id in zero} == {0.0}
 
 
+def test_zero_baseline_lgd_stays_zero_when_its_factor_overflows():
+    # Row 60 sits in the hot geo unit: lgd_gamma * H overflows to inf.
+    linked = _with_instrument(_mixed_linked(), 60, lgd0=0.0)
+    scenario = dataclasses.replace(builtin_scenarios()[2], id="lgd-inf", lgd_gamma=1e308)
+    result, report = run_scenario(linked, scenario)
+    row = result.rows[60]
+    assert row.pd_s > 0.0 and (row.lgd_s, row.el_s) == (0.0, 0.0)
+    assert {r.lgd_s for r in result.rows[61:]} == {1.0}  # the other hot rows
+    expected_result, expected_report = _reference(linked, scenario, 10)
+    assert repr(result) == repr(expected_result)
+    assert repr(report) == repr(expected_report)
+
+
 def _outcome(evaluate):
     try:
         return repr(evaluate())

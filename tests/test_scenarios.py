@@ -22,6 +22,7 @@ from geostress.errors import (
     KindMismatch,
     NegativeParameter,
     ScenarioParseError,
+    StressError,
     UnknownField,
     UnknownHazardToken,
     UnknownKind,
@@ -250,3 +251,62 @@ class TestCompose:
         c1 = compose_compound(p, t, 0.3)
         c2 = compose_compound(p_swapped, t_swapped, 0.3)
         assert c1 == c2
+
+
+def _schema_names():
+    """Every key of the canonical built-in documents, and their kind tokens."""
+    names = set()
+
+    def walk(doc):
+        for key, value in doc.items():
+            names.add(key)
+            if isinstance(value, dict):
+                walk(value)
+            elif isinstance(value, str):
+                names.add(value)
+
+    for scenario in builtin_scenarios():
+        walk(json.loads(serialize_scenario(scenario)))
+    return sorted(names)
+
+
+_names = st.sampled_from(_schema_names())
+# Any JSON value; json.dumps spells a NaN or infinite float as NaN/Infinity.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _names,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_names | st.text(), children, max_size=6)
+    ),
+    max_leaves=10,
+)
+# Objects that name a valid kind often, so the field checks are reached.
+_documents = _json_values | st.fixed_dictionaries(
+    {
+        "id": st.text(min_size=1),
+        "kind": st.sampled_from([kind.value for kind in ScenarioKind]) | _names,
+    },
+    optional={
+        name: _json_values
+        for name in json.loads(serialize_scenario(builtin_scenarios()[0]))
+        if name not in ("id", "kind")
+    },
+)
+
+
+def _parse_or_stress_error(text):
+    try:
+        scenario = parse_scenario(text)
+    except StressError:
+        return
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+@given(_documents)
+def test_any_json_document_parses_or_raises_a_stress_error(doc):
+    _parse_or_stress_error(json.dumps(doc))
+
+
+@given(st.text())
+def test_any_text_parses_or_raises_a_stress_error(text):
+    _parse_or_stress_error(text)
