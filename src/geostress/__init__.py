@@ -39,10 +39,12 @@ from .model import (
     HazardType,
     Instrument,
     Portfolio,
+    RowColumns,
     StressResult,
     StressRow,
     Violation,
     normalize_weights,
+    row_columns,
     validate_portfolio,
 )
 from .pipeline import run_scenario
@@ -73,6 +75,7 @@ __all__ = [
     "LinkedPortfolio",
     "Portfolio",
     "Repricing",
+    "RowColumns",
     "Scenario",
     "ScenarioKind",
     "StressResult",
@@ -99,6 +102,7 @@ __all__ = [
     "portfolio_credit",
     "portfolio_valuation",
     "repricing_delta",
+    "row_columns",
     "run_scenario",
     "scenario_lgd",
     "scenario_pd",

@@ -19,7 +19,7 @@ from typing import Literal, Sequence, get_args
 
 from .errors import AllZero, Misalignment, NonFiniteSum, ZeroDenominator
 from .ingest import LinkedPortfolio
-from .model import StressResult, StressRow, ordered_sum
+from .model import RowColumns, StressResult, StressRow, _transpose, ordered_sum
 from .scenarios import Scenario
 
 GroupKey = Literal["geo", "sector", "channel"]
@@ -110,24 +110,30 @@ def top_contributors(
     rows: Sequence[StressRow], k: int
 ) -> list[Contributor]:
     """The k largest loss contributors, ties broken by id ascending."""
+    return _top_contributors([row.id for row in rows], [row.el_s for row in rows], k)
+
+
+def _top_contributors(
+    ids: Sequence[str], losses: Sequence[float], k: int
+) -> list[Contributor]:
+    """``top_contributors`` over the id and loss columns."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    losses = [row.el_s for row in rows]
     total = ordered_sum(losses)
-    # sorted(rows, key=...)[:k], sorting only the rows that reach the k-th
-    # largest loss; rows tied with it stay, to be ranked by id.
-    ranked = rows
+    # sorted(range(n), key=...)[:k], sorting only the rows that reach the
+    # k-th largest loss; rows tied with it stay, to be ranked by id.
+    ranked: Sequence[int] = range(len(losses))
     if len(losses) > k:
         threshold = heapq.nlargest(k, losses)[-1]
-        ranked = [row for row, el_s in zip(rows, losses) if el_s >= threshold]
-    ranked = sorted(ranked, key=lambda row: (-row.el_s, row.id))[:k]
+        ranked = [i for i, el_s in enumerate(losses) if el_s >= threshold]
+    ranked = sorted(ranked, key=lambda i: (-losses[i], ids[i]))[:k]
     return [
         Contributor(
-            id=row.id,
-            el_s=row.el_s,
-            share=row.el_s / total if total > 0.0 else 0.0,
+            id=ids[i],
+            el_s=losses[i],
+            share=losses[i] / total if total > 0.0 else 0.0,
         )
-        for row in ranked
+        for i in ranked
     ]
 
 
@@ -156,14 +162,14 @@ def exposure_summary(
     """Build the full diagnostic report for one scenario run."""
     _check_alignment(credit_rows, linked)
     _check_alignment(valuation_rows, linked, "valuation")
-    return _report(linked, scenario.id, credit_rows, metric, top_k)
+    return _report(linked, scenario.id, _transpose(credit_rows), metric, top_k)
 
 
 def _report(
-    linked: LinkedPortfolio, scenario_id: str, rows: Sequence[StressRow], metric: float, top_k: int
+    linked: LinkedPortfolio, scenario_id: str, columns: RowColumns, metric: float, top_k: int
 ) -> ExposureReport:
-    """The diagnostic report over rows in portfolio order."""
-    el_by_geo, el_by_sector, el_by_channel = _grouped([row.el_s for row in rows], linked)
+    """The diagnostic report over result columns in portfolio order."""
+    el_by_geo, el_by_sector, el_by_channel = _grouped(columns.el_s, linked)
     return ExposureReport(
         scenario_id=scenario_id,
         el_by_geo=el_by_geo,
@@ -173,7 +179,7 @@ def _report(
         hhi_sector=hhi(list(el_by_sector.values())),
         hhi_channel=hhi(list(el_by_channel.values())),
         hhi_geo_ead=hhi(linked.codes.geo_ead),
-        top_contributors=tuple(top_contributors(rows, top_k)),
+        top_contributors=tuple(_top_contributors(columns.id, columns.el_s, top_k)),
         climate_var=metric,
         weight_source=linked.weight_source,
     )

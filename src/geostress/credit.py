@@ -104,11 +104,21 @@ def expected_loss(pd: float, lgd: float, ead: float) -> float:
 
 
 def effective_hazard(context: ExposureContext, scenario: Scenario) -> float:
-    """Binding scaled hazard intensity for one exposure."""
-    return max(
-        scenario.hazard_multipliers.get(h, 1.0) * baseline
-        for h, baseline in context.baseline_hazards.items()
-    )
+    """Binding scaled hazard intensity for one exposure.
+
+    A binding value outside [0, inf) is left to the caller's domain
+    check. A negative or NaN value that does not bind raises
+    ``DomainError`` here, since ``max`` passes over it or not depending
+    on the hazards' order.
+    """
+    multiplier = scenario.hazard_multipliers.get
+    scaled = [multiplier(h, 1.0) * baseline for h, baseline in context.baseline_hazards.items()]
+    hazard = max(scaled)
+    if 0.0 <= hazard < math.inf:
+        for value in scaled:
+            if not value >= 0.0:
+                raise DomainError(f"scaled hazard intensity must be >= 0, got {value}")
+    return hazard
 
 
 def portfolio_credit(

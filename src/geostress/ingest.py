@@ -78,10 +78,13 @@ class LinkCodes:
 
     Each ``*_codes`` list holds one index per instrument into the
     distinct values beside it, which are kept in first-appearance order.
-    Contexts are told apart by identity. ``geo_ead`` is the EAD summed
-    per geo code in row order: it does not depend on the scenario.
+    Contexts are told apart by identity. ``ids`` are the instruments' ids
+    in row order, the id column of every scenario's results. ``geo_ead``
+    is the EAD summed per geo code in row order: it does not depend on the
+    scenario.
     """
 
+    ids: tuple[str, ...]
     contexts: tuple[ExposureContext, ...]
     context_codes: list[int]
     geo_ids: tuple[str, ...]
@@ -127,6 +130,7 @@ class LinkedPortfolio:
         for geo_code, inst in zip(geo_codes, instruments):
             geo_ead[geo_code] += inst.ead
         return LinkCodes(
+            ids=tuple(inst.id for inst in instruments),
             contexts=contexts,
             context_codes=context_codes,
             geo_ids=tuple(geo_index),

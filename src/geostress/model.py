@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import repeat
 from math import inf
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidWeights, NonFiniteSum, ZeroTotalValue
 
@@ -124,8 +125,9 @@ class Portfolio:
 class StressRow(NamedTuple):
     """Per-instrument outcome under one scenario.
 
-    A named tuple because one is built per instrument per scenario: it is
-    immutable, and several times cheaper to build than a dataclass.
+    A named tuple because a read of ``StressResult.rows`` builds one per
+    instrument: it is immutable, and several times cheaper to build than a
+    dataclass.
     """
 
     id: str
@@ -135,14 +137,66 @@ class StressRow(NamedTuple):
     dv_s: float
 
 
+class RowColumns(NamedTuple):
+    """Per-instrument outcomes under one scenario, one sequence per
+    ``StressRow`` field, in portfolio order."""
+
+    id: Sequence[str]
+    pd_s: Sequence[float]
+    lgd_s: Sequence[float]
+    el_s: Sequence[float]
+    dv_s: Sequence[float]
+
+
+class _Rows:
+    """``StressResult.rows``: set as a tuple of rows or as ``RowColumns``,
+    read as a tuple of rows, which the first read builds from the columns
+    and keeps in their place. Analytics and the report writers read the
+    columns (``row_columns``), so a CLI run builds no ``StressRow``: one
+    tuple per instrument that the cyclic garbage collector would walk.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Optional[StressResult], owner: type) -> tuple[StressRow, ...]:
+        if instance is None:
+            # No class attribute, so the dataclass field has no default.
+            raise AttributeError(self.name)
+        rows = instance.__dict__[self.name]
+        if type(rows) is RowColumns:
+            rows = tuple(map(tuple.__new__, repeat(StressRow), zip(*rows)))
+            instance.__dict__[self.name] = rows
+        return rows
+
+    def __set__(self, instance: StressResult, value: Union[tuple[StressRow, ...], RowColumns]) -> None:
+        instance.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class StressResult:
-    """Scenario outcome: per-instrument rows plus portfolio aggregates."""
+    """Scenario outcome: per-instrument rows plus portfolio aggregates.
+
+    ``rows`` may be given as ``RowColumns``; it still reads as a tuple of
+    ``StressRow``, built on first read.
+    """
 
     scenario_id: str
-    rows: tuple[StressRow, ...]
+    rows: tuple[StressRow, ...] = _Rows()  # type: ignore[assignment]
     total_el: float
     climate_var: float
+
+
+def row_columns(result: StressResult) -> RowColumns:
+    """``result``'s rows as columns, without building rows that are not
+    built yet."""
+    rows = vars(result)["rows"]
+    return rows if type(rows) is RowColumns else _transpose(rows)
+
+
+def _transpose(rows: Sequence[StressRow]) -> RowColumns:
+    """Rows as columns; no rows give five empty columns."""
+    return RowColumns(*zip(*rows)) if rows else RowColumns((), (), (), (), ())
 
 
 @dataclass(frozen=True)

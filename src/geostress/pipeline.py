@@ -4,7 +4,8 @@
 For each scenario it computes the binding hazard H once per geo context
 and the transition shock T once per sector, into lists indexed by the
 linked portfolio's integer codes (``LinkedPortfolio.codes``), then makes
-one pass over the instruments that emits the rows and the totals. Each
+one pass over the instruments that emits four result columns and the
+totals; ``StressResult.rows`` is built from the columns only if read. Each
 row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
 ``expected_loss`` and ``repricing_delta`` in their order, so it is
 bit-identical to composing them, and every domain check they make runs
@@ -23,7 +24,7 @@ from .analytics import ExposureReport, _report
 from .credit import _require_nonnegative, effective_hazard, pd_after_overflow
 from .errors import DomainError, Misalignment, NonFiniteSum
 from .ingest import LinkedPortfolio
-from .model import Instrument, StressResult, StressRow, _check_weights
+from .model import Instrument, RowColumns, StressResult, _check_weights
 from .scenarios import Scenario
 
 
@@ -97,9 +98,12 @@ def run_scenario(
         )
 
     exp, inf, nan = math.exp, math.inf, math.nan
-    new_row = tuple.__new__  # StressRow(...) without its Python-level __new__
-    rows = []
-    append_row = rows.append
+    # Four float columns, not a StressRow per instrument: floats are not
+    # tracked by the cyclic garbage collector, tuples are.
+    pd_column, lgd_column, el_column, dv_column = [], [], [], []
+    add_pd, add_lgd, add_el, add_dv = (
+        pd_column.append, lgd_column.append, el_column.append, dv_column.append
+    )
     total_el = 0.0
     weighted_dv = 0.0
     for inst, context_code, sector_code, weight in zip(
@@ -139,12 +143,16 @@ def run_scenario(
             loss_fraction = 1.0
         dv_s = -value * loss_fraction
 
-        append_row(new_row(StressRow, (inst.id, pd_s, lgd_s, el_s, dv_s)))
+        add_pd(pd_s)
+        add_lgd(lgd_s)
+        add_el(el_s)
+        add_dv(dv_s)
         total_el += el_s
         weighted_dv += weight * dv_s
 
     metric = _stress_metric(weighted_dv, total_el, scenario.lam)
+    columns = RowColumns(codes.ids, pd_column, lgd_column, el_column, dv_column)
     result = StressResult(
-        scenario_id=scenario.id, rows=tuple(rows), total_el=total_el, climate_var=metric
+        scenario_id=scenario.id, rows=columns, total_el=total_el, climate_var=metric
     )
-    return result, _report(linked, scenario.id, result.rows, metric, top_k)
+    return result, _report(linked, scenario.id, columns, metric, top_k)

@@ -23,13 +23,15 @@ import csv
 import io
 import json
 import re
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 from typing import Iterable, Iterator, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
-from .model import StressResult
+from .model import StressResult, row_columns
 
 
 # Rows rendered and encoded together: the report text held at once is one
@@ -94,6 +96,27 @@ def _number(x: float) -> str:
     return repr(v) if isfinite(v) else json.dumps(v)
 
 
+def _numbers(values: Sequence[float]) -> list[str]:
+    """``[_number(x) for x in values]``, with one format call for them all."""
+    text = "%.12g\n" * len(values) % tuple(values)
+    tokens = text.split("\n")
+    tokens.pop()  # the empty text after the last newline
+    if text.count(".") != len(tokens) or "e" in text:
+        # Some token is not in fixed notation with a point (integral,
+        # exponent, non-finite or -0): those take _number's fallback.
+        tokens = [
+            s if "." in s and "e" not in s else _number(x)
+            for s, x in zip(tokens, values)
+        ]
+    return tokens
+
+
+@lru_cache(maxsize=2)  # a scenario's full blocks, then its last one
+def _rows_template(n: int) -> str:
+    """The JSON text of ``n`` rows, with a ``%s`` per value."""
+    return ",\n".join([_ROW] * n)
+
+
 def _container(members: list[str], indent: str, brackets: str) -> str:
     """A JSON array (``brackets`` is ``"[]"``) or object (``"{}"``) from
     members that carry their own indent; empty ones stay on one line."""
@@ -130,16 +153,20 @@ def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
         string(report.weight_source),
     )
     tail = _ENTRY_TAIL % (string(result.scenario_id), num(result.total_el))
-    rows = result.rows
-    if not rows:
+    ids, pd_s, lgd_s, el_s, dv_s = row_columns(result)
+    if not ids:
         yield head + "[]" + tail
         return
     separator = head + "[\n"
-    for start in range(0, len(rows), ROWS_PER_BLOCK):
-        yield separator + ",\n".join([
-            _ROW % (num(r.dv_s), num(r.el_s), string(r.id), num(r.lgd_s), num(r.pd_s))
-            for r in rows[start:start + ROWS_PER_BLOCK]
-        ])
+    for start in range(0, len(ids), ROWS_PER_BLOCK):
+        end = start + ROWS_PER_BLOCK
+        block_ids = ids[start:end]
+        # _ROW's fields in its (sorted-key) order, row after row.
+        values = chain.from_iterable(zip(
+            _numbers(dv_s[start:end]), _numbers(el_s[start:end]), map(string, block_ids),
+            _numbers(lgd_s[start:end]), _numbers(pd_s[start:end]),
+        ))
+        yield separator + _rows_template(len(block_ids)) % tuple(values)
         separator = ",\n"
     yield "\n    ]" + tail
 
@@ -170,20 +197,18 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
 
 def _csv_rows(result: StressResult) -> Iterator[str]:
     """One scenario's CSV rows, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
-    rows, scenario_id = result.rows, result.scenario_id
-    plain = not _CSV_SPECIAL.search(scenario_id + "".join([r.id for r in rows]))
-    # What csv.writer writes for plain fields; a StressRow is the tuple
-    # (id, pd_s, lgd_s, el_s, dv_s), in column order.
+    columns, scenario_id = row_columns(result), result.scenario_id
+    plain = not _CSV_SPECIAL.search(scenario_id + "".join(columns.id))
+    # What csv.writer writes for plain fields; RowColumns are in column order.
     line = scenario_id.replace("%", "%%") + ",%s,%.12g,%.12g,%.12g,%.12g\n"
-    for start in range(0, len(rows), ROWS_PER_BLOCK):
-        block = rows[start:start + ROWS_PER_BLOCK]
+    for start in range(0, len(columns.id), ROWS_PER_BLOCK):
+        block = [column[start:start + ROWS_PER_BLOCK] for column in columns]
         if plain:
-            text = "".join([line % r for r in block])
+            text = line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
         else:
             text = _csv_lines(
-                [scenario_id, r.id, f"{r.pd_s:.12g}", f"{r.lgd_s:.12g}",
-                 f"{r.el_s:.12g}", f"{r.dv_s:.12g}"]
-                for r in block
+                [scenario_id, id, f"{pd_s:.12g}", f"{lgd_s:.12g}", f"{el_s:.12g}", f"{dv_s:.12g}"]
+                for id, pd_s, lgd_s, el_s, dv_s in zip(*block)
             )
         yield text
 

@@ -2,6 +2,8 @@
 grouping, bit for bit."""
 
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 
@@ -31,6 +33,8 @@ from geostress import (
 )
 from geostress.credit import effective_hazard
 from geostress.model import ordered_sum
+from geostress.model import RowColumns, row_columns
+from geostress.report import emit_report
 
 # Sectors named by the built-in transition maps, then two that take the default.
 SECTORS = ("agriculture", "real_estate", "tourism", "retail", "mining")
@@ -255,6 +259,12 @@ _INF = float("inf")
         (lambda lk: _with_instrument(lk, 20, value=_NAN), _COMPOUND),
         (lambda lk: _with_instrument(lk, 20, value=_INF), _COMPOUND),
         (lambda lk: _with_context(lk, 60, fragility=_INF), _COMPOUND),
+        (lambda lk: _with_context(lk, 60, baseline_hazards=dict(
+            zip(HazardType, (0.5, _NAN, 0.1, 0.1))
+        )), _COMPOUND),
+        (lambda lk: _with_context(lk, 60, baseline_hazards=dict(
+            zip(HazardType, (0.5, -1.0, 0.1, 0.1))
+        )), _COMPOUND),
     ],
 )
 def test_fused_path_checks_match_layers(linked_change, scenario):
@@ -348,3 +358,65 @@ def test_stress_row_is_an_immutable_named_tuple():
     result, _ = run_scenario(_mixed_linked(), _COMPOUND)
     assert all(type(r) is StressRow for r in result.rows)
     assert repr(result.rows[0]).startswith("StressRow(id='i000', pd_s=")
+
+
+def _column_values(result):
+    return [list(column) for column in row_columns(result)]
+
+
+def test_rows_read_the_same_from_columns_or_from_rows():
+    result, _ = run_scenario(_mixed_linked(), _COMPOUND)
+    columns = vars(result)["rows"]
+    assert type(columns) is RowColumns and row_columns(result) is columns
+    rows = tuple(StressRow(*values) for values in zip(*columns))
+    eager = StressResult(result.scenario_id, rows, result.total_el, result.climate_var)
+
+    def lazy():  # reading rows builds them, so each check takes a new result
+        return StressResult(result.scenario_id, columns, result.total_el, result.climate_var)
+
+    assert lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert hash(lazy()) == hash(eager)
+    assert dataclasses.replace(lazy(), total_el=1.0) == dataclasses.replace(eager, total_el=1.0)
+    assert dataclasses.asdict(lazy()) == dataclasses.asdict(eager)
+    unpickled = pickle.loads(pickle.dumps(lazy()))
+    assert unpickled == eager and repr(unpickled) == repr(eager)
+    assert repr(_column_values(lazy())) == repr(_column_values(eager))
+    assert repr(_column_values(unpickled)) == repr(_column_values(eager))
+
+    built = lazy()
+    assert type(built.rows) is tuple and built.rows is built.rows
+    assert all(type(row) is StressRow for row in built.rows)
+    assert type(vars(built)["rows"]) is tuple  # the columns are dropped
+    assert repr(_column_values(built)) == repr(_column_values(eager))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.rows = rows
+
+
+def test_stress_result_fields_and_signature_are_unchanged():
+    assert [(f.name, f.type, f.default, f.default_factory)
+            for f in dataclasses.fields(StressResult)] == [
+        (name, annotation, dataclasses.MISSING, dataclasses.MISSING)
+        for name, annotation in [
+            ("scenario_id", "str"),
+            ("rows", "tuple[StressRow, ...]"),
+            ("total_el", "float"),
+            ("climate_var", "float"),
+        ]
+    ]
+    parameters = inspect.signature(StressResult).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("scenario_id", "rows", "total_el", "climate_var")
+    ]
+
+
+def test_no_rows_give_five_empty_columns():
+    assert row_columns(StressResult("empty", (), 0.0, 0.0)) == RowColumns((), (), (), (), ())
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_writing_a_report_builds_no_rows(format):
+    results = [run_scenario(_mixed_linked(), scenario) for scenario in _scenarios()]
+    assert emit_report(results, format)
+    assert all(type(vars(result)["rows"]) is RowColumns for result, _ in results)

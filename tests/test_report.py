@@ -38,6 +38,7 @@ from geostress.errors import UnencodableText
 from geostress.model import StressResult, StressRow
 from geostress import report as report_module
 from geostress.report import _number, report_blocks
+from geostress.report import _numbers
 
 
 def _round12(x: float) -> float:
@@ -260,6 +261,21 @@ _FLOATS = st.one_of(
 @example(1e16)
 def test_number_matches_json_dumps(x):
     assert _number(x) == json.dumps(_round12(x))
+
+
+@given(st.lists(_FLOATS))
+@example([0.0])
+@example([-0.0])
+@example([1.0, -3.0, 2.0**53])
+@example([1e12 - 1, 1e12, 1e12 + 1])
+@example([999999999999.5])
+@example([1e-5])
+@example([5e-324])
+@example([math.inf, -math.inf])
+@example([math.nan])
+@example([0.25, 1e-5, -12.5, 1.0, 0.1 + 0.2, -0.0, 123.456, math.nan])
+def test_numbers_match_number(values):
+    assert _numbers(values) == [_number(x) for x in values]
 
 
 _ID_CHARS = st.one_of(
