@@ -19,16 +19,8 @@ from dataclasses import replace
 
 from .errors import DomainError, NonFiniteSum
 from .ingest import ExposureContext, LinkedPortfolio
-from .model import BetaParams, StressRow
+from .model import BetaParams, StressRow, _require_nonnegative
 from .scenarios import Repricing, Scenario
-
-
-def _require_nonnegative(**kwargs: float) -> None:
-    """Raise ``DomainError`` naming the first value that is negative, NaN
-    or infinite."""
-    for name, value in kwargs.items():
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"{name} must be >= 0 and finite, got {value}")
 
 
 def scenario_pd(
@@ -106,19 +98,19 @@ def expected_loss(pd: float, lgd: float, ead: float) -> float:
 def effective_hazard(context: ExposureContext, scenario: Scenario) -> float:
     """Binding scaled hazard intensity for one exposure.
 
-    A binding value outside [0, inf) is left to the caller's domain
-    check. A negative or NaN value that does not bind raises
-    ``DomainError`` here, since ``max`` passes over it or not depending
-    on the hazards' order.
+    Every scaled value is checked, binding or not, since ``max`` passes
+    over a NaN or not depending on the hazards' order: one that is
+    negative, NaN or infinite raises ``DomainError``, as does a context
+    without hazards.
     """
     multiplier = scenario.hazard_multipliers.get
     scaled = [multiplier(h, 1.0) * baseline for h, baseline in context.baseline_hazards.items()]
-    hazard = max(scaled)
-    if 0.0 <= hazard < math.inf:
-        for value in scaled:
-            if not value >= 0.0:
-                raise DomainError(f"scaled hazard intensity must be >= 0, got {value}")
-    return hazard
+    if not scaled:
+        raise DomainError("an exposure context needs at least one baseline hazard, got none")
+    for value in scaled:
+        if not 0.0 <= value < math.inf:
+            _require_nonnegative(hazard=value)
+    return max(scaled)
 
 
 def portfolio_credit(

@@ -23,13 +23,15 @@ import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import inf, isfinite
 from typing import IO, Iterable, Sequence
 
 from .errors import (
     DuplicateKey,
+    InvalidWeights,
     InvariantViolation,
     MalformedRow,
+    Misalignment,
     MissingFragility,
     MissingHazard,
     NegativeFragility,
@@ -49,6 +51,9 @@ from .model import (
     HazardType,
     Instrument,
     Portfolio,
+    _check_fields,
+    _check_weights,
+    _require_nonnegative,
     normalize_weights,
     validate_portfolio,
 )
@@ -80,8 +85,8 @@ class LinkCodes:
     distinct values beside it, which are kept in first-appearance order.
     Contexts are told apart by identity. ``ids`` are the instruments' ids
     in row order, the id column of every scenario's results. ``geo_ead``
-    is the EAD summed per geo code in row order: it does not depend on the
-    scenario.
+    is the EAD summed per geo code in row order. No scenario changes it, or
+    the checked ``instruments`` and ``weights`` that the kernel reads.
     """
 
     ids: tuple[str, ...]
@@ -94,6 +99,8 @@ class LinkCodes:
     channels: tuple[str, ...]
     channel_codes: list[int]
     geo_ead: tuple[float, ...]
+    instruments: tuple[Instrument, ...]
+    weights: tuple[float, ...]
 
 
 def _codes(keys: Iterable[object]) -> tuple[dict, list[int]]:
@@ -115,10 +122,17 @@ class LinkedPortfolio:
     def codes(self) -> LinkCodes:
         """The rows' integer codes, derived from the fields on first use.
 
-        ``dataclasses.replace`` builds a new object, so the codes never
-        outlive the fields they were derived from.
+        Deriving them checks, in order, what no scenario can change:
+        alignment, weights, each instrument's fields and each distinct
+        context's fragility; a failure caches nothing. ``dataclasses.replace``
+        builds a new object, so the codes never outlive the fields.
         """
-        instruments = self.portfolio.instruments
+        instruments, weights = tuple(self.portfolio.instruments), self.portfolio.weights
+        if len(self.contexts) != len(instruments):
+            raise Misalignment("contexts do not match portfolio ids/order")
+        if weights is None:
+            raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
+        _check_weights(weights, len(instruments))
         _, context_codes = _codes(map(id, self.contexts))
         contexts = tuple({id(c): c for c in self.contexts}.values())
         geo_index, geo_codes = _codes(inst.geo_id for inst in instruments)
@@ -128,7 +142,13 @@ class LinkedPortfolio:
         channel_index, channel_codes = _codes(c.channel.value for c in self.contexts)
         geo_ead = [0.0] * len(geo_index)
         for geo_code, inst in zip(geo_codes, instruments):
+            if not (0.0 <= inst.pd0 <= 1.0 and 0.0 <= inst.lgd0 <= 1.0
+                    and 0.0 <= inst.adaptation < inf and 0.0 <= inst.ead < inf
+                    and 0.0 <= inst.value < inf):
+                _check_fields(inst)
             geo_ead[geo_code] += inst.ead
+        for context in contexts:
+            _require_nonnegative(fragility=context.fragility)
         return LinkCodes(
             ids=tuple(inst.id for inst in instruments),
             contexts=contexts,
@@ -140,6 +160,8 @@ class LinkedPortfolio:
             channels=tuple(channel_index),
             channel_codes=channel_codes,
             geo_ead=tuple(geo_ead),
+            instruments=instruments,
+            weights=tuple(weights),
         )
 
 

@@ -16,13 +16,16 @@ from itertools import repeat
 from math import inf
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import InvalidWeights, NonFiniteSum, ZeroTotalValue
+from .errors import DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
 
 WEIGHT_SUM_TOL = 1e-9
 
 
 class HazardType(enum.Enum):
     """The closed set of physical hazard types."""
+
+    # Members are singletons: hash by identity, in C, not by name in Python.
+    __hash__ = object.__hash__
 
     WILDFIRE = "wildfire"
     DROUGHT = "drought"
@@ -266,6 +269,22 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
                     Violation("<portfolio>", "weights", "Σw = 1 within 1e-9")
                 )
     return violations
+
+
+def _require_nonnegative(**kwargs: float) -> None:
+    """Raise ``DomainError`` naming the first value that is negative, NaN
+    or infinite."""
+    for name, value in kwargs.items():
+        if not 0.0 <= value < inf:
+            raise DomainError(f"{name} must be >= 0 and finite, got {value}")
+
+
+def _check_fields(inst: Instrument) -> None:
+    """Raise the error that names an instrument's out-of-domain field."""
+    for name, value in (("pd0", inst.pd0), ("lgd0", inst.lgd0)):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [0,1], got {value}")
+    _require_nonnegative(adaptation=inst.adaptation, ead=inst.ead, value=inst.value)
 
 
 def _check_weights(weights: Sequence[float], n: int) -> None:

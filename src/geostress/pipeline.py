@@ -8,8 +8,11 @@ one pass over the instruments that emits four result columns and the
 totals; ``StressResult.rows`` is built from the columns only if read. Each
 row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
 ``expected_loss`` and ``repricing_delta`` in their order, so it is
-bit-identical to composing them, and every domain check they make runs
-once per scenario, geo context, sector or instrument. The grouped sums,
+bit-identical to composing them, and raises the domain errors they
+raise. The checks that no scenario can change run once per linked
+portfolio, when its codes are built; ``run_scenario`` checks only the
+scenario's parameters, each sector's transition and the scaled hazards,
+so its row loop holds only the equations and the clamps. The grouped sums,
 HHIs and top contributors come from ``analytics``, which builds them the
 same way for any rows. The layer functions ``portfolio_credit`` and
 ``portfolio_valuation`` are projections of its output.
@@ -21,19 +24,11 @@ import math
 from dataclasses import asdict
 
 from .analytics import ExposureReport, _report
-from .credit import _require_nonnegative, effective_hazard, pd_after_overflow
-from .errors import DomainError, Misalignment, NonFiniteSum
+from .credit import effective_hazard, pd_after_overflow
+from .errors import NonFiniteSum
 from .ingest import LinkedPortfolio
-from .model import Instrument, RowColumns, StressResult, _check_weights
+from .model import RowColumns, StressResult, _require_nonnegative
 from .scenarios import Scenario
-
-
-def _check_fields(inst: Instrument) -> None:
-    """Raise the error that names an instrument's out-of-domain field."""
-    for name, value in (("pd0", inst.pd0), ("lgd0", inst.lgd0)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0,1], got {value}")
-    _require_nonnegative(adaptation=inst.adaptation, ead=inst.ead, value=inst.value)
 
 
 def _stress_metric(weighted_dv: float, total_el: float, lam: float) -> float:
@@ -58,13 +53,7 @@ def run_scenario(
     The linked portfolio is reusable across scenarios: link once,
     evaluate many.
     """
-    instruments = linked.portfolio.instruments
-    weights = linked.portfolio.weights
-    assert weights is not None  # linking normalizes weights
-    if len(linked.contexts) != len(instruments):
-        raise Misalignment("contexts do not match portfolio ids/order")
-    _check_weights(weights, len(instruments))
-
+    codes = linked.codes  # checks what does not depend on the scenario
     betas, repricing = scenario.betas, scenario.repricing
     _require_nonnegative(
         **{f"beta_{name}": value for name, value in asdict(betas).items()},
@@ -76,12 +65,10 @@ def run_scenario(
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
 
-    codes = linked.codes
     # Per distinct geo context: b_H*H, b_U*U, 1 + gamma*H, dH*H.
     context_terms = []
     for context in codes.contexts:
         hazard = effective_hazard(context, scenario)
-        _require_nonnegative(hazard=hazard, fragility=context.fragility)
         context_terms.append((
             betas.hazard * hazard,
             betas.fragility * context.fragility,
@@ -97,7 +84,7 @@ def run_scenario(
             (betas.transition * transition, repricing.delta_transition * transition)
         )
 
-    exp, inf, nan = math.exp, math.inf, math.nan
+    exp, nan = math.exp, math.nan
     # Four float columns, not a StressRow per instrument: floats are not
     # tracked by the cyclic garbage collector, tuples are.
     pd_column, lgd_column, el_column, dv_column = [], [], [], []
@@ -107,41 +94,29 @@ def run_scenario(
     total_el = 0.0
     weighted_dv = 0.0
     for inst, context_code, sector_code, weight in zip(
-        instruments, codes.context_codes, codes.sector_codes, weights
+        codes.instruments, codes.context_codes, codes.sector_codes, codes.weights
     ):
         b_h, b_u, lgd_factor, d_h = context_terms[context_code]
         b_t, d_t = sector_terms[sector_code]
-        pd0, lgd0, ead, value, adaptation = (
-            inst.pd0, inst.lgd0, inst.ead, inst.value, inst.adaptation
-        )
-        if not (
-            0.0 <= pd0 <= 1.0
-            and 0.0 <= lgd0 <= 1.0
-            and 0.0 <= adaptation < inf
-            and 0.0 <= ead < inf
-            and 0.0 <= value < inf
-        ):
-            _check_fields(inst)
-
-        exponent = b_h + b_t + b_u - b_a * adaptation
+        exponent = b_h + b_t + b_u - b_a * inst.adaptation
         try:
-            pd_s = pd0 * exp(exponent)
+            pd_s = inst.pd0 * exp(exponent)
         except OverflowError:
             pd_s = nan
         if not pd_s < 1.0:
             # A NaN product (exp overflowed, a zero baseline met exp(inf),
             # or the exponent is NaN) goes to pd_after_overflow.
-            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
-        lgd_s = lgd0 * lgd_factor
+            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(inst.pd0, exponent)
+        lgd_s = inst.lgd0 * lgd_factor
         if not lgd_s < 1.0:
             # A NaN product is a zero baseline times an overflowed factor.
             lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
         # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
-        el_s = pd_s * lgd_s * ead
+        el_s = pd_s * lgd_s * inst.ead
         loss_fraction = d_h + d_t + d_f
         if not loss_fraction < 1.0:
             loss_fraction = 1.0
-        dv_s = -value * loss_fraction
+        dv_s = -inst.value * loss_fraction
 
         add_pd(pd_s)
         add_lgd(lgd_s)

@@ -256,7 +256,7 @@ def compose_compound(
         default=max(physical.transition.default, transition.transition.default),
         by_sector={
             s: max(physical.transition.for_sector(s), transition.transition.for_sector(s))
-            for s in sectors
+            for s in sorted(sectors)
         },
     )
     return Scenario(

@@ -15,10 +15,9 @@ from math import inf, isfinite
 from typing import Sequence
 
 from .analytics import _check_alignment
-from .credit import _require_nonnegative
 from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
-from .model import StressRow, _check_weights
+from .model import StressRow, _check_weights, _require_nonnegative
 from .pipeline import _stress_metric, run_scenario
 from .scenarios import Repricing, Scenario
 
@@ -92,4 +91,4 @@ def portfolio_valuation(
     result, _ = run_scenario(linked, scenario)
     dvs = [row.dv_s for row in result.rows]
     els = [row.el_s for row in credit_rows]
-    return list(result.rows), climate_var(linked.portfolio.weights, dvs, els, scenario.lam)
+    return list(result.rows), climate_var(linked.codes.weights, dvs, els, scenario.lam)

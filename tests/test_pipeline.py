@@ -10,6 +10,7 @@ import pytest
 from geostress import (
     BetaParams,
     Channel,
+    ExposureContext,
     ExposureReport,
     FragilityTable,
     GeoUnit,
@@ -23,8 +24,12 @@ from geostress import (
     builtin_scenarios,
     climate_var,
     expected_loss,
+    exposure_summary,
+    group_el,
     hhi,
     link_exposures,
+    portfolio_credit,
+    portfolio_valuation,
     repricing_delta,
     run_scenario,
     scenario_lgd,
@@ -32,6 +37,7 @@ from geostress import (
     top_contributors,
 )
 from geostress.credit import effective_hazard
+from geostress.errors import DomainError, InvalidWeights
 from geostress.model import ordered_sum
 from geostress.model import RowColumns, row_columns
 from geostress.report import emit_report
@@ -420,3 +426,97 @@ def test_writing_a_report_builds_no_rows(format):
     results = [run_scenario(_mixed_linked(), scenario) for scenario in _scenarios()]
     assert emit_report(results, format)
     assert all(type(vars(result)["rows"]) is RowColumns for result, _ in results)
+
+
+# The checks that no scenario can change run when the codes are built.
+_PORTFOLIO_FAULTS = {
+    "pd0": (lambda lk: _with_instrument(lk, 20, pd0=1.5), "pd0 must lie in [0,1], got 1.5"),
+    "ead": (lambda lk: _with_instrument(lk, 20, ead=_NAN), "ead must be >= 0 and finite, got nan"),
+    "fragility": (
+        lambda lk: _with_context(lk, 60, fragility=-0.1),
+        "fragility must be >= 0 and finite, got -0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_PORTFOLIO_FAULTS))
+def test_a_bad_linked_portfolio_fails_every_evaluation_every_time(fault):
+    change, message = _PORTFOLIO_FAULTS[fault]
+    clean = _mixed_linked()
+    credit_rows, _ = portfolio_credit(clean, _COMPOUND)
+    bad = change(clean)
+    evaluations = [
+        lambda: run_scenario(bad, _COMPOUND),
+        lambda: portfolio_credit(bad, _COMPOUND),
+        lambda: portfolio_valuation(bad, _COMPOUND, credit_rows),
+        lambda: group_el(credit_rows, bad, "geo"),
+        lambda: exposure_summary(bad, _COMPOUND, credit_rows, credit_rows, 0.0),
+    ]
+    for evaluate in evaluations * 2:  # a failed check caches nothing
+        assert _outcome(evaluate) == f"DomainError: {message}"
+    assert "codes" not in vars(bad)
+
+
+def test_replacing_an_instrument_after_a_clean_run_checks_it_again():
+    linked = _mixed_linked()
+    run_scenario(linked, _COMPOUND)
+    bad = _with_instrument(linked, 7, adaptation=-1.0)
+    with pytest.raises(DomainError, match="adaptation must be >= 0 and finite, got -1.0"):
+        run_scenario(bad, _COMPOUND)
+    run_scenario(linked, _COMPOUND)  # the original keeps its checked codes
+
+
+def test_instruments_mutated_after_the_first_run_do_not_reach_the_sums():
+    linked = _mixed_linked()
+    instruments = list(linked.portfolio.instruments)
+    listed = dataclasses.replace(
+        linked, portfolio=dataclasses.replace(linked.portfolio, instruments=instruments)
+    )
+    first = repr(run_scenario(listed, _COMPOUND))
+    assert first == repr(run_scenario(linked, _COMPOUND))
+    instruments[20] = dataclasses.replace(instruments[20], ead=-5.0)
+    assert repr(run_scenario(listed, _COMPOUND)) == first
+
+
+def test_weights_mutated_after_the_first_run_do_not_reach_the_sums():
+    linked = _mixed_linked()
+    weights = list(linked.portfolio.weights)
+    listed = dataclasses.replace(
+        linked, portfolio=dataclasses.replace(linked.portfolio, weights=weights)
+    )
+    first = repr(run_scenario(listed, _COMPOUND))
+    assert first == repr(run_scenario(linked, _COMPOUND))
+    credit_rows, _ = portfolio_credit(listed, _COMPOUND)
+    metric = portfolio_valuation(listed, _COMPOUND, credit_rows)[1]
+    weights[0], weights[-1] = weights[-1], weights[0]  # still valid weights
+    assert repr(run_scenario(listed, _COMPOUND)) == first
+    assert portfolio_valuation(listed, _COMPOUND, credit_rows)[1] == metric
+
+
+def test_a_linked_portfolio_without_weights_raises_invalid_weights():
+    linked = _mixed_linked()
+    unweighted = dataclasses.replace(
+        linked, portfolio=dataclasses.replace(linked.portfolio, weights=None)
+    )
+    with pytest.raises(InvalidWeights, match="needs weights"):
+        run_scenario(unweighted, _COMPOUND)
+
+
+def test_a_context_without_hazards_raises_a_domain_error():
+    linked = _with_context(_mixed_linked(), 60, baseline_hazards={})
+    fused = _outcome(lambda: run_scenario(linked, _COMPOUND))
+    assert fused == "DomainError: an exposure context needs at least one baseline hazard, got none"
+    assert fused == _outcome(lambda: _reference(linked, _COMPOUND, 10))
+    with pytest.raises(DomainError, match="got none"):
+        effective_hazard(ExposureContext({}, 0.1, Channel.WUI), _COMPOUND)
+
+
+@pytest.mark.parametrize("bad", [-1.0, _NAN, _INF])
+@pytest.mark.parametrize("position", range(4))
+def test_effective_hazard_checks_every_scaled_value(bad, position):
+    hazards = [0.5, 0.2, 0.1, 0.3]
+    hazards[position] = bad
+    context = ExposureContext(dict(zip(HazardType, hazards)), 0.1, Channel.WUI)
+    unscaled = dataclasses.replace(_COMPOUND, hazard_multipliers={})
+    with pytest.raises(DomainError, match=f"^hazard must be >= 0 and finite, got {bad}$"):
+        effective_hazard(context, unscaled)

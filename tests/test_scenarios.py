@@ -1,11 +1,16 @@
 """Scenario parsing, canonical serialization, built-ins, composition."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geostress
 from geostress import (
     BetaParams,
     HazardType,
@@ -310,3 +315,18 @@ def test_any_json_document_parses_or_raises_a_stress_error(doc):
 @given(st.text())
 def test_any_text_parses_or_raises_a_stress_error(text):
     _parse_or_stress_error(text)
+
+
+def test_builtin_scenarios_are_the_same_under_every_hash_seed():
+    # Seeds 1 and 3 once put the compound's sectors in different orders.
+    env = {**os.environ, "PYTHONPATH": str(Path(geostress.__file__).parents[1])}
+    code = "import geostress; print(repr(geostress.builtin_scenarios()))"
+    reprs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "3")
+    ]
+    assert reprs[0] == reprs[1] == repr(builtin_scenarios()) + "\n"
