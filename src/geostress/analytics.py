@@ -69,10 +69,8 @@ def hhi(basis: Sequence[float]) -> float:
 def _check_alignment(
     rows: Sequence[StressRow], linked: LinkedPortfolio, layer: str = "credit"
 ) -> None:
-    instruments = linked.portfolio.instruments
-    if len(rows) != len(instruments) or any(
-        row.id != inst.id for row, inst in zip(rows, instruments)
-    ):
+    ids = linked.codes.ids
+    if len(rows) != len(ids) or any(row.id != inst_id for row, inst_id in zip(rows, ids)):
         raise Misalignment(f"{layer} rows do not match portfolio ids/order")
 
 

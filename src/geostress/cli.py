@@ -8,6 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 input/validation error, 3 internal error.
 Reports go to ``--out``; stdout carries one summary line per scenario.
+A stdout whose reader is gone (``stress run ... | true``) exits 2 with
+``error: BrokenPipeError: ...`` on stderr; a report already written stays.
 ``stress run`` evaluates one scenario at a time and streams its part of
 the report into a temporary file beside ``--out``, which replaces
 ``--out`` only when the whole report is written, so a failed run never
@@ -188,11 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "scenarios":
-        for scenario in builtin_scenarios():
-            print(serialize_scenario(scenario))
-        return EXIT_OK
-    return run(args) if args.command == "run" else validate(args)
+    try:
+        if args.command == "scenarios":
+            for scenario in builtin_scenarios():
+                print(serialize_scenario(scenario))
+            code = EXIT_OK
+        else:
+            code = run(args) if args.command == "run" else validate(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError as exc:
+        # As the Python docs advise for SIGPIPE: stdout to devnull, so that
+        # the flush at exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -21,10 +21,13 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import inf, isfinite
-from typing import IO, Iterable, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateKey,
@@ -37,6 +40,7 @@ from .errors import (
     NegativeFragility,
     NegativeIntensity,
     SchemaMismatch,
+    StressError,
     UnknownHazardToken,
     UnresolvedGeo,
 )
@@ -49,11 +53,13 @@ from .model import (
     GeoUnit,
     HazardField,
     HazardType,
-    Instrument,
+    InstrumentColumns,
     Portfolio,
     _check_fields,
     _check_weights,
+    _codes,
     _require_nonnegative,
+    instrument_columns,
     normalize_weights,
     validate_portfolio,
 )
@@ -86,7 +92,7 @@ class LinkCodes:
     Contexts are told apart by identity. ``ids`` are the instruments' ids
     in row order, the id column of every scenario's results. ``geo_ead``
     is the EAD summed per geo code in row order. No scenario changes it, or
-    the checked ``instruments`` and ``weights`` that the kernel reads.
+    the checked instrument ``columns`` and ``weights`` that the kernel reads.
     """
 
     ids: tuple[str, ...]
@@ -99,15 +105,8 @@ class LinkCodes:
     channels: tuple[str, ...]
     channel_codes: list[int]
     geo_ead: tuple[float, ...]
-    instruments: tuple[Instrument, ...]
+    columns: InstrumentColumns
     weights: tuple[float, ...]
-
-
-def _codes(keys: Iterable[object]) -> tuple[dict, list[int]]:
-    """First-appearance codes for ``keys``: the key-to-code map and the
-    code of each key in turn."""
-    index: dict = {}
-    return index, [index.setdefault(key, len(index)) for key in keys]
 
 
 @dataclass(frozen=True)
@@ -120,47 +119,49 @@ class LinkedPortfolio:
 
     @cached_property
     def codes(self) -> LinkCodes:
-        """The rows' integer codes, derived from the fields on first use.
+        """The rows' integer codes, taken from the instrument columns on
+        first use.
 
-        Deriving them checks, in order, what no scenario can change:
-        alignment, weights, each instrument's fields and each distinct
-        context's fragility; a failure caches nothing. ``dataclasses.replace``
+        Taking them checks, in order, what no scenario can change:
+        alignment, weights, each instrument's fields (unless
+        ``load_portfolio`` checked them) and each distinct context's
+        fragility; a failure caches nothing. ``dataclasses.replace``
         builds a new object, so the codes never outlive the fields.
         """
-        instruments, weights = tuple(self.portfolio.instruments), self.portfolio.weights
-        if len(self.contexts) != len(instruments):
+        columns, weights = instrument_columns(self.portfolio), self.portfolio.weights
+        if len(self.contexts) != len(columns.id):
             raise Misalignment("contexts do not match portfolio ids/order")
         if weights is None:
             raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
-        _check_weights(weights, len(instruments))
-        _, context_codes = _codes(map(id, self.contexts))
-        contexts = tuple({id(c): c for c in self.contexts}.values())
-        geo_index, geo_codes = _codes(inst.geo_id for inst in instruments)
+        _check_weights(weights, len(columns.id))
+        if columns is not vars(self.portfolio)["instruments"]:  # not from load_portfolio
+            for fields in zip(columns.pd0, columns.lgd0, columns.adaptation, columns.ead,
+                              columns.value):
+                _check_fields(*fields)
+        _, context_codes = _codes(list(map(id, self.contexts)))
+        contexts = tuple(dict(zip(map(id, self.contexts), self.contexts)).values())
+        geo_codes = columns.geo_codes
         if geo_codes == context_codes:
             geo_codes = context_codes  # one context per geo unit: share the list
-        sector_index, sector_codes = _codes(inst.sector for inst in instruments)
-        channel_index, channel_codes = _codes(c.channel.value for c in self.contexts)
-        geo_ead = [0.0] * len(geo_index)
-        for geo_code, inst in zip(geo_codes, instruments):
-            if not (0.0 <= inst.pd0 <= 1.0 and 0.0 <= inst.lgd0 <= 1.0
-                    and 0.0 <= inst.adaptation < inf and 0.0 <= inst.ead < inf
-                    and 0.0 <= inst.value < inf):
-                _check_fields(inst)
-            geo_ead[geo_code] += inst.ead
+        channel_index, context_channels = _codes([c.channel.value for c in contexts])
+        geo_ead = [0.0] * len(columns.geo_ids)
+        for geo_code, ead in zip(geo_codes, columns.ead):
+            geo_ead[geo_code] += ead
         for context in contexts:
-            _require_nonnegative(fragility=context.fragility)
+            if not 0.0 <= context.fragility < inf:
+                _require_nonnegative(fragility=context.fragility)
         return LinkCodes(
-            ids=tuple(inst.id for inst in instruments),
+            ids=columns.id,
             contexts=contexts,
             context_codes=context_codes,
-            geo_ids=tuple(geo_index),
+            geo_ids=columns.geo_ids,
             geo_codes=geo_codes,
-            sectors=tuple(sector_index),
-            sector_codes=sector_codes,
+            sectors=columns.sectors,
+            sector_codes=columns.sector_codes,
             channels=tuple(channel_index),
-            channel_codes=channel_codes,
+            channel_codes=list(map(context_channels.__getitem__, context_codes)),
             geo_ead=tuple(geo_ead),
-            instruments=instruments,
+            columns=columns,
             weights=tuple(weights),
         )
 
@@ -220,36 +221,68 @@ def _float(token: str, filename: str, lineno: int, column: str) -> float:
     return value
 
 
-def _portfolio_numbers(cells: list[str], filename: str, lineno: int) -> list[float]:
-    """A portfolio row's five numbers, checked as one string; the cells are
-    checked one by one only to name a bad one."""
+def _plain_floats(cells: Sequence[str]) -> Optional[list[float]]:
+    """``cells`` as floats, checked as one string, or None if a cell is not
+    a plain finite number or their sum overflows."""
     try:
         numbers = list(map(float, cells))
     except ValueError:
-        pass
-    else:
-        # float() read every cell, so no cell holds a ",".
-        if isfinite(sum(numbers)) and _PLAIN_NUMBERS.fullmatch(",".join(cells)):
-            return numbers
-    # A bad cell raises; if none does, only the sum above overflowed.
-    return [
+        return None
+    # float() read every cell, so no cell holds a ",".
+    if isfinite(sum(numbers)) and _PLAIN_NUMBERS.fullmatch(",".join(cells)):
+        return numbers
+    return None
+
+
+def _portfolio_numbers(cells: list[str], filename: str, lineno: int) -> list[float]:
+    """A portfolio row's five numbers; the cells are checked one by one only
+    to name a bad one. If none is bad, only their sum overflowed."""
+    return _plain_floats(cells) or [
         _float(cell, filename, lineno, column)
         for cell, column in zip(cells, PORTFOLIO_HEADER[3:])
     ]
 
 
+# Rows whose cells are held as strings at once: few, to keep the peak low.
+_CHUNK_ROWS = 4096
+
+
 def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfolio:
-    """Load and validate a portfolio CSV, preserving row order."""
-    instruments = []
-    for lineno, row in _rows(source, filename, PORTFOLIO_HEADER):
-        inst_id, geo_id, sector = row[0], row[1], row[2]
-        ead, pd0, lgd0, value, adaptation = _portfolio_numbers(row[3:], filename, lineno)
-        instruments.append(Instrument(inst_id, geo_id, sector, ead, pd0, lgd0, value, adaptation))
-    portfolio = Portfolio(instruments=tuple(instruments))
-    violations = validate_portfolio(portfolio)
-    if violations:
+    """Load and validate a portfolio CSV, preserving row order, into
+    ``InstrumentColumns``: no ``Instrument`` is built. A chunk's numbers
+    are checked a column at a time, and the rules over the portfolio over
+    its columns; the rows are looked at only to name what breaks a check.
+    """
+    rows = _rows(source, filename, PORTFOLIO_HEADER)
+    ids, geo_index, sector_index, geo_codes, sector_codes = [], {}, {}, [], []
+    numbers = [array("d") for _ in PORTFOLIO_HEADER[3:]]
+    while True:
+        chunk: list[tuple[int, list[str]]] = []
+        try:
+            chunk.extend(islice(rows, _CHUNK_ROWS))
+        except StressError:
+            for lineno, row in chunk:  # a bad number above the bad row comes first
+                _portfolio_numbers(row[3:], filename, lineno)
+            raise
+        if not chunk:
+            break
+        cells = list(zip(*map(itemgetter(1), chunk)))
+        ids.extend(cells[0])
+        geo_codes += _codes(cells[1], geo_index)[1]
+        sector_codes += _codes(cells[2], sector_index)[1]
+        converted = [_plain_floats(column) for column in cells[3:]]
+        if None in converted:  # name the bad cell; if none is, a column sum overflowed
+            converted = zip(*(_portfolio_numbers(row[3:], filename, lineno) for lineno, row in chunk))
+        for column, part in zip(numbers, converted):
+            column.extend(part)
+    columns = InstrumentColumns(
+        tuple(ids), tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
+    )
+    portfolio = Portfolio(instruments=columns)
+    if not (ids and all(ids) and len(set(ids)) == len(ids) and min(map(min, numbers)) >= 0.0
+            and max(columns.pd0) <= 1.0 and max(columns.lgd0) <= 1.0):
         raise InvariantViolation(
-            f"{filename}: " + "; ".join(str(v) for v in violations)
+            f"{filename}: " + "; ".join(str(v) for v in validate_portfolio(portfolio))
         )
     return portfolio
 
@@ -343,29 +376,28 @@ def link_exposures(
     intensities, fragilities = hazards.entries, fragility.entries
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
+    columns = instrument_columns(normalized)
 
-    resolved: dict[str, ExposureContext] = {}
-    contexts = []
-    for inst in normalized.instruments:
-        context = resolved.get(inst.geo_id)
-        if context is None:
-            unit = by_geo.get(inst.geo_id)
-            if unit is None:
-                raise UnresolvedGeo(inst.id, inst.geo_id)
-            baseline = {}
-            for hazard in HAZARD_TYPES:
-                try:
-                    baseline[hazard] = intensities[(inst.geo_id, hazard)]
-                except KeyError:
-                    raise MissingHazard(inst.geo_id, hazard.value) from None
+    resolved = []  # per geo code
+    for geo_code, geo_id in enumerate(columns.geo_ids):
+        unit = by_geo.get(geo_id)
+        if unit is None:
+            raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
+        baseline = {}
+        for hazard in HAZARD_TYPES:
             try:
-                frag = fragilities[inst.geo_id]
+                baseline[hazard] = intensities[(geo_id, hazard)]
             except KeyError:
-                raise MissingFragility(inst.geo_id) from None
-            context = resolved[inst.geo_id] = ExposureContext(
-                baseline_hazards=baseline, fragility=frag, channel=unit.channel
-            )
-        contexts.append(context)
+                raise MissingHazard(geo_id, hazard.value) from None
+        try:
+            frag = fragilities[geo_id]
+        except KeyError:
+            raise MissingFragility(geo_id) from None
+        resolved.append(
+            ExposureContext(baseline_hazards=baseline, fragility=frag, channel=unit.channel)
+        )
     return LinkedPortfolio(
-        portfolio=normalized, contexts=tuple(contexts), weight_source=weight_source
+        portfolio=normalized,
+        contexts=tuple(map(resolved.__getitem__, columns.geo_codes)),
+        weight_source=weight_source,
     )

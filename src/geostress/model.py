@@ -11,9 +11,10 @@ share read-only across workers. Numeric conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import repeat
 from math import inf
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
@@ -117,14 +118,6 @@ class BetaParams:
     adaptation: float = 0.0
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    """Ordered collection of instruments with optional explicit weights."""
-
-    instruments: tuple[Instrument, ...]
-    weights: Optional[tuple[float, ...]] = None
-
-
 class StressRow(NamedTuple):
     """Per-instrument outcome under one scenario.
 
@@ -150,30 +143,70 @@ class RowColumns(NamedTuple):
     el_s: Sequence[float]
     dv_s: Sequence[float]
 
+    def rows(self) -> tuple[StressRow, ...]:
+        return tuple(map(tuple.__new__, repeat(StressRow), zip(*self)))
+
+
+class InstrumentColumns(NamedTuple):
+    """A portfolio's instruments in row order, one sequence per field; the
+    geo ids and sectors as codes, each row's index into the distinct values
+    in first-appearance order. Columns a portfolio holds are taken as
+    checked field by field, as ``load_portfolio`` checks what it loads."""
+
+    id: tuple[str, ...]
+    geo_ids: tuple[str, ...]
+    geo_codes: list[int]
+    sectors: tuple[str, ...]
+    sector_codes: list[int]
+    ead: Sequence[float]
+    pd0: Sequence[float]
+    lgd0: Sequence[float]
+    value: Sequence[float]
+    adaptation: Sequence[float]
+
+    def rows(self) -> tuple[Instrument, ...]:
+        return tuple(map(
+            Instrument, self.id, map(self.geo_ids.__getitem__, self.geo_codes),
+            map(self.sectors.__getitem__, self.sector_codes),
+            self.ead, self.pd0, self.lgd0, self.value, self.adaptation,
+        ))
+
 
 class _Rows:
-    """``StressResult.rows``: set as a tuple of rows or as ``RowColumns``,
+    """A field set as a tuple of rows or as columns of type ``columns``,
     read as a tuple of rows, which the first read builds from the columns
-    and keeps in their place. Analytics and the report writers read the
-    columns (``row_columns``), so a CLI run builds no ``StressRow``: one
-    tuple per instrument that the cyclic garbage collector would walk.
+    and keeps in their place. The engine reads the columns
+    (``row_columns``, ``instrument_columns``), so a CLI run builds no
+    ``Instrument`` and no ``StressRow``: objects, one per instrument, that
+    the cyclic garbage collector would walk.
     """
+
+    def __init__(self, columns: type) -> None:
+        self.columns = columns
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
-    def __get__(self, instance: Optional[StressResult], owner: type) -> tuple[StressRow, ...]:
+    def __get__(self, instance: object, owner: type) -> tuple:
         if instance is None:
             # No class attribute, so the dataclass field has no default.
             raise AttributeError(self.name)
         rows = instance.__dict__[self.name]
-        if type(rows) is RowColumns:
-            rows = tuple(map(tuple.__new__, repeat(StressRow), zip(*rows)))
-            instance.__dict__[self.name] = rows
+        if type(rows) is self.columns:
+            rows = instance.__dict__[self.name] = rows.rows()
         return rows
 
-    def __set__(self, instance: StressResult, value: Union[tuple[StressRow, ...], RowColumns]) -> None:
+    def __set__(self, instance: object, value: Union[Sequence, RowColumns, InstrumentColumns]) -> None:
         instance.__dict__[self.name] = value
+
+
+@dataclass(frozen=True)
+class Portfolio:
+    """Ordered collection of instruments with optional explicit weights.
+    ``instruments`` may be set as ``InstrumentColumns``; see ``_Rows``."""
+
+    instruments: tuple[Instrument, ...] = _Rows(InstrumentColumns)  # type: ignore[assignment]
+    weights: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +218,7 @@ class StressResult:
     """
 
     scenario_id: str
-    rows: tuple[StressRow, ...] = _Rows()  # type: ignore[assignment]
+    rows: tuple[StressRow, ...] = _Rows(RowColumns)  # type: ignore[assignment]
     total_el: float
     climate_var: float
 
@@ -200,6 +233,31 @@ def row_columns(result: StressResult) -> RowColumns:
 def _transpose(rows: Sequence[StressRow]) -> RowColumns:
     """Rows as columns; no rows give five empty columns."""
     return RowColumns(*zip(*rows)) if rows else RowColumns((), (), (), (), ())
+
+
+def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, list[int]]:
+    """First-appearance codes for ``keys``, after those ``index`` holds:
+    the key-to-code map and the code of each key in turn."""
+    index = {} if index is None else index
+    for key in dict.fromkeys(keys):
+        index.setdefault(key, len(index))
+    return index, list(map(index.__getitem__, keys))
+
+
+def instrument_columns(portfolio: Portfolio) -> InstrumentColumns:
+    """``portfolio``'s instruments as columns, without building instruments
+    that are not built yet. A sequence of instruments is read into tuples,
+    so a list changed later does not change the columns."""
+    instruments = vars(portfolio)["instruments"]
+    if type(instruments) is InstrumentColumns:
+        return instruments
+    read = attrgetter(*(field.name for field in fields(Instrument)))
+    ids, geo_ids, sectors, *numbers = list(zip(*map(read, instruments))) or [()] * 8
+    geo_index, geo_codes = _codes(geo_ids)
+    sector_index, sector_codes = _codes(sectors)
+    return InstrumentColumns(
+        ids, tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
+    )
 
 
 @dataclass(frozen=True)
@@ -233,31 +291,34 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
     portfolio is valid.
     """
     violations: list[Violation] = []
-    if len(portfolio.instruments) < 1:
+    columns = instrument_columns(portfolio)
+    if len(columns.id) < 1:
         violations.append(Violation("<portfolio>", "instruments", "N >= 1"))
 
     seen: set[str] = set()
-    for inst in portfolio.instruments:
-        if not inst.id:
-            violations.append(Violation(inst.id, "id", "id nonempty"))
-        if inst.id in seen:
-            violations.append(Violation(inst.id, "id", "id unique within portfolio"))
-        seen.add(inst.id)
-        if not 0.0 <= inst.pd0 <= 1.0:
-            violations.append(Violation(inst.id, "pd0", "pd0 ∈ [0,1]"))
-        if not 0.0 <= inst.lgd0 <= 1.0:
-            violations.append(Violation(inst.id, "lgd0", "lgd0 ∈ [0,1]"))
-        if not 0.0 <= inst.ead < inf:
-            violations.append(Violation(inst.id, "ead", "ead >= 0 and finite"))
-        if not 0.0 <= inst.value < inf:
-            violations.append(Violation(inst.id, "value", "value >= 0 and finite"))
-        if not 0.0 <= inst.adaptation < inf:
+    for inst_id, ead, pd0, lgd0, value, adaptation in zip(
+        columns.id, columns.ead, columns.pd0, columns.lgd0, columns.value, columns.adaptation
+    ):
+        if not inst_id:
+            violations.append(Violation(inst_id, "id", "id nonempty"))
+        if inst_id in seen:
+            violations.append(Violation(inst_id, "id", "id unique within portfolio"))
+        seen.add(inst_id)
+        if not 0.0 <= pd0 <= 1.0:
+            violations.append(Violation(inst_id, "pd0", "pd0 ∈ [0,1]"))
+        if not 0.0 <= lgd0 <= 1.0:
+            violations.append(Violation(inst_id, "lgd0", "lgd0 ∈ [0,1]"))
+        if not 0.0 <= ead < inf:
+            violations.append(Violation(inst_id, "ead", "ead >= 0 and finite"))
+        if not 0.0 <= value < inf:
+            violations.append(Violation(inst_id, "value", "value >= 0 and finite"))
+        if not 0.0 <= adaptation < inf:
             violations.append(
-                Violation(inst.id, "adaptation", "adaptation >= 0 and finite")
+                Violation(inst_id, "adaptation", "adaptation >= 0 and finite")
             )
 
     if portfolio.weights is not None:
-        if len(portfolio.weights) != len(portfolio.instruments):
+        if len(portfolio.weights) != len(columns.id):
             violations.append(
                 Violation("<portfolio>", "weights", "one weight per instrument")
             )
@@ -279,12 +340,12 @@ def _require_nonnegative(**kwargs: float) -> None:
             raise DomainError(f"{name} must be >= 0 and finite, got {value}")
 
 
-def _check_fields(inst: Instrument) -> None:
+def _check_fields(pd0: float, lgd0: float, adaptation: float, ead: float, value: float) -> None:
     """Raise the error that names an instrument's out-of-domain field."""
-    for name, value in (("pd0", inst.pd0), ("lgd0", inst.lgd0)):
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [0,1], got {value}")
-    _require_nonnegative(adaptation=inst.adaptation, ead=inst.ead, value=inst.value)
+    for name, number in (("pd0", pd0), ("lgd0", lgd0)):
+        if not 0.0 <= number <= 1.0:
+            raise DomainError(f"{name} must lie in [0,1], got {number}")
+    _require_nonnegative(adaptation=adaptation, ead=ead, value=value)
 
 
 def _check_weights(weights: Sequence[float], n: int) -> None:
@@ -304,16 +365,17 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     unchanged, so the operation is idempotent. When absent, each weight
     is value_i / Σ value_j.
     """
-    n = len(portfolio.instruments)
+    values = instrument_columns(portfolio).value
     if portfolio.weights is not None:
-        _check_weights(portfolio.weights, n)
+        _check_weights(portfolio.weights, len(values))
         return portfolio
-    total = ordered_sum(inst.value for inst in portfolio.instruments)
+    total = ordered_sum(values)
     if total <= 0.0:
         raise ZeroTotalValue(
             "cannot derive value weights: total instrument value is 0"
         )
     if not total < inf:
         raise NonFiniteSum(f"cannot derive value weights: total instrument value is {total!r}")
-    weights = tuple(inst.value / total for inst in portfolio.instruments)
-    return replace(portfolio, weights=weights)
+    weights = tuple(value / total for value in values)
+    # The instruments as held, so columns stay columns.
+    return Portfolio(vars(portfolio)["instruments"], weights)

@@ -93,30 +93,32 @@ def run_scenario(
     )
     total_el = 0.0
     weighted_dv = 0.0
-    for inst, context_code, sector_code, weight in zip(
-        codes.instruments, codes.context_codes, codes.sector_codes, codes.weights
+    columns = codes.columns
+    for pd0, lgd0, ead, value, adaptation, context_code, sector_code, weight in zip(
+        columns.pd0, columns.lgd0, columns.ead, columns.value, columns.adaptation,
+        codes.context_codes, codes.sector_codes, codes.weights,
     ):
         b_h, b_u, lgd_factor, d_h = context_terms[context_code]
         b_t, d_t = sector_terms[sector_code]
-        exponent = b_h + b_t + b_u - b_a * inst.adaptation
+        exponent = b_h + b_t + b_u - b_a * adaptation
         try:
-            pd_s = inst.pd0 * exp(exponent)
+            pd_s = pd0 * exp(exponent)
         except OverflowError:
             pd_s = nan
         if not pd_s < 1.0:
             # A NaN product (exp overflowed, a zero baseline met exp(inf),
             # or the exponent is NaN) goes to pd_after_overflow.
-            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(inst.pd0, exponent)
-        lgd_s = inst.lgd0 * lgd_factor
+            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
+        lgd_s = lgd0 * lgd_factor
         if not lgd_s < 1.0:
             # A NaN product is a zero baseline times an overflowed factor.
             lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
         # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
-        el_s = pd_s * lgd_s * inst.ead
+        el_s = pd_s * lgd_s * ead
         loss_fraction = d_h + d_t + d_f
         if not loss_fraction < 1.0:
             loss_fraction = 1.0
-        dv_s = -inst.value * loss_fraction
+        dv_s = -value * loss_fraction
 
         add_pd(pd_s)
         add_lgd(lgd_s)

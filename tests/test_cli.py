@@ -7,6 +7,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import weakref
 
@@ -501,3 +503,30 @@ def test_extreme_finite_inputs_give_a_finite_report_or_exit_2(rows, scenario):
     assert all(row["pd_s"] == 0.0 for row in reported if row["id"] in zero_pd)
     zero_lgd = {d["id"] for d in dicts if d["lgd0"] == 0.0}
     assert all(row["lgd_s"] == 0.0 for row in reported if row["id"] in zero_lgd)
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "scenarios"])
+def test_a_closed_stdout_pipe_exits_2(fixture_files, tmp_path, command):
+    out = tmp_path / "report.json"
+    argv = {
+        "run": ["run", *validate_argv(fixture_files)[1:], "--builtin", "all", "--out", str(out)],
+        "validate": validate_argv(fixture_files),
+        "scenarios": ["scenarios", "print"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "geostress.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": _SRC}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr.decode() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+    if command == "run":  # the report was complete before the summary failed
+        assert len(json.loads(out.read_text())) == 4
+        assert not list(tmp_path.glob(".stress-*"))
