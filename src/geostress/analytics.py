@@ -108,16 +108,16 @@ def top_contributors(
     rows: Sequence[StressRow], k: int
 ) -> list[Contributor]:
     """The k largest loss contributors, ties broken by id ascending."""
-    return _top_contributors([row.id for row in rows], [row.el_s for row in rows], k)
+    losses = [row.el_s for row in rows]
+    return _top_contributors([row.id for row in rows], losses, k, ordered_sum(losses))
 
 
 def _top_contributors(
-    ids: Sequence[str], losses: Sequence[float], k: int
+    ids: Sequence[str], losses: Sequence[float], k: int, total: float
 ) -> list[Contributor]:
-    """``top_contributors`` over the id and loss columns."""
+    """``top_contributors`` over the id and loss columns; ``total`` is their EL."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    total = ordered_sum(losses)
     # sorted(range(n), key=...)[:k], sorting only the rows that reach the
     # k-th largest loss; rows tied with it stay, to be ranked by id.
     ranked: Sequence[int] = range(len(losses))
@@ -160,13 +160,15 @@ def exposure_summary(
     """Build the full diagnostic report for one scenario run."""
     _check_alignment(credit_rows, linked)
     _check_alignment(valuation_rows, linked, "valuation")
-    return _report(linked, scenario.id, _transpose(credit_rows), metric, top_k)
+    columns = _transpose(credit_rows)
+    return _report(linked, scenario.id, columns, metric, top_k, ordered_sum(columns.el_s))
 
 
 def _report(
-    linked: LinkedPortfolio, scenario_id: str, columns: RowColumns, metric: float, top_k: int
+    linked: LinkedPortfolio, scenario_id: str, columns: RowColumns, metric: float, top_k: int,
+    total_el: float,
 ) -> ExposureReport:
-    """The diagnostic report over result columns in portfolio order."""
+    """The diagnostic report over result columns in portfolio order, which sum to ``total_el``."""
     el_by_geo, el_by_sector, el_by_channel = _grouped(columns.el_s, linked)
     return ExposureReport(
         scenario_id=scenario_id,
@@ -177,7 +179,7 @@ def _report(
         hhi_sector=hhi(list(el_by_sector.values())),
         hhi_channel=hhi(list(el_by_channel.values())),
         hhi_geo_ead=hhi(linked.codes.geo_ead),
-        top_contributors=tuple(_top_contributors(columns.id, columns.el_s, top_k)),
+        top_contributors=tuple(_top_contributors(columns.id, columns.el_s, top_k, total_el)),
         climate_var=metric,
         weight_source=linked.weight_source,
     )

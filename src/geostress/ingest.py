@@ -88,11 +88,13 @@ class LinkCodes:
     """Integer codes for what repeats across a linked portfolio's rows.
 
     Each ``*_codes`` list holds one index per instrument into the
-    distinct values beside it, which are kept in first-appearance order.
-    Contexts are told apart by identity. ``ids`` are the instruments' ids
-    in row order, the id column of every scenario's results. ``geo_ead``
-    is the EAD summed per geo code in row order. No scenario changes it, or
-    the checked instrument ``columns`` and ``weights`` that the kernel reads.
+    distinct values beside it, which are kept in first-appearance order,
+    except ``pairs``: the (context, sector) pairs that occur, as sorted
+    keys ``context_code * len(sectors) + sector_code``. Contexts are told
+    apart by identity. ``ids`` are the instruments' ids in row order, the
+    id column of every scenario's results. ``geo_ead`` is the EAD summed
+    per geo code in row order. No scenario changes it, or the checked
+    instrument ``columns`` and ``weights`` that the kernel reads.
     """
 
     ids: tuple[str, ...]
@@ -102,6 +104,8 @@ class LinkCodes:
     geo_codes: list[int]
     sectors: tuple[str, ...]
     sector_codes: list[int]
+    pairs: tuple[int, ...]
+    pair_codes: list[int]
     channels: tuple[str, ...]
     channel_codes: list[int]
     geo_ead: tuple[float, ...]
@@ -144,6 +148,10 @@ class LinkedPortfolio:
         if geo_codes == context_codes:
             geo_codes = context_codes  # one context per geo unit: share the list
         channel_index, context_channels = _codes([c.channel.value for c in contexts])
+        n_sectors = len(columns.sectors)
+        pair_keys = [c * n_sectors + s for c, s in zip(context_codes, columns.sector_codes)]
+        # Sorted, so the kernel holds each context's pair terms together, in context order.
+        pair_index = {key: code for code, key in enumerate(sorted(set(pair_keys)))}
         geo_ead = [0.0] * len(columns.geo_ids)
         for geo_code, ead in zip(geo_codes, columns.ead):
             geo_ead[geo_code] += ead
@@ -158,6 +166,8 @@ class LinkedPortfolio:
             geo_codes=geo_codes,
             sectors=columns.sectors,
             sector_codes=columns.sector_codes,
+            pairs=tuple(pair_index),
+            pair_codes=list(map(pair_index.__getitem__, pair_keys)),
             channels=tuple(channel_index),
             channel_codes=list(map(context_channels.__getitem__, context_codes)),
             geo_ead=tuple(geo_ead),

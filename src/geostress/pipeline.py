@@ -1,27 +1,29 @@
 """End-to-end scenario evaluation over a linked portfolio.
 
 ``run_scenario`` is the one evaluation path: link once, evaluate many.
-For each scenario it computes the binding hazard H once per geo context
-and the transition shock T once per sector, into lists indexed by the
-linked portfolio's integer codes (``LinkedPortfolio.codes``), then makes
+For each scenario it computes the binding hazard H once per geo context,
+the transition shock T once per sector, and the PD shock, LGD factor and
+clamped loss fraction once per (context, sector) pair that occurs, indexed
+by the linked portfolio's codes (``LinkedPortfolio.codes``). It then makes
 one pass over the instruments that emits four result columns and the
 totals; ``StressResult.rows`` is built from the columns only if read. Each
 row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
-``expected_loss`` and ``repricing_delta`` in their order, so it is
-bit-identical to composing them, and raises the domain errors they
-raise. The checks that no scenario can change run once per linked
-portfolio, when its codes are built; ``run_scenario`` checks only the
-scenario's parameters, each sector's transition and the scaled hazards,
-so its row loop holds only the equations and the clamps. The grouped sums,
-HHIs and top contributors come from ``analytics``, which builds them the
-same way for any rows. The layer functions ``portfolio_credit`` and
-``portfolio_valuation`` are projections of its output.
+``expected_loss`` and ``repricing_delta`` in their order (a pair's sums add
+left to right, as a row's would), so it is bit-identical to composing them,
+and raises their domain errors. The checks that no scenario can change run
+once per linked portfolio, when its codes are built; ``run_scenario``
+checks only the scenario's parameters, each sector's transition and the
+scaled hazards, so its row loop holds only the equations and the clamps.
+The grouped sums, HHIs and top contributors come from ``analytics``, which
+builds them the same way for any rows. The layer functions
+``portfolio_credit`` and ``portfolio_valuation`` are projections of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict
+from itertools import repeat
 
 from .analytics import ExposureReport, _report
 from .credit import effective_hazard, pd_after_overflow
@@ -83,6 +85,18 @@ def run_scenario(
         sector_terms.append(
             (betas.transition * transition, repricing.delta_transition * transition)
         )
+    # One entry per (context, sector) pair that occurs, in float lists (not tuples, which
+    # the garbage collector tracks), each sum added left to right as a row adds it: PD
+    # shock b_H*H + b_T*T + b_U*U, LGD factor, loss fraction dH*H + dT*T + d_f clamped at 1.
+    shocks, lgd_factors, loss_fractions = [], [], []
+    for context_code, sector_code in map(divmod, codes.pairs, repeat(len(sector_terms))):
+        b_h, b_u, lgd_factor, d_h = context_terms[context_code]
+        b_t, d_t = sector_terms[sector_code]
+        loss_fraction = d_h + d_t + d_f
+        shocks.append(b_h + b_t + b_u)
+        lgd_factors.append(lgd_factor)
+        loss_fractions.append(loss_fraction if loss_fraction < 1.0 else 1.0)
+    del context_terms, sector_terms
 
     exp, nan = math.exp, math.nan
     # Four float columns, not a StressRow per instrument: floats are not
@@ -94,13 +108,11 @@ def run_scenario(
     total_el = 0.0
     weighted_dv = 0.0
     columns = codes.columns
-    for pd0, lgd0, ead, value, adaptation, context_code, sector_code, weight in zip(
+    for pd0, lgd0, ead, value, adaptation, pair_code, weight in zip(
         columns.pd0, columns.lgd0, columns.ead, columns.value, columns.adaptation,
-        codes.context_codes, codes.sector_codes, codes.weights,
+        codes.pair_codes, codes.weights,
     ):
-        b_h, b_u, lgd_factor, d_h = context_terms[context_code]
-        b_t, d_t = sector_terms[sector_code]
-        exponent = b_h + b_t + b_u - b_a * adaptation
+        exponent = shocks[pair_code] - b_a * adaptation
         try:
             pd_s = pd0 * exp(exponent)
         except OverflowError:
@@ -109,16 +121,13 @@ def run_scenario(
             # A NaN product (exp overflowed, a zero baseline met exp(inf),
             # or the exponent is NaN) goes to pd_after_overflow.
             pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
-        lgd_s = lgd0 * lgd_factor
+        lgd_s = lgd0 * lgd_factors[pair_code]
         if not lgd_s < 1.0:
             # A NaN product is a zero baseline times an overflowed factor.
             lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
         # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
         el_s = pd_s * lgd_s * ead
-        loss_fraction = d_h + d_t + d_f
-        if not loss_fraction < 1.0:
-            loss_fraction = 1.0
-        dv_s = -value * loss_fraction
+        dv_s = -value * loss_fractions[pair_code]
 
         add_pd(pd_s)
         add_lgd(lgd_s)
@@ -127,9 +136,10 @@ def run_scenario(
         total_el += el_s
         weighted_dv += weight * dv_s
 
+    del shocks, lgd_factors, loss_fractions
     metric = _stress_metric(weighted_dv, total_el, scenario.lam)
     columns = RowColumns(codes.ids, pd_column, lgd_column, el_column, dv_column)
     result = StressResult(
         scenario_id=scenario.id, rows=columns, total_el=total_el, climate_var=metric
     )
-    return result, _report(linked, scenario.id, columns, metric, top_k)
+    return result, _report(linked, scenario.id, columns, metric, top_k, total_el)

@@ -6,6 +6,8 @@ import inspect
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostress import (
     BetaParams,
@@ -28,6 +30,10 @@ from geostress import (
     group_el,
     hhi,
     link_exposures,
+    load_fragility,
+    load_geounits,
+    load_hazard_table,
+    load_portfolio,
     portfolio_credit,
     portfolio_valuation,
     repricing_delta,
@@ -520,3 +526,185 @@ def test_effective_hazard_checks_every_scaled_value(bad, position):
     unscaled = dataclasses.replace(_COMPOUND, hazard_multipliers={})
     with pytest.raises(DomainError, match=f"^hazard must be >= 0 and finite, got {bad}$"):
         effective_hazard(context, unscaled)
+
+
+# The pair kernel: one set of terms per (context, sector) pair that occurs.
+
+_PAIR_SECTORS = SECTORS + tuple(f"x{k}" for k in range(len(SECTORS), 12))
+
+
+def _pair_linked(placements, numbers, hazards, fragility):
+    """Instrument k in geo unit ``g{placements[k][0]}`` and sector
+    ``placements[k][1]``, with ``numbers[k]`` as (ead, pd0, lgd0, value,
+    adaptation). Then g0's second row takes an equal twin of g0's context,
+    and g2's rows take g1's context object: one geo id served by two
+    context objects, one context object shared by two geo ids."""
+    geos = [f"g{k}" for k in range(len(hazards))]
+    instruments = tuple(
+        Instrument(f"i{k:02d}", geos[geo], sector, *values)
+        for k, ((geo, sector), values) in enumerate(zip(placements, numbers))
+    )
+    linked = link_exposures(
+        Portfolio(instruments=instruments),
+        HazardField(entries={
+            (g, h): x for g, per in zip(geos, hazards) for h, x in zip(HazardType, per)
+        }),
+        FragilityTable(entries=dict(zip(geos, fragility))),
+        [GeoUnit(g, g, CHANNELS[k % len(CHANNELS)]) for k, g in enumerate(geos)],
+    )
+    contexts = list(linked.contexts)
+    rows_of = {g: [k for k, (geo, _) in enumerate(placements) if geo == g] for g in (0, 1, 2)}
+    contexts[rows_of[0][1]] = dataclasses.replace(contexts[rows_of[0][0]])
+    for k in rows_of[2]:
+        contexts[k] = contexts[rows_of[1][0]]
+    return dataclasses.replace(linked, contexts=tuple(contexts))
+
+
+def _placements(shared, n, sectors=None):
+    """Few contexts x few sectors (rows take geo units 0-2 in turn and one
+    of ``sectors``), or one (context, sector) pair per row (two rows per
+    geo unit, a sector of its own per row)."""
+    if shared:
+        return [(k % 3, sectors[k]) for k in range(n)]
+    return [(k // 2, _PAIR_SECTORS[k]) for k in range(n)]
+
+
+_UNIT = st.sampled_from([0.0, 0.95, 1.0]) | st.floats(0.0, 1.0)
+_MAGNITUDE = st.sampled_from([0.0, 1.0, 1e3, 1e308]) | st.floats(0.0, 5.0)
+
+
+@st.composite
+def _pair_portfolios(draw):
+    shared = draw(st.booleans())
+    n = draw(st.integers(6, 12))
+    sectors = None
+    if shared:
+        names = st.sampled_from(SECTORS[:draw(st.integers(1, 3))])
+        sectors = draw(st.lists(names, min_size=n, max_size=n))
+    placements = _placements(shared, n, sectors)
+    number = st.tuples(st.floats(1.0, 1e6), _UNIT, _UNIT, st.floats(1.0, 1e6), st.floats(0.0, 2.0))
+    geos = max(geo for geo, _ in placements) + 1
+    return _pair_linked(
+        placements,
+        draw(st.lists(number, min_size=n, max_size=n)),
+        draw(st.lists(st.tuples(*[st.floats(0.0, 5.0)] * 4), min_size=geos, max_size=geos)),
+        draw(st.lists(st.floats(0.0, 2.0), min_size=geos, max_size=geos)),
+    )
+
+
+_drawn_scenarios = st.builds(
+    dataclasses.replace,
+    st.just(_COMPOUND),
+    id=st.just("drawn"),
+    betas=st.builds(BetaParams, _MAGNITUDE, _MAGNITUDE, _MAGNITUDE, _MAGNITUDE),
+    lgd_gamma=_MAGNITUDE,
+    financing_tightening=st.floats(0.0, 1.0),
+    repricing=st.builds(Repricing, _MAGNITUDE, _MAGNITUDE, _MAGNITUDE),
+    lam=st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked=_pair_portfolios(), scenario=_drawn_scenarios, top_k=st.sampled_from([1, 3, 100]))
+def test_pair_kernel_matches_the_per_row_reference(linked, scenario, top_k):
+    fused = _outcome(lambda: run_scenario(linked, scenario, top_k))
+    assert fused == _outcome(lambda: _reference(linked, scenario, top_k))
+
+
+def _probe_linked(shared):
+    """Ten rows whose first has a zero baseline PD and LGD and whose second
+    has both at 0.95, in geo units whose binding hazard is at least 2."""
+    placements = _placements(shared, 10, [SECTORS[k % 2] for k in range(10)])
+    numbers = [(1e3 + k, 0.02 * k, 0.1 * k, 2e3 + k, 0.1 * k) for k in range(10)]
+    numbers[:2] = [(1e3, 0.0, 0.0, 2e3, 0.0), (1e3, 0.95, 0.95, 2e3, 0.0)]
+    geos = max(geo for geo, _ in placements) + 1
+    return _pair_linked(placements, numbers, [(2.0 + k, 1.0, 0.5, 0.25) for k in range(geos)],
+                        [0.1 * k for k in range(geos)])
+
+
+# Scenarios that each drive one clamp, and how its rows show it.
+_CLAMP_SCENARIOS = {
+    "pd at 1": (
+        {"betas": BetaParams(hazard=3.0)},
+        lambda rows: rows[1].pd_s == 1.0,
+    ),
+    "pd after overflow": (
+        {"betas": BetaParams(hazard=1e3)},
+        lambda rows: rows[0].pd_s == 0.0 and rows[1].pd_s == 1.0,
+    ),
+    "pd after exp(inf)": (
+        {"betas": BetaParams(hazard=1e308)},
+        lambda rows: rows[0].pd_s == 0.0 and rows[1].pd_s == 1.0,
+    ),
+    "zero lgd, overflowed factor": (
+        {"betas": BetaParams(hazard=1.0), "lgd_gamma": 1e308},
+        lambda rows: rows[0].lgd_s == 0.0 and {r.lgd_s for r in rows[1:]} == {1.0},
+    ),
+    "loss fraction at 1": (
+        {"repricing": Repricing(delta_hazard=0.7, delta_transition=0.3)},
+        lambda rows: all(r.dv_s == -(2e3 + (k if k > 1 else 0)) for k, r in enumerate(rows)),
+    ),
+}
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared pairs", "one pair per row"])
+@pytest.mark.parametrize("clamp", list(_CLAMP_SCENARIOS))
+def test_pair_kernel_matches_the_reference_where_each_clamp_binds(shared, clamp):
+    changes, binds = _CLAMP_SCENARIOS[clamp]
+    scenario = dataclasses.replace(_COMPOUND, id=clamp, **changes)
+    linked = _probe_linked(shared)
+    result, report = run_scenario(linked, scenario, top_k=3)
+    assert binds(result.rows)
+    expected_result, expected_report = _reference(linked, scenario, 3)
+    assert repr(result) == repr(expected_result)
+    assert repr(report) == repr(expected_report)
+
+
+def _distinct_pairs(linked):
+    return len({(id(context), inst.sector)
+                for context, inst in zip(linked.contexts, linked.portfolio.instruments)})
+
+
+def _assert_pair_codes_decode(linked):
+    codes = linked.codes
+    assert len(codes.pairs) == len(set(codes.pairs)) == _distinct_pairs(linked)
+    assert sorted(set(codes.pair_codes)) == list(range(len(codes.pairs)))
+    assert [divmod(codes.pairs[p], len(codes.sectors)) for p in codes.pair_codes] == list(
+        zip(codes.context_codes, codes.sector_codes)
+    )
+    assert list(codes.pairs) == sorted(codes.pairs)  # each context's pairs together
+
+
+def test_pair_codes_are_built_once_per_linked_portfolio():
+    linked = _mixed_linked()
+    codes = linked.codes
+    for scenario in _scenarios():
+        run_scenario(linked, scenario)
+        assert linked.codes is codes
+    _assert_pair_codes_decode(linked)
+    assert len(codes.pairs) < len(codes.pair_codes)
+    for shared in (True, False):
+        _assert_pair_codes_decode(_probe_linked(shared))
+    assert len(_probe_linked(False).codes.pairs) == 10
+    replaced = dataclasses.replace(linked)
+    assert replaced.codes is not codes
+    assert replaced.codes.pair_codes is not codes.pair_codes
+    assert replaced.codes.pair_codes == codes.pair_codes
+    moved = _with_instrument(linked, 5, sector="aa-new")
+    assert len(moved.codes.pairs) == len(codes.pairs) + 1
+    _assert_pair_codes_decode(moved)
+
+
+def test_pair_codes_of_a_generated_portfolio_with_two_rows_per_geo_unit(tmp_path):
+    from test_golden import gen
+
+    paths = gen.generate(str(tmp_path), 5, 600, 300, 40)["paths"]
+    loaders = (load_portfolio, load_hazard_table, load_fragility, load_geounits)
+    inputs = []
+    for name, load in zip(("portfolio", "hazards", "fragility", "geounits"), loaders):
+        with open(paths[name], "rb") as source:
+            inputs.append(load(source))
+    linked = link_exposures(*inputs)
+    _assert_pair_codes_decode(linked)
+    assert len(linked.codes.pairs) > len(linked.codes.contexts)
+    _assert_fused_matches_reference(linked)
