@@ -19,6 +19,7 @@ leaves a partial report behind.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -45,15 +46,21 @@ EXIT_INTERNAL = 3
 
 
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
-    with open(args.portfolio, "rb") as fh:
-        portfolio = load_portfolio(fh, filename=args.portfolio)
-    with open(args.hazards, "rb") as fh:
-        hazards = load_hazard_table(fh, filename=args.hazards)
-    with open(args.fragility, "rb") as fh:
-        fragility = load_fragility(fh, filename=args.fragility)
-    with open(args.geounits, "rb") as fh:
-        registry = load_geounits(fh, filename=args.geounits)
-    return link_exposures(portfolio, hazards, fragility, registry)
+    enabled = gc.isenabled()
+    gc.disable()  # the load builds many objects and no cycle: a collection only scans them
+    try:
+        with open(args.portfolio, "rb") as fh:
+            portfolio = load_portfolio(fh, filename=args.portfolio)
+        with open(args.hazards, "rb") as fh:
+            hazards = load_hazard_table(fh, filename=args.hazards)
+        with open(args.fragility, "rb") as fh:
+            fragility = load_fragility(fh, filename=args.fragility)
+        with open(args.geounits, "rb") as fh:
+            registry = load_geounits(fh, filename=args.geounits)
+        return link_exposures(portfolio, hazards, fragility, registry)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:

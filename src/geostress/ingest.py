@@ -13,7 +13,8 @@ hard errors. Numbers are ASCII decimal or exponent notation, which
 covers ``repr`` of every finite float: no surrounding whitespace, no
 underscores, no other digits. A geo unit used by any instrument must
 carry all four hazard types and a fragility entry; truly absent hazards
-are encoded as explicit 0.0 rows.
+are encoded as explicit 0.0 rows. Files are read and checked by column
+in chunks; a chunk that fails is walked row by row to name its bad line.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import inf, isfinite
-from operator import itemgetter
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DuplicateKey,
@@ -40,7 +40,6 @@ from .errors import (
     NegativeFragility,
     NegativeIntensity,
     SchemaMismatch,
-    StressError,
     UnknownHazardToken,
     UnresolvedGeo,
 )
@@ -176,14 +175,16 @@ class LinkedPortfolio:
         )
 
 
-def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
-    """The data rows of a CSV stream after its header, with line numbers.
-
-    The caller's stream stays open: the text layer is detached from it
-    once the rows are read or the reading stops.
+def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:
+    """The data rows of a CSV stream after its header, ``_CHUNK_ROWS``
+    records at a time, as (line numbers, rows), blank lines dropped; a row's
+    number is the physical line it starts on. A wrong-width row, bytes that
+    are not UTF-8 and a ``csv.Error`` are raised after the rows before them
+    are yielded, so a caller names a fault in those rows first. The caller's
+    stream stays open: the text layer is detached once the reading stops.
     """
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader = csv.reader(text)
+    reader, width = csv.reader(text), len(header)
     try:
         try:
             first = next(reader)
@@ -196,12 +197,29 @@ def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[t
             raise SchemaMismatch(
                 f"{filename}: header {','.join(first)} != expected {','.join(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0] == ""):
-                continue  # blank trailing line permitted
-            if len(row) != len(header):
-                raise MalformedRow(filename, lineno, f"expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+        while True:
+            start, rows, error = reader.line_num, [], None
+            try:
+                rows.extend(islice(reader, _CHUNK_ROWS))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                error = exc  # raised after the rows read before it
+            if not rows and error is None:
+                return
+            linenos: Sequence[int] = range(start + 1, start + 1 + len(rows))
+            if reader.line_num - start != len(rows):  # a record spans lines
+                linenos = list(accumulate(map(_span, rows), initial=start + 1))
+            if set(map(len, rows)) != {width}:  # a blank line (permitted) or a wrong width
+                end = next((k for k, row in enumerate(rows)
+                            if len(row) != width and row not in ([], [""])), len(rows))
+                if end < len(rows):
+                    detail = f"expected {width} fields, got {len(rows[end])}"
+                    error = MalformedRow(filename, linenos[end], detail)
+                kept = [k for k in range(end) if len(rows[k]) == width]
+                linenos, rows = [linenos[k] for k in kept], [rows[k] for k in kept]
+            if rows:
+                yield linenos, rows
+            if error is not None:
+                raise error
     except UnicodeDecodeError as exc:
         # The text layer decodes ahead of the reader in blocks, so the
         # failing line is not known here; name the file.
@@ -211,6 +229,12 @@ def _rows(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterable[t
         raise MalformedRow(filename, reader.line_num, str(exc)) from None
     finally:
         text.detach()
+
+
+def _span(row: list[str]) -> int:
+    """The lines a record takes: a quoted field may hold "\\n", "\\r" or "\\r\\n"."""
+    text = ",".join(row)
+    return 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 # The characters of numbers joined by ",". A string that float() reads
@@ -263,28 +287,20 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     are checked a column at a time, and the rules over the portfolio over
     its columns; the rows are looked at only to name what breaks a check.
     """
-    rows = _rows(source, filename, PORTFOLIO_HEADER)
     ids, geo_index, sector_index, geo_codes, sector_codes = [], {}, {}, [], []
     numbers = [array("d") for _ in PORTFOLIO_HEADER[3:]]
-    while True:
-        chunk: list[tuple[int, list[str]]] = []
-        try:
-            chunk.extend(islice(rows, _CHUNK_ROWS))
-        except StressError:
-            for lineno, row in chunk:  # a bad number above the bad row comes first
-                _portfolio_numbers(row[3:], filename, lineno)
-            raise
-        if not chunk:
-            break
-        cells = list(zip(*map(itemgetter(1), chunk)))
+    for linenos, rows in _chunks(source, filename, PORTFOLIO_HEADER):
+        cells = list(zip(*rows))
         ids.extend(cells[0])
         geo_codes += _codes(cells[1], geo_index)[1]
         sector_codes += _codes(cells[2], sector_index)[1]
         converted = [_plain_floats(column) for column in cells[3:]]
         if None in converted:  # name the bad cell; if none is, a column sum overflowed
-            converted = zip(*(_portfolio_numbers(row[3:], filename, lineno) for lineno, row in chunk))
+            converted = zip(*(_portfolio_numbers(row[3:], filename, lineno)
+                              for lineno, row in zip(linenos, rows)))
         for column, part in zip(numbers, converted):
             column.extend(part)
+        del rows, cells, converted  # freed before the next chunk is read: a lower peak
     columns = InstrumentColumns(
         tuple(ids), tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
     )
@@ -318,54 +334,78 @@ def dump_portfolio(portfolio: Portfolio) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def _add(table: dict, pairs: Iterable[tuple], count: int) -> bool:
+    """Add a chunk's ``count`` (key, value) pairs to ``table``. If a key repeats, the
+    table grew by less: take the chunk's new keys (they come last) out and return False."""
+    size = len(table)
+    table.update(pairs)
+    if len(table) == size + count:
+        return True
+    for key in list(islice(table, size, None)):
+        del table[key]
+    return False
+
+
 def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> HazardField:
     """Load baseline hazard intensities with unique (geo_id, hazard) keys."""
     entries: dict[tuple[str, HazardType], float] = {}
-    for lineno, row in _rows(source, filename, HAZARDS_HEADER):
-        geo_id, token = row[0], row[1]
-        hazard = HAZARD_BY_TOKEN.get(token)
-        if hazard is None:
-            raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}")
-        intensity = _float(row[2], filename, lineno, "intensity")
-        if intensity < 0.0:
-            raise NegativeIntensity(f"{filename}:{lineno}: intensity {intensity} < 0")
-        key = (geo_id, hazard)
-        if key in entries:
-            raise DuplicateKey(f"{filename}:{lineno}: duplicate ({geo_id}, {token})")
-        entries[key] = intensity
+    for linenos, rows in _chunks(source, filename, HAZARDS_HEADER):
+        geo_ids, tokens, cells = zip(*rows)
+        hazards, intensities = list(map(HAZARD_BY_TOKEN.get, tokens)), _plain_floats(cells)
+        if None in hazards or intensities is None or min(intensities) < 0.0 or not _add(
+                entries, zip(zip(geo_ids, hazards), intensities), len(rows)):
+            for lineno, (geo_id, token, cell) in zip(linenos, rows):  # name the bad row
+                hazard = HAZARD_BY_TOKEN.get(token)
+                if hazard is None:
+                    raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}")
+                intensity = _float(cell, filename, lineno, "intensity")
+                if intensity < 0.0:
+                    raise NegativeIntensity(f"{filename}:{lineno}: intensity {intensity} < 0")
+                key = (geo_id, hazard)
+                if key in entries:
+                    raise DuplicateKey(f"{filename}:{lineno}: duplicate ({geo_id}, {token})")
+                entries[key] = intensity
+        del rows, tokens, cells  # freed before the next chunk is read: a lower peak
     return HazardField(entries=entries)
 
 
 def load_fragility(source: IO[bytes], filename: str = "fragility.csv") -> FragilityTable:
     """Load per-geo fragility values, all >= 0, unique geo_id keys."""
     entries: dict[str, float] = {}
-    for lineno, row in _rows(source, filename, FRAGILITY_HEADER):
-        geo_id = row[0]
-        value = _float(row[1], filename, lineno, "fragility")
-        if value < 0.0:
-            raise NegativeFragility(f"{filename}:{lineno}: fragility {value} < 0")
-        if geo_id in entries:
-            raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
-        entries[geo_id] = value
+    for linenos, rows in _chunks(source, filename, FRAGILITY_HEADER):
+        geo_ids, cells = zip(*rows)
+        frags = _plain_floats(cells)
+        if frags is None or min(frags) < 0.0 or not _add(entries, zip(geo_ids, frags), len(rows)):
+            for lineno, (geo_id, cell) in zip(linenos, rows):
+                value = _float(cell, filename, lineno, "fragility")
+                if value < 0.0:
+                    raise NegativeFragility(f"{filename}:{lineno}: fragility {value} < 0")
+                if geo_id in entries:
+                    raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
+                entries[geo_id] = value
+        del rows, cells
     return FragilityTable(entries=entries)
 
 
 def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[GeoUnit]:
     """Load the geo registry with channel tags."""
-    units: list[GeoUnit] = []
-    seen: set[str] = set()
-    for lineno, row in _rows(source, filename, GEOUNITS_HEADER):
-        geo_id, name, channel_token = row
-        if not geo_id:
-            raise MalformedRow(filename, lineno, "geo_id must be nonempty")
-        if geo_id in seen:
-            raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
-        seen.add(geo_id)
-        channel = CHANNEL_BY_TOKEN.get(channel_token)
-        if channel is None:
-            raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
-        units.append(GeoUnit(id=geo_id, name=name, channel=channel))
-    return units
+    units: dict[str, GeoUnit] = {}
+    for linenos, rows in _chunks(source, filename, GEOUNITS_HEADER):
+        geo_ids, names, tokens = zip(*rows)
+        channels = list(map(CHANNEL_BY_TOKEN.get, tokens))
+        if not all(geo_ids) or None in channels or not _add(
+                units, zip(geo_ids, map(GeoUnit, geo_ids, names, channels)), len(rows)):
+            for lineno, (geo_id, name, channel_token) in zip(linenos, rows):
+                if not geo_id:
+                    raise MalformedRow(filename, lineno, "geo_id must be nonempty")
+                if geo_id in units:
+                    raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
+                channel = CHANNEL_BY_TOKEN.get(channel_token)
+                if channel is None:
+                    raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
+                units[geo_id] = GeoUnit(id=geo_id, name=name, channel=channel)
+        del rows, tokens
+    return list(units.values())
 
 
 def link_exposures(
@@ -382,30 +422,28 @@ def link_exposures(
     instruments in the same geo unit share one ExposureContext object,
     which lets scenario evaluation compute per-geo terms once.
     """
-    by_geo = {unit.id: unit for unit in registry}
+    channels = {unit.id: unit.channel for unit in registry}
     intensities, fragilities = hazards.entries, fragility.entries
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
     columns = instrument_columns(normalized)
 
-    resolved = []  # per geo code
-    for geo_code, geo_id in enumerate(columns.geo_ids):
-        unit = by_geo.get(geo_id)
-        if unit is None:
-            raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
-        baseline = {}
-        for hazard in HAZARD_TYPES:
-            try:
-                baseline[hazard] = intensities[(geo_id, hazard)]
-            except KeyError:
-                raise MissingHazard(geo_id, hazard.value) from None
-        try:
-            frag = fragilities[geo_id]
-        except KeyError:
-            raise MissingFragility(geo_id) from None
-        resolved.append(
-            ExposureContext(baseline_hazards=baseline, fragility=frag, channel=unit.channel)
-        )
+    geo_ids = columns.geo_ids  # per geo code
+    units, frags = list(map(channels.get, geo_ids)), list(map(fragilities.get, geo_ids))
+    baselines = [list(map(intensities.get, zip(geo_ids, repeat(h)))) for h in HAZARD_TYPES]
+    if None in units or None in frags or any(None in column for column in baselines):
+        # Name the first gap, geo unit by geo unit.
+        for geo_code, geo_id in enumerate(geo_ids):
+            if geo_id not in channels:
+                raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
+            for hazard in HAZARD_TYPES:
+                if (geo_id, hazard) not in intensities:
+                    raise MissingHazard(geo_id, hazard.value)
+            if geo_id not in fragilities:
+                raise MissingFragility(geo_id)
+    baselines = map(dict, map(zip, repeat(HAZARD_TYPES), zip(*baselines)))
+    resolved = list(map(ExposureContext, baselines, frags, units))
+    del baselines, frags, units  # freed before the per-row tuple: a lower peak
     return LinkedPortfolio(
         portfolio=normalized,
         contexts=tuple(map(resolved.__getitem__, columns.geo_codes)),

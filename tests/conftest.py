@@ -1,8 +1,10 @@
 """Shared fixtures: the 10-instrument / 4-geo portfolio in both raw-dict
-form (for the brute-force oracle) and engine form, plus CSV renderers."""
+form (for the brute-force oracle) and engine form, plus CSV renderers and
+a row-by-row CSV reader for the loaders' reference implementations."""
 
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
@@ -17,6 +19,7 @@ from geostress import (
     Portfolio,
     link_exposures,
 )
+from geostress.errors import MalformedRow, SchemaMismatch
 
 GEO_CHANNELS = {
     "g1": "wui",
@@ -132,3 +135,40 @@ def fixture_files(tmp_path):
 
 def as_stream(data: bytes) -> io.BytesIO:
     return io.BytesIO(data)
+
+
+def reference_rows(source, filename, header):
+    """The data rows of a CSV stream after its header, one at a time, each
+    with the physical line it starts on (``reader.line_num`` before the
+    row is read, plus one): the reader the loaders used before they read
+    chunks, with that line rule. Blank lines are skipped."""
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    reader = csv.reader(text)
+    try:
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise SchemaMismatch(f"{filename}: empty file, expected header {','.join(header)}") from None
+        if first != list(header):
+            missing = [col for col in header if col not in first]
+            if missing:
+                raise SchemaMismatch(f"{filename}: header missing column(s) {', '.join(missing)}")
+            raise SchemaMismatch(
+                f"{filename}: header {','.join(first)} != expected {','.join(header)}"
+            )
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return
+            if not row or (len(row) == 1 and row[0] == ""):
+                continue
+            if len(row) != len(header):
+                raise MalformedRow(filename, lineno, f"expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{filename}: not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise MalformedRow(filename, reader.line_num, str(exc)) from None
+    finally:
+        text.detach()

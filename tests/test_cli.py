@@ -24,9 +24,19 @@ from conftest import (
     hazards_csv,
     portfolio_csv,
 )
-from geostress import builtin_scenarios, cli, emit_report, run_scenario
+from geostress import (
+    builtin_scenarios,
+    cli,
+    emit_report,
+    link_exposures,
+    load_fragility,
+    load_geounits,
+    load_hazard_table,
+    load_portfolio,
+    run_scenario,
+)
 from geostress.cli import main
-from geostress.errors import DomainError
+from geostress.errors import DomainError, StressError
 
 
 class TestEmitReport:
@@ -530,3 +540,58 @@ def test_a_closed_stdout_pipe_exits_2(fixture_files, tmp_path, command):
     if command == "run":  # the report was complete before the summary failed
         assert len(json.loads(out.read_text())) == 4
         assert not list(tmp_path.glob(".stress-*"))
+
+
+class TestCollectorState:
+    """``stress run`` and ``stress validate`` pause the cyclic collector
+    while they load and link, and leave it as they found it; the loaders
+    and the linker, called as a library, never touch it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("command", ["run", "validate", "load-error", "internal-error"])
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, collector, command, fixture_files, tmp_path, capsys, monkeypatch
+    ):
+        during = []
+        for name in ("load_portfolio", "load_geounits", "link_exposures"):
+            def watched(*args, _step=getattr(cli, name), **kwargs):
+                during.append(gc.isenabled())
+                if command == "internal-error" and _step.__name__ == "load_geounits":
+                    raise RuntimeError("boom")
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, watched)
+        if command == "load-error":
+            fixture_files["hazards"].write_bytes(b"geo_id,hazard,intensity\ng1,smog,1\n")
+        if command == "run":
+            code = run_cli(fixture_files, tmp_path, "--builtin", "all")[0]
+        else:
+            code = main(validate_argv(fixture_files))
+        assert code == {"run": 0, "validate": 0, "load-error": 2, "internal-error": 3}[command]
+        assert gc.isenabled() is collector
+        assert during == {"load-error": [False], "internal-error": [False, False]}.get(
+            command, [False, False, False]
+        )
+        capsys.readouterr()
+
+    def test_the_library_never_touches_the_collector(self, collector, fixture_files, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+        loaded = []
+        for name, loader in [("portfolio", load_portfolio), ("hazards", load_hazard_table),
+                             ("fragility", load_fragility), ("geounits", load_geounits)]:
+            with open(fixture_files[name], "rb") as fh:
+                loaded.append(loader(fh))
+            assert gc.isenabled() is collector
+        link_exposures(*loaded)
+        with pytest.raises(StressError):
+            load_hazard_table(io.BytesIO(b"geo_id,hazard,intensity\ng1,smog,1\n"))
+        assert gc.isenabled() is collector
+        assert calls == []

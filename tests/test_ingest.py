@@ -360,3 +360,37 @@ def test_any_bytes_load_or_raise_a_stress_error(kind, header, data):
     except StressError:
         pass
     assert not stream.closed
+
+
+# (header, a row that spans two lines, a bad row, the bad row's error at line 4)
+_SPANNING = {
+    "portfolio": ("id,geo_id,sector,ead,pd0,lgd0,value,adaptation",
+                  '"a\n1",g1,retail,100,0.02,0.4,120,0.1', "b,g2,retail,x,0.02,0.4,120,0.1",
+                  "MalformedRow: portfolio.csv:4: malformed row: ead: not a number: 'x'"),
+    "hazards": ("geo_id,hazard,intensity", '"g\n1",wildfire,0.1', "g2,flood,-1",
+                "NegativeIntensity: hazards.csv:4: intensity -1.0 < 0"),
+    "fragility": ("geo_id,fragility", '"g\r\n1",0.1', "g2,-1",
+                  "NegativeFragility: fragility.csv:4: fragility -1.0 < 0"),
+    "geounits": ("geo_id,name,channel", 'g1,"G\r1",wui', "g2,G2,nowhere",
+                 "MalformedRow: geounits.csv:4: malformed row: unknown channel 'nowhere'"),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+@pytest.mark.parametrize("kind", sorted(_SPANNING))
+def test_an_error_names_the_line_its_row_starts_on(kind, chunk_rows, monkeypatch):
+    """A quoted line break makes a record span two lines: the rows after it
+    are named by the physical line they start on, not by their count."""
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    header, spanning, bad, error = _SPANNING[kind]
+    loader = _ALL_FILES[kind][0]
+    for rows, expected in [
+        ([spanning, bad], error),
+        ([spanning, bad.rsplit(",", 1)[0]],  # a short row, which the reader rejects
+         f"MalformedRow: {kind}.csv:4: malformed row: expected {header.count(',') + 1} fields, "
+         f"got {header.count(',')}"),
+    ]:
+        data = "\n".join([header, *rows, ""]).encode()
+        with pytest.raises(StressError) as raised:
+            loader(as_stream(data), filename=f"{kind}.csv")
+        assert f"{type(raised.value).__name__}: {raised.value}" == expected

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_rows
 from geostress import (
     Channel,
     FragilityTable,
@@ -40,7 +41,7 @@ NUMBER_COLUMNS = range(3, 8)
 def reference_load_portfolio(source, filename: str = "portfolio.csv") -> Portfolio:
     """Load a portfolio CSV one row at a time, into instruments."""
     instruments = []
-    for lineno, row in ingest._rows(source, filename, ingest.PORTFOLIO_HEADER):
+    for lineno, row in reference_rows(source, filename, ingest.PORTFOLIO_HEADER):
         inst_id, geo_id, sector = row[0], row[1], row[2]
         ead, pd0, lgd0, value, adaptation = ingest._portfolio_numbers(row[3:], filename, lineno)
         instruments.append(Instrument(inst_id, geo_id, sector, ead, pd0, lgd0, value, adaptation))
