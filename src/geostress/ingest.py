@@ -13,8 +13,7 @@ hard errors. Numbers are ASCII decimal or exponent notation, which
 covers ``repr`` of every finite float: no surrounding whitespace, no
 underscores, no other digits. A geo unit used by any instrument must
 carry all four hazard types and a fragility entry; truly absent hazards
-are encoded as explicit 0.0 rows. Files are read and checked by column
-in chunks; a chunk that fails is walked row by row to name its bad line.
+are encoded as explicit 0.0 rows. Files are checked by column, in chunks.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import inf, isfinite
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
@@ -176,12 +175,11 @@ class LinkedPortfolio:
 
 
 def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:
-    """The data rows of a CSV stream after its header, ``_CHUNK_ROWS``
-    records at a time, as (line numbers, rows), blank lines dropped; a row's
-    number is the physical line it starts on. A wrong-width row, bytes that
-    are not UTF-8 and a ``csv.Error`` are raised after the rows before them
-    are yielded, so a caller names a fault in those rows first. The caller's
-    stream stays open: the text layer is detached once the reading stops.
+    """The data rows of a CSV stream after its header, ``_CHUNK_ROWS`` records at
+    a time, as (line numbers, rows) without blank lines; a row's number is the
+    physical line it starts on. A wrong-width row, non-UTF-8 bytes and a ``csv.Error``
+    are raised after the rows before them are yielded, so a fault in those is named
+    first. The caller's stream stays open: the text layer is detached at the end.
     """
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     reader, width = csv.reader(text), len(header)
@@ -219,7 +217,10 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
             if rows:
                 yield linenos, rows
             if error is not None:
-                raise error
+                try:
+                    raise error
+                finally:
+                    error = None  # the traceback holds this frame: no cycle through it
     except UnicodeDecodeError as exc:
         # The text layer decodes ahead of the reader in blocks, so the
         # failing line is not known here; name the file.
@@ -335,15 +336,12 @@ def dump_portfolio(portfolio: Portfolio) -> bytes:
 
 
 def _add(table: dict, pairs: Iterable[tuple], count: int) -> bool:
-    """Add a chunk's ``count`` (key, value) pairs to ``table``. If a key repeats, the
-    table grew by less: take the chunk's new keys (they come last) out and return False."""
-    size = len(table)
-    table.update(pairs)
-    if len(table) == size + count:
-        return True
-    for key in list(islice(table, size, None)):
-        del table[key]
-    return False
+    """Add ``count`` (key, value) pairs, all keys new, or leave ``table`` and return False."""
+    chunk = dict(pairs)
+    if len(chunk) != count or not table.keys().isdisjoint(chunk.keys()):
+        return False
+    table.update(chunk)
+    return True
 
 
 def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> HazardField:
@@ -422,28 +420,30 @@ def link_exposures(
     instruments in the same geo unit share one ExposureContext object,
     which lets scenario evaluation compute per-geo terms once.
     """
-    channels = {unit.id: unit.channel for unit in registry}
+    by_geo = {unit.id: unit for unit in registry}
     intensities, fragilities = hazards.entries, fragility.entries
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
     columns = instrument_columns(normalized)
 
-    geo_ids = columns.geo_ids  # per geo code
-    units, frags = list(map(channels.get, geo_ids)), list(map(fragilities.get, geo_ids))
-    baselines = [list(map(intensities.get, zip(geo_ids, repeat(h)))) for h in HAZARD_TYPES]
-    if None in units or None in frags or any(None in column for column in baselines):
-        # Name the first gap, geo unit by geo unit.
-        for geo_code, geo_id in enumerate(geo_ids):
-            if geo_id not in channels:
-                raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
-            for hazard in HAZARD_TYPES:
-                if (geo_id, hazard) not in intensities:
-                    raise MissingHazard(geo_id, hazard.value)
-            if geo_id not in fragilities:
-                raise MissingFragility(geo_id)
-    baselines = map(dict, map(zip, repeat(HAZARD_TYPES), zip(*baselines)))
-    resolved = list(map(ExposureContext, baselines, frags, units))
-    del baselines, frags, units  # freed before the per-row tuple: a lower peak
+    resolved = []  # per geo code
+    for geo_code, geo_id in enumerate(columns.geo_ids):
+        unit = by_geo.get(geo_id)
+        if unit is None:
+            raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
+        baseline = {}
+        for hazard in HAZARD_TYPES:
+            try:
+                baseline[hazard] = intensities[(geo_id, hazard)]
+            except KeyError:
+                raise MissingHazard(geo_id, hazard.value) from None
+        try:
+            frag = fragilities[geo_id]
+        except KeyError:
+            raise MissingFragility(geo_id) from None
+        resolved.append(
+            ExposureContext(baseline_hazards=baseline, fragility=frag, channel=unit.channel)
+        )
     return LinkedPortfolio(
         portfolio=normalized,
         contexts=tuple(map(resolved.__getitem__, columns.geo_codes)),

@@ -1,6 +1,7 @@
 """CSV loaders, strict schema handling, and exposure linking."""
 
 import csv
+import gc
 import io
 
 import pytest
@@ -19,8 +20,12 @@ from conftest import (
     portfolio_csv,
 )
 from geostress import (
+    Channel,
     FragilityTable,
+    HazardField,
     HazardType,
+    Instrument,
+    Portfolio,
     dump_portfolio,
     link_exposures,
     load_fragility,
@@ -29,6 +34,7 @@ from geostress import (
     load_portfolio,
 )
 from geostress import ingest
+from geostress.model import HAZARD_TYPES, GeoUnit
 from geostress.errors import (
     DuplicateKey,
     InvariantViolation,
@@ -394,3 +400,66 @@ def test_an_error_names_the_line_its_row_starts_on(kind, chunk_rows, monkeypatch
         with pytest.raises(StressError) as raised:
             loader(as_stream(data), filename=f"{kind}.csv")
         assert f"{type(raised.value).__name__}: {raised.value}" == expected
+
+
+@pytest.mark.parametrize("tail", [b"g2\n", b"g2,\xff\n"], ids=["short-row", "not-utf-8"])
+@pytest.mark.parametrize("kind", sorted(_ALL_FILES))
+def test_a_failed_load_leaves_no_reference_cycle(kind, tail):
+    """An error the reader holds back until the rows before it are handed on
+    leaves nothing for the cyclic collector, which the CLI pauses while it loads."""
+    loader, header, row = _ALL_FILES[kind]
+    data = f"{header}\n{row}\n".encode() + tail
+
+    def load_fails() -> bool:
+        try:
+            loader(as_stream(data))
+        except StressError:
+            return True
+        return False
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert load_fails()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_W, _D, _F, _H = HAZARD_TYPES  # wildfire, drought, flood, heat
+
+
+@pytest.mark.parametrize(
+    "gaps, error",
+    [
+        ([("unit", 1), ("hazard", 0, _W), ("fragility", 2)], MissingFragility("g2")),
+        ([("unit", 0), ("hazard", 1, _W), ("fragility", 1)], UnresolvedGeo("n1", "g0")),
+        ([("unit", 1), ("hazard", 0, _H), ("hazard", 0, _D), ("fragility", 0)],
+         MissingHazard("g0", "drought")),
+        ([("fragility", 2), ("hazard", 2, _F), ("unit", 2)], UnresolvedGeo("n0", "g2")),
+        ([("fragility", 2), ("hazard", 2, _H)], MissingHazard("g2", "heat")),
+        ([("unit", 1), ("fragility", 1)], UnresolvedGeo("n2", "g1")),
+    ],
+)
+def test_link_names_the_first_geo_unit_with_a_gap(gaps, error):
+    """Geo units are resolved in first-appearance order; within one, a missing
+    registry entry comes first, then a missing hazard in HAZARD_TYPES order,
+    then a missing fragility."""
+    # Rows are located in g2, g0, g1, g2, so the geo units are walked g2, g0, g1.
+    portfolio = Portfolio(instruments=tuple(
+        Instrument(f"n{k}", f"g{code}", "s", 100.0, 0.02, 0.4, 120.0 + k, 0.1)
+        for k, code in enumerate([2, 0, 1, 2])
+    ))
+    hazards = {(f"g{k}", h): 0.1 for k in range(3) for h in HAZARD_TYPES}
+    fragility = {f"g{k}": 0.5 for k in range(3)}
+    registry = {f"g{k}": GeoUnit(f"g{k}", "", Channel.OTHER) for k in range(3)}
+    for table, geo, *hazard in gaps:
+        geo_id = f"g{geo}"
+        del {"unit": registry, "fragility": fragility, "hazard": hazards}[table][
+            (geo_id, *hazard) if hazard else geo_id]
+    with pytest.raises(type(error)) as raised:
+        link_exposures(portfolio, HazardField(hazards), FragilityTable(fragility),
+                       list(registry.values()))
+    assert str(raised.value) == str(error)

@@ -1,13 +1,10 @@
-"""The chunked side-table loaders and the bulk linker against row-by-row
-references.
+"""The chunked side-table loaders against row-by-row references.
 
 The references are the hazard, fragility and registry loaders as they
 were before they read chunks: one row at a time through
-``conftest.reference_rows``, each row checked on its own. The reference
-linker resolves one geo unit at a time. The loaders must load what the
-references load, and reject what they reject with the same exception
-type and message, wherever a chunk of rows ends; the linker must name the
-same gap.
+``conftest.reference_rows``, each row checked on its own. The loaders
+must load what the references load, and reject what they reject with
+the same exception type and message, wherever a chunk of rows ends.
 """
 
 from __future__ import annotations
@@ -21,13 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import reference_rows
 from geostress import (
-    Channel,
     FragilityTable,
     HazardField,
-    Instrument,
-    Portfolio,
     ingest,
-    link_exposures,
     load_fragility,
     load_geounits,
     load_hazard_table,
@@ -35,20 +28,15 @@ from geostress import (
 from geostress.errors import (
     DuplicateKey,
     MalformedRow,
-    MissingFragility,
-    MissingHazard,
     NegativeFragility,
     NegativeIntensity,
     UnknownHazardToken,
-    UnresolvedGeo,
 )
-from geostress.ingest import ExposureContext, LinkedPortfolio
 from geostress.model import (
     CHANNEL_BY_TOKEN,
     HAZARD_BY_TOKEN,
     HAZARD_TYPES,
     GeoUnit,
-    normalize_weights,
 )
 
 
@@ -97,35 +85,6 @@ def reference_load_geounits(source, filename: str = "geounits.csv") -> list[GeoU
             raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
         units.append(GeoUnit(id=geo_id, name=name, channel=channel))
     return units
-
-
-def reference_link_exposures(portfolio, hazards, fragility, registry) -> LinkedPortfolio:
-    by_geo = {unit.id: unit for unit in registry}
-    intensities, fragilities = hazards.entries, fragility.entries
-    weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
-    normalized = normalize_weights(portfolio)
-    columns = ingest.instrument_columns(normalized)
-    resolved = []
-    for geo_code, geo_id in enumerate(columns.geo_ids):
-        unit = by_geo.get(geo_id)
-        if unit is None:
-            raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
-        baseline = {}
-        for hazard in HAZARD_TYPES:
-            try:
-                baseline[hazard] = intensities[(geo_id, hazard)]
-            except KeyError:
-                raise MissingHazard(geo_id, hazard.value) from None
-        try:
-            frag = fragilities[geo_id]
-        except KeyError:
-            raise MissingFragility(geo_id) from None
-        resolved.append(ExposureContext(baseline, frag, unit.channel))
-    return LinkedPortfolio(
-        portfolio=normalized,
-        contexts=tuple(map(resolved.__getitem__, columns.geo_codes)),
-        weight_source=weight_source,
-    )
 
 
 # kind: (loader, reference, header, the number column or None, the token column or None)
@@ -320,73 +279,3 @@ def test_blank_lines_are_skipped_and_counted(kind, chunk_rows):
     rows.append(None)
     expected = _assert_same_outcome(kind, _text(kind, rows), chunk_rows)
     assert expected[1].startswith(f"{kind}.csv:8: ")
-
-
-def _portfolio(geo_codes: list[int]) -> Portfolio:
-    return Portfolio(instruments=tuple(
-        Instrument(f"n{k}", f"g{code}", "s", 100.0, 0.02, 0.4, 120.0 + k, 0.1)
-        for k, code in enumerate(geo_codes)
-    ))
-
-
-def _link_outcome(linker, *inputs):
-    try:
-        linked = linker(*inputs)
-    except Exception as exc:  # the outcome under test may be any error
-        return type(exc), str(exc)
-    # Which rows share a context object, as first-appearance codes.
-    distinct = list(dict.fromkeys(map(id, linked.contexts)))
-    return ("linked", linked.portfolio, linked.contexts, linked.weight_source,
-            [distinct.index(id(c)) for c in linked.contexts])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    geo_codes=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=12),
-    unresolved=st.sets(st.integers(min_value=0, max_value=5), max_size=2),
-    missing_hazards=st.sets(st.tuples(st.integers(min_value=0, max_value=5),
-                                      st.sampled_from(HAZARD_TYPES)), max_size=3),
-    missing_fragility=st.sets(st.integers(min_value=0, max_value=5), max_size=2),
-)
-def test_link_names_the_gap_the_reference_names(
-    geo_codes, unresolved, missing_hazards, missing_fragility
-):
-    geo_ids = [f"g{k}" for k in range(6)]
-    hazards = HazardField({(f"g{k}", h): 0.1 * k for k in range(6) for h in HAZARD_TYPES
-                           if (k, h) not in missing_hazards})
-    fragility = FragilityTable({f"g{k}": 0.5 for k in range(6) if k not in missing_fragility})
-    registry = [GeoUnit(g, g, Channel.OTHER) for k, g in enumerate(geo_ids)
-                if k not in unresolved]
-    inputs = (_portfolio(geo_codes), hazards, fragility, registry)
-    assert _link_outcome(link_exposures, *inputs) == _link_outcome(reference_link_exposures, *inputs)
-
-
-_W, _D, _F, _H = HAZARD_TYPES  # wildfire, drought, flood, heat
-
-
-@pytest.mark.parametrize(
-    "gaps, error",
-    [
-        ([("unit", 1), ("hazard", 0, _W), ("fragility", 2)], MissingFragility("g2")),
-        ([("unit", 0), ("hazard", 1, _W), ("fragility", 1)], UnresolvedGeo("n1", "g0")),
-        ([("unit", 1), ("hazard", 0, _H), ("hazard", 0, _D), ("fragility", 0)],
-         MissingHazard("g0", "drought")),
-        ([("fragility", 2), ("hazard", 2, _F), ("unit", 2)], UnresolvedGeo("n0", "g2")),
-        ([("fragility", 2), ("hazard", 2, _H)], MissingHazard("g2", "heat")),
-        ([("unit", 1), ("fragility", 1)], UnresolvedGeo("n2", "g1")),
-    ],
-)
-def test_link_names_the_first_geo_unit_with_a_gap(gaps, error):
-    # Rows are located in g2, g0, g1, g2, so the geo units are walked g2, g0, g1.
-    portfolio = _portfolio([2, 0, 1, 2])
-    hazards = {(f"g{k}", h): 0.1 for k in range(3) for h in HAZARD_TYPES}
-    fragility = {f"g{k}": 0.5 for k in range(3)}
-    registry = {f"g{k}": GeoUnit(f"g{k}", "", Channel.OTHER) for k in range(3)}
-    for table, geo, *hazard in gaps:
-        geo_id = f"g{geo}"
-        del {"unit": registry, "fragility": fragility, "hazard": hazards}[table][
-            (geo_id, *hazard) if hazard else geo_id]
-    inputs = (portfolio, HazardField(hazards), FragilityTable(fragility), list(registry.values()))
-    expected = _link_outcome(reference_link_exposures, *inputs)
-    assert expected == (type(error), str(error))
-    assert _link_outcome(link_exposures, *inputs) == expected
