@@ -77,7 +77,7 @@ def _check_alignment(
 def _grouped(values: Sequence[float], linked: LinkedPortfolio) -> tuple[dict[str, float], ...]:
     """Sum one value per row by geo unit, sector and channel tag, in
     ``GroupKey`` order. Each group adds its values in row order; keys are
-    sorted for reproducible reports."""
+    sorted for reproducible reports, in the order the codes hold."""
     codes = linked.codes
     names = (codes.geo_ids, codes.sectors, codes.channels)
     by_geo, by_sector, by_channel = sums = [[0.0] * len(keys) for keys in names]
@@ -87,7 +87,8 @@ def _grouped(values: Sequence[float], linked: LinkedPortfolio) -> tuple[dict[str
         by_geo[geo] += value
         by_sector[sector] += value
         by_channel[channel] += value
-    return tuple(dict(sorted(zip(keys, group))) for keys, group in zip(names, sums))
+    return tuple(dict(zip(map(keys.__getitem__, order), map(group.__getitem__, order)))
+                 for keys, group, order in zip(names, sums, codes.group_orders))
 
 
 def group_el(

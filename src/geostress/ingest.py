@@ -24,11 +24,12 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product, repeat
 from math import inf, isfinite
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
+    DomainError,
     DuplicateKey,
     InvalidWeights,
     InvariantViolation,
@@ -53,6 +54,7 @@ from .model import (
     HazardType,
     InstrumentColumns,
     Portfolio,
+    _Rows,
     _check_fields,
     _check_weights,
     _codes,
@@ -70,15 +72,42 @@ GEOUNITS_HEADER = ["geo_id", "name", "channel"]
 
 @dataclass(frozen=True)
 class ExposureContext:
-    """Resolved geo-unit context: baseline hazards, fragility, channel.
-
-    link_exposures builds one per geo unit and shares it between the
-    instruments located there.
-    """
+    """Resolved geo-unit context: baseline hazards, fragility, channel. A read
+    of ``LinkedPortfolio.contexts`` builds one per geo unit, shared by its rows."""
 
     baseline_hazards: dict[HazardType, float]
     fragility: float
     channel: Channel
+
+
+class ContextColumns(NamedTuple):
+    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES``
+    order), and each row's context code: from ``link_exposures``, its geo code."""
+
+    hazards: tuple[Sequence[float], ...]
+    fragility: Sequence[float]
+    channel: Sequence[Channel]
+    codes: list[int]
+
+    def rows(self) -> tuple[ExposureContext, ...]:
+        baselines = map(dict, map(zip, repeat(HAZARD_TYPES), zip(*self.hazards)))
+        contexts = list(map(ExposureContext, baselines, self.fragility, self.channel))
+        return tuple(map(contexts.__getitem__, self.codes))
+
+
+def _context_columns(contexts: Sequence[ExposureContext]) -> ContextColumns:
+    """Hand-built contexts as columns, each distinct object once, in first-appearance order."""
+    _, codes = _codes(list(map(id, contexts)))
+    distinct = tuple(dict(zip(map(id, contexts), contexts)).values())
+    for baseline in (c.baseline_hazards for c in distinct):
+        missing = [h.value for h in HAZARD_TYPES if h not in baseline]
+        if missing:
+            raise DomainError("an exposure context needs " + (
+                f"all four baseline hazards, got none for {missing[0]}" if baseline
+                else "at least one baseline hazard, got none"))
+    return ContextColumns(
+        tuple([c.baseline_hazards[h] for c in distinct] for h in HAZARD_TYPES),
+        [c.fragility for c in distinct], [c.channel for c in distinct], codes)
 
 
 @dataclass(frozen=True)
@@ -88,16 +117,15 @@ class LinkCodes:
     Each ``*_codes`` list holds one index per instrument into the
     distinct values beside it, which are kept in first-appearance order,
     except ``pairs``: the (context, sector) pairs that occur, as sorted
-    keys ``context_code * len(sectors) + sector_code``. Contexts are told
-    apart by identity. ``ids`` are the instruments' ids in row order, the
-    id column of every scenario's results. ``geo_ead`` is the EAD summed
-    per geo code in row order. No scenario changes it, or the checked
-    instrument ``columns`` and ``weights`` that the kernel reads.
+    keys ``context_code * len(sectors) + sector_code``, and ``contexts``,
+    whose ``codes`` are the context codes. ``group_orders`` holds the geo,
+    sector and channel codes in sorted key order. ``ids`` are the ids in
+    row order; ``geo_ead`` is the EAD summed per geo code in row order. No
+    scenario changes it, or the checked ``columns`` and ``weights``.
     """
 
     ids: tuple[str, ...]
-    contexts: tuple[ExposureContext, ...]
-    context_codes: list[int]
+    contexts: ContextColumns
     geo_ids: tuple[str, ...]
     geo_codes: list[int]
     sectors: tuple[str, ...]
@@ -106,6 +134,7 @@ class LinkCodes:
     pair_codes: list[int]
     channels: tuple[str, ...]
     channel_codes: list[int]
+    group_orders: tuple[list[int], ...]
     geo_ead: tuple[float, ...]
     columns: InstrumentColumns
     weights: tuple[float, ...]
@@ -113,10 +142,10 @@ class LinkCodes:
 
 @dataclass(frozen=True)
 class LinkedPortfolio:
-    """A weight-normalized portfolio with resolved geo context per row."""
+    """A weight-normalized portfolio with resolved geo context per row; see ``model._Rows``."""
 
     portfolio: Portfolio
-    contexts: tuple[ExposureContext, ...]
+    contexts: tuple[ExposureContext, ...] = _Rows(ContextColumns)  # type: ignore[assignment]
     weight_source: str  # "provided" or "derived_from_value"
 
     @cached_property
@@ -124,14 +153,18 @@ class LinkedPortfolio:
         """The rows' integer codes, taken from the instrument columns on
         first use.
 
-        Taking them checks, in order, what no scenario can change:
-        alignment, weights, each instrument's fields (unless
-        ``load_portfolio`` checked them) and each distinct context's
-        fragility; a failure caches nothing. ``dataclasses.replace``
-        builds a new object, so the codes never outlive the fields.
+        Taking them checks, in order, what no scenario can change: hazard
+        types, alignment, weights, each instrument's fields (unless
+        ``load_portfolio`` checked them) and each context's fragility; a
+        failure caches nothing. ``dataclasses.replace`` builds a new
+        object, so the codes never outlive the fields.
         """
         columns, weights = instrument_columns(self.portfolio), self.portfolio.weights
-        if len(self.contexts) != len(columns.id):
+        contexts = vars(self)["contexts"]
+        if type(contexts) is not ContextColumns:  # hand-built
+            contexts = _context_columns(contexts)
+        context_codes = contexts.codes
+        if len(context_codes) != len(columns.id):
             raise Misalignment("contexts do not match portfolio ids/order")
         if weights is None:
             raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
@@ -140,34 +173,35 @@ class LinkedPortfolio:
             for fields in zip(columns.pd0, columns.lgd0, columns.adaptation, columns.ead,
                               columns.value):
                 _check_fields(*fields)
-        _, context_codes = _codes(list(map(id, self.contexts)))
-        contexts = tuple(dict(zip(map(id, self.contexts), self.contexts)).values())
         geo_codes = columns.geo_codes
         if geo_codes == context_codes:
             geo_codes = context_codes  # one context per geo unit: share the list
-        channel_index, context_channels = _codes([c.channel.value for c in contexts])
+        channel_index, context_channels = _codes(contexts.channel)
         n_sectors = len(columns.sectors)
         pair_keys = [c * n_sectors + s for c, s in zip(context_codes, columns.sector_codes)]
         # Sorted, so the kernel holds each context's pair terms together, in context order.
-        pair_index = {key: code for code, key in enumerate(sorted(set(pair_keys)))}
+        # Distinct in first-appearance order, which is nearly sorted: a cheap sort.
+        pairs = sorted(dict.fromkeys(pair_keys))
+        pair_index = dict(zip(pairs, range(len(pairs))))
         geo_ead = [0.0] * len(columns.geo_ids)
         for geo_code, ead in zip(geo_codes, columns.ead):
             geo_ead[geo_code] += ead
-        for context in contexts:
-            if not 0.0 <= context.fragility < inf:
-                _require_nonnegative(fragility=context.fragility)
+        for value in contexts.fragility:
+            if not 0.0 <= value < inf:
+                _require_nonnegative(fragility=value)
+        groups = (columns.geo_ids, columns.sectors, tuple(c.value for c in channel_index))
         return LinkCodes(
             ids=columns.id,
             contexts=contexts,
-            context_codes=context_codes,
             geo_ids=columns.geo_ids,
             geo_codes=geo_codes,
             sectors=columns.sectors,
             sector_codes=columns.sector_codes,
-            pairs=tuple(pair_index),
+            pairs=tuple(pairs),
             pair_codes=list(map(pair_index.__getitem__, pair_keys)),
-            channels=tuple(channel_index),
+            channels=groups[2],
             channel_codes=list(map(context_channels.__getitem__, context_codes)),
+            group_orders=tuple(sorted(range(len(keys)), key=keys.__getitem__) for keys in groups),
             geo_ead=tuple(geo_ead),
             columns=columns,
             weights=tuple(weights),
@@ -416,9 +450,9 @@ def link_exposures(
 
     Order-preserving and deterministic; never alters any instrument
     numeric field. Requires all four hazard types and a fragility entry
-    for every referenced geo unit. Each geo unit is resolved once:
-    instruments in the same geo unit share one ExposureContext object,
-    which lets scenario evaluation compute per-geo terms once.
+    for every referenced geo unit. Each geo unit is looked up once, by
+    column, into ``ContextColumns`` indexed by geo code, which lets
+    scenario evaluation compute per-geo terms once.
     """
     by_geo = {unit.id: unit for unit in registry}
     intensities, fragilities = hazards.entries, fragility.entries
@@ -426,26 +460,23 @@ def link_exposures(
     normalized = normalize_weights(portfolio)
     columns = instrument_columns(normalized)
 
-    resolved = []  # per geo code
-    for geo_code, geo_id in enumerate(columns.geo_ids):
-        unit = by_geo.get(geo_id)
-        if unit is None:
-            raise UnresolvedGeo(columns.id[columns.geo_codes.index(geo_code)], geo_id)
-        baseline = {}
-        for hazard in HAZARD_TYPES:
-            try:
-                baseline[hazard] = intensities[(geo_id, hazard)]
-            except KeyError:
-                raise MissingHazard(geo_id, hazard.value) from None
-        try:
-            frag = fragilities[geo_id]
-        except KeyError:
-            raise MissingFragility(geo_id) from None
-        resolved.append(
-            ExposureContext(baseline_hazards=baseline, fragility=frag, channel=unit.channel)
-        )
+    geo_ids = columns.geo_ids
+    units = list(map(by_geo.get, geo_ids))
+    # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
+    found = list(map(intensities.get, product(geo_ids, HAZARD_TYPES)))
+    baselines = tuple(found[k::len(HAZARD_TYPES)] for k in range(len(HAZARD_TYPES)))
+    frags = list(map(fragilities.get, geo_ids))
+    if None in units or None in found or None in frags:  # name the first geo unit with a gap
+        for geo_id, unit, frag, *baseline in zip(geo_ids, units, frags, *baselines):
+            if unit is None:
+                row = columns.geo_codes.index(geo_ids.index(geo_id))
+                raise UnresolvedGeo(columns.id[row], geo_id)
+            if None in baseline:
+                raise MissingHazard(geo_id, HAZARD_TYPES[baseline.index(None)].value)
+            if frag is None:
+                raise MissingFragility(geo_id)
     return LinkedPortfolio(
         portfolio=normalized,
-        contexts=tuple(map(resolved.__getitem__, columns.geo_codes)),
+        contexts=ContextColumns(baselines, frags, [u.channel for u in units], columns.geo_codes),
         weight_source=weight_source,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from math import inf
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
 
@@ -40,6 +40,8 @@ HAZARD_BY_TOKEN: dict[str, HazardType] = {h.value: h for h in HazardType}
 
 class Channel(enum.Enum):
     """Regional transmission channel tag for a geo unit."""
+
+    __hash__ = object.__hash__  # as HazardType's
 
     WUI = "wui"
     CENTRAL_VALLEY = "central_valley"
@@ -176,9 +178,9 @@ class _Rows:
     """A field set as a tuple of rows or as columns of type ``columns``,
     read as a tuple of rows, which the first read builds from the columns
     and keeps in their place. The engine reads the columns
-    (``row_columns``, ``instrument_columns``), so a CLI run builds no
-    ``Instrument`` and no ``StressRow``: objects, one per instrument, that
-    the cyclic garbage collector would walk.
+    (``row_columns``, ``instrument_columns``, ``LinkedPortfolio.codes``),
+    so a CLI run builds no ``Instrument``, ``StressRow`` or
+    ``ExposureContext``: objects that the cyclic garbage collector walks.
     """
 
     def __init__(self, columns: type) -> None:
@@ -196,7 +198,7 @@ class _Rows:
             rows = instance.__dict__[self.name] = rows.rows()
         return rows
 
-    def __set__(self, instance: object, value: Union[Sequence, RowColumns, InstrumentColumns]) -> None:
+    def __set__(self, instance: object, value: Sequence) -> None:
         instance.__dict__[self.name] = value
 
 

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
-from itertools import repeat
+from itertools import chain, repeat
+from operator import mul
 
 from .analytics import ExposureReport, _report
-from .credit import effective_hazard, pd_after_overflow
+from .credit import pd_after_overflow
 from .errors import NonFiniteSum
 from .ingest import LinkedPortfolio
-from .model import RowColumns, StressResult, _require_nonnegative
+from .model import HAZARD_TYPES, RowColumns, StressResult, _require_nonnegative
 from .scenarios import Scenario
 
 
@@ -67,16 +68,19 @@ def run_scenario(
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
 
-    # Per distinct geo context: b_H*H, b_U*U, 1 + gamma*H, dH*H.
-    context_terms = []
-    for context in codes.contexts:
-        hazard = effective_hazard(context, scenario)
-        context_terms.append((
-            betas.hazard * hazard,
-            betas.fragility * context.fragility,
-            1.0 + scenario.lgd_gamma * hazard,
-            repricing.delta_hazard * hazard,
-        ))
+    # Per distinct geo context: each scaled hazard, binding or not, checked a column at a
+    # time; a column that fails is walked context by context to name the first bad value
+    # (a sum that only overflows finds none). Then b_H*H, b_U*U, 1 + gamma*H, dH*H.
+    multiplier, contexts = scenario.hazard_multipliers.get, codes.contexts
+    scaled = [list(map(mul, repeat(multiplier(h, 1.0)), column))
+              for h, column in zip(HAZARD_TYPES, contexts.hazards)]
+    if not all(math.isfinite(sum(column)) and min(column) >= 0.0 for column in scaled):
+        for value in chain.from_iterable(zip(*scaled)):
+            _require_nonnegative(hazard=value)
+    context_terms = [(betas.hazard * h, betas.fragility * f, 1.0 + scenario.lgd_gamma * h,
+                      repricing.delta_hazard * h)
+                     for h, f in zip(map(max, *scaled), contexts.fragility)]
+    del scaled
     # Per sector: b_T*T, dT*T.
     sector_terms = []
     for sector in codes.sectors:

@@ -307,9 +307,9 @@ def test_one_geo_id_served_by_two_equal_context_objects():
         contexts[k] = twin
     split = dataclasses.replace(linked, contexts=tuple(contexts))
     codes = split.codes
-    assert len(codes.contexts) == len(linked.codes.contexts) + 1
+    assert len(codes.contexts.fragility) == len(linked.codes.contexts.fragility) + 1
     assert codes.geo_ids == linked.codes.geo_ids
-    assert codes.geo_codes is not codes.context_codes
+    assert codes.geo_codes is not codes.contexts.codes
     _assert_fused_matches_reference(split)
 
 
@@ -335,7 +335,7 @@ def test_first_appearance_order_need_not_be_sorted():
     assert list(codes.sectors) != sorted(codes.sectors)
     assert list(codes.channels) != sorted(codes.channels)
     assert codes.geo_ids[0] == reordered.portfolio.instruments[0].geo_id
-    assert codes.geo_codes is codes.context_codes  # one context per geo id
+    assert codes.geo_codes is codes.contexts.codes  # one context per geo id
     _assert_fused_matches_reference(reordered)
     result, report = run_scenario(reordered, _COMPOUND)
     assert list(report.el_by_geo) == sorted(report.el_by_geo)
@@ -670,7 +670,7 @@ def _assert_pair_codes_decode(linked):
     assert len(codes.pairs) == len(set(codes.pairs)) == _distinct_pairs(linked)
     assert sorted(set(codes.pair_codes)) == list(range(len(codes.pairs)))
     assert [divmod(codes.pairs[p], len(codes.sectors)) for p in codes.pair_codes] == list(
-        zip(codes.context_codes, codes.sector_codes)
+        zip(codes.contexts.codes, codes.sector_codes)
     )
     assert list(codes.pairs) == sorted(codes.pairs)  # each context's pairs together
 
@@ -706,5 +706,5 @@ def test_pair_codes_of_a_generated_portfolio_with_two_rows_per_geo_unit(tmp_path
             inputs.append(load(source))
     linked = link_exposures(*inputs)
     _assert_pair_codes_decode(linked)
-    assert len(linked.codes.pairs) > len(linked.codes.contexts)
+    assert len(linked.codes.pairs) > len(linked.codes.contexts.fragility)
     _assert_fused_matches_reference(linked)
