@@ -69,7 +69,7 @@ def hhi(basis: Sequence[float]) -> float:
 def _check_alignment(
     rows: Sequence[StressRow], linked: LinkedPortfolio, layer: str = "credit"
 ) -> None:
-    ids = linked.codes.ids
+    ids = linked.codes.columns.id
     if len(rows) != len(ids) or any(row.id != inst_id for row, inst_id in zip(rows, ids)):
         raise Misalignment(f"{layer} rows do not match portfolio ids/order")
 
@@ -77,18 +77,17 @@ def _check_alignment(
 def _grouped(values: Sequence[float], linked: LinkedPortfolio) -> tuple[dict[str, float], ...]:
     """Sum one value per row by geo unit, sector and channel tag, in
     ``GroupKey`` order. Each group adds its values in row order; keys are
-    sorted for reproducible reports, in the order the codes hold."""
+    sorted for reproducible reports."""
     codes = linked.codes
-    names = (codes.geo_ids, codes.sectors, codes.channels)
+    names = (codes.columns.geo_ids, codes.columns.sectors, codes.channels)
     by_geo, by_sector, by_channel = sums = [[0.0] * len(keys) for keys in names]
     for value, geo, sector, channel in zip(
-        values, codes.geo_codes, codes.sector_codes, codes.channel_codes
+        values, codes.columns.geo_codes, codes.columns.sector_codes, codes.channel_codes
     ):
         by_geo[geo] += value
         by_sector[sector] += value
         by_channel[channel] += value
-    return tuple(dict(zip(map(keys.__getitem__, order), map(group.__getitem__, order)))
-                 for keys, group, order in zip(names, sums, codes.group_orders))
+    return tuple(dict(sorted(zip(keys, group))) for keys, group in zip(names, sums))
 
 
 def group_el(

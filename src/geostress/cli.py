@@ -129,34 +129,20 @@ def run(args: argparse.Namespace) -> int:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     summary: list[tuple[str, float, float]] = []
-    try:
-        linked = _load_linked(args)
-        scenarios = _load_scenarios(args)
-        results = _evaluate(linked, scenarios, args.top_k, summary)
-        _write_atomic(args.out, report_blocks(results, format=args.format))
-    except (StressError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    linked = _load_linked(args)
+    scenarios = _load_scenarios(args)
+    results = _evaluate(linked, scenarios, args.top_k, summary)
+    _write_atomic(args.out, report_blocks(results, format=args.format))
     for scenario_id, total_el, climate_var in summary:
         print(f"{scenario_id}: total_el={total_el:.12g} climate_var={climate_var:.12g}")
     return EXIT_OK
 
 
 def validate(args: argparse.Namespace) -> int:
-    """Load and link only, reporting the first validation failure."""
-    try:
-        _load_linked(args)
-        if args.scenario:
-            _load_scenarios(args)
-    except (StressError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    """Load and link only; the first validation failure raises, for ``main`` to report."""
+    _load_linked(args)
+    if args.scenario:
+        _load_scenarios(args)
     print("ok")
     return EXIT_OK
 
@@ -196,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; the one place that maps an exception to an exit code."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "scenarios":
@@ -205,12 +192,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             code = run(args) if args.command == "run" else validate(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-    except BrokenPipeError as exc:
+    except BrokenPipeError as exc:  # an OSError, so first
         # As the Python docs advise for SIGPIPE: stdout to devnull, so that
         # the flush at exit succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (StressError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # a bug: exit 3 with one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -112,32 +112,26 @@ def _context_columns(contexts: Sequence[ExposureContext]) -> ContextColumns:
 
 @dataclass(frozen=True)
 class LinkCodes:
-    """Integer codes for what repeats across a linked portfolio's rows.
+    """What every scenario on a linked portfolio reads, derived once; no
+    scenario changes it.
 
-    Each ``*_codes`` list holds one index per instrument into the
-    distinct values beside it, which are kept in first-appearance order,
-    except ``pairs``: the (context, sector) pairs that occur, as sorted
-    keys ``context_code * len(sectors) + sector_code``, and ``contexts``,
-    whose ``codes`` are the context codes. ``group_orders`` holds the geo,
-    sector and channel codes in sorted key order. ``ids`` are the ids in
-    row order; ``geo_ead`` is the EAD summed per geo code in row order. No
-    scenario changes it, or the checked ``columns`` and ``weights``.
+    ``columns`` and ``weights`` are the checked instrument columns (ids,
+    geo ids and sectors with their codes) and weights. ``contexts.codes``
+    are the context codes. ``pairs`` are the (context, sector) pairs that
+    occur, as sorted keys ``context_code * len(columns.sectors) +
+    sector_code``; ``pair_codes`` and ``channel_codes`` index ``pairs`` and
+    the first-appearance channel tags per row. ``geo_ead`` is the EAD
+    summed per geo code in row order.
     """
 
-    ids: tuple[str, ...]
+    columns: InstrumentColumns
+    weights: tuple[float, ...]
     contexts: ContextColumns
-    geo_ids: tuple[str, ...]
-    geo_codes: list[int]
-    sectors: tuple[str, ...]
-    sector_codes: list[int]
     pairs: tuple[int, ...]
     pair_codes: list[int]
     channels: tuple[str, ...]
     channel_codes: list[int]
-    group_orders: tuple[list[int], ...]
     geo_ead: tuple[float, ...]
-    columns: InstrumentColumns
-    weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -173,9 +167,6 @@ class LinkedPortfolio:
             for fields in zip(columns.pd0, columns.lgd0, columns.adaptation, columns.ead,
                               columns.value):
                 _check_fields(*fields)
-        geo_codes = columns.geo_codes
-        if geo_codes == context_codes:
-            geo_codes = context_codes  # one context per geo unit: share the list
         channel_index, context_channels = _codes(contexts.channel)
         n_sectors = len(columns.sectors)
         pair_keys = [c * n_sectors + s for c, s in zip(context_codes, columns.sector_codes)]
@@ -184,27 +175,20 @@ class LinkedPortfolio:
         pairs = sorted(dict.fromkeys(pair_keys))
         pair_index = dict(zip(pairs, range(len(pairs))))
         geo_ead = [0.0] * len(columns.geo_ids)
-        for geo_code, ead in zip(geo_codes, columns.ead):
+        for geo_code, ead in zip(columns.geo_codes, columns.ead):
             geo_ead[geo_code] += ead
         for value in contexts.fragility:
             if not 0.0 <= value < inf:
                 _require_nonnegative(fragility=value)
-        groups = (columns.geo_ids, columns.sectors, tuple(c.value for c in channel_index))
         return LinkCodes(
-            ids=columns.id,
-            contexts=contexts,
-            geo_ids=columns.geo_ids,
-            geo_codes=geo_codes,
-            sectors=columns.sectors,
-            sector_codes=columns.sector_codes,
-            pairs=tuple(pairs),
-            pair_codes=list(map(pair_index.__getitem__, pair_keys)),
-            channels=groups[2],
-            channel_codes=list(map(context_channels.__getitem__, context_codes)),
-            group_orders=tuple(sorted(range(len(keys)), key=keys.__getitem__) for keys in groups),
-            geo_ead=tuple(geo_ead),
             columns=columns,
             weights=tuple(weights),
+            contexts=contexts,
+            pairs=tuple(pairs),
+            pair_codes=list(map(pair_index.__getitem__, pair_keys)),
+            channels=tuple(c.value for c in channel_index),
+            channel_codes=list(map(context_channels.__getitem__, context_codes)),
+            geo_ead=tuple(geo_ead),
         )
 
 
@@ -349,23 +333,17 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
 
 
 def dump_portfolio(portfolio: Portfolio) -> bytes:
-    """Serialize a portfolio back to its CSV schema (round-trip partner)."""
+    """Serialize a portfolio back to its CSV schema (round-trip partner),
+    from its columns: no ``Instrument`` is built."""
+    columns = instrument_columns(portfolio)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PORTFOLIO_HEADER)
-    for inst in portfolio.instruments:
-        writer.writerow(
-            [
-                inst.id,
-                inst.geo_id,
-                inst.sector,
-                repr(inst.ead),
-                repr(inst.pd0),
-                repr(inst.lgd0),
-                repr(inst.value),
-                repr(inst.adaptation),
-            ]
-        )
+    writer.writerows(zip(
+        columns.id, map(columns.geo_ids.__getitem__, columns.geo_codes),
+        map(columns.sectors.__getitem__, columns.sector_codes),
+        *(map(repr, getattr(columns, name)) for name in PORTFOLIO_HEADER[3:]),
+    ))
     return out.getvalue().encode("utf-8")
 
 

@@ -83,7 +83,7 @@ def run_scenario(
     del scaled
     # Per sector: b_T*T, dT*T.
     sector_terms = []
-    for sector in codes.sectors:
+    for sector in codes.columns.sectors:
         transition = scenario.transition.for_sector(sector)
         _require_nonnegative(transition=transition)
         sector_terms.append(
@@ -142,7 +142,7 @@ def run_scenario(
 
     del shocks, lgd_factors, loss_fractions
     metric = _stress_metric(weighted_dv, total_el, scenario.lam)
-    columns = RowColumns(codes.ids, pd_column, lgd_column, el_column, dv_column)
+    columns = RowColumns(columns.id, pd_column, lgd_column, el_column, dv_column)
     result = StressResult(
         scenario_id=scenario.id, rows=columns, total_el=total_el, climate_var=metric
     )

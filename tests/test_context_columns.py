@@ -78,8 +78,8 @@ def test_the_engine_builds_no_context_object(tmp_path):
     assert type(vars(linked)["contexts"]) is ContextColumns
     # A read still builds one context per geo unit, shared by its rows.
     contexts, geos = linked.contexts, SHAPES["sparse"][1]
-    assert len(contexts) == len(linked.codes.ids) == 2 * geos  # rows take geo units in turn
-    assert len(set(map(id, contexts))) == len(linked.codes.geo_ids) == geos
+    assert len(contexts) == len(linked.codes.columns.id) == 2 * geos  # rows take geo units in turn
+    assert len(set(map(id, contexts))) == len(linked.codes.columns.geo_ids) == geos
     assert all(contexts[k] is contexts[k + geos] for k in range(geos))
 
 

@@ -308,8 +308,8 @@ def test_one_geo_id_served_by_two_equal_context_objects():
     split = dataclasses.replace(linked, contexts=tuple(contexts))
     codes = split.codes
     assert len(codes.contexts.fragility) == len(linked.codes.contexts.fragility) + 1
-    assert codes.geo_ids == linked.codes.geo_ids
-    assert codes.geo_codes is not codes.contexts.codes
+    assert codes.columns.geo_ids == linked.codes.columns.geo_ids
+    assert codes.columns.geo_codes is not codes.contexts.codes
     _assert_fused_matches_reference(split)
 
 
@@ -331,11 +331,11 @@ def test_first_appearance_order_need_not_be_sorted():
     linked = _mixed_linked()
     reordered = _reordered(linked, range(len(linked.contexts) - 1, -1, -1))
     codes = reordered.codes
-    assert list(codes.geo_ids) != sorted(codes.geo_ids)
-    assert list(codes.sectors) != sorted(codes.sectors)
+    assert list(codes.columns.geo_ids) != sorted(codes.columns.geo_ids)
+    assert list(codes.columns.sectors) != sorted(codes.columns.sectors)
     assert list(codes.channels) != sorted(codes.channels)
-    assert codes.geo_ids[0] == reordered.portfolio.instruments[0].geo_id
-    assert codes.geo_codes is codes.contexts.codes  # one context per geo id
+    assert codes.columns.geo_ids[0] == reordered.portfolio.instruments[0].geo_id
+    assert codes.columns.geo_codes == codes.contexts.codes  # one context per geo id
     _assert_fused_matches_reference(reordered)
     result, report = run_scenario(reordered, _COMPOUND)
     assert list(report.el_by_geo) == sorted(report.el_by_geo)
@@ -349,10 +349,10 @@ def test_codes_follow_a_replaced_portfolio():
     moved = _with_instrument(linked, 5, geo_id="zz-new", sector="aa-new")
     codes = moved.codes
     assert codes is not old_codes
-    assert set(codes.geo_ids) == {*old_codes.geo_ids, "zz-new"}
-    assert set(codes.sectors) == {*old_codes.sectors, "aa-new"}
-    assert codes.geo_ids[codes.geo_codes[5]] == "zz-new"
-    assert codes.sectors[codes.sector_codes[5]] == "aa-new"
+    assert set(codes.columns.geo_ids) == {*old_codes.columns.geo_ids, "zz-new"}
+    assert set(codes.columns.sectors) == {*old_codes.columns.sectors, "aa-new"}
+    assert codes.columns.geo_ids[codes.columns.geo_codes[5]] == "zz-new"
+    assert codes.columns.sectors[codes.columns.sector_codes[5]] == "aa-new"
     _assert_fused_matches_reference(moved)
     result, report = run_scenario(moved, _COMPOUND)
     assert "zz-new" in report.el_by_geo and "aa-new" in report.el_by_sector
@@ -669,8 +669,8 @@ def _assert_pair_codes_decode(linked):
     codes = linked.codes
     assert len(codes.pairs) == len(set(codes.pairs)) == _distinct_pairs(linked)
     assert sorted(set(codes.pair_codes)) == list(range(len(codes.pairs)))
-    assert [divmod(codes.pairs[p], len(codes.sectors)) for p in codes.pair_codes] == list(
-        zip(codes.contexts.codes, codes.sector_codes)
+    assert [divmod(codes.pairs[p], len(codes.columns.sectors)) for p in codes.pair_codes] == list(
+        zip(codes.contexts.codes, codes.columns.sector_codes)
     )
     assert list(codes.pairs) == sorted(codes.pairs)  # each context's pairs together
 

@@ -64,7 +64,7 @@ def _sparse_inputs(seed):
 def test_oracle_agrees_on_a_sample_of_a_large_sparse_portfolio():
     linked, hazards, fragility = _sparse_inputs(seed=7)
     codes = linked.codes
-    assert (len(codes.contexts.fragility), len(codes.sectors)) == (GEOS, len(SECTORS))
+    assert (len(codes.contexts.fragility), len(codes.columns.sectors)) == (GEOS, len(SECTORS))
     sample = sorted(random.Random(11).sample(range(N), N // 100))
     for scenario in builtin_scenarios():
         result, _ = run_scenario(linked, scenario)
