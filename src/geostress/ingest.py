@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, chain, islice, product, repeat
 from math import inf, isfinite
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -194,13 +193,15 @@ class LinkedPortfolio:
 
 def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:
     """The data rows of a CSV stream after its header, ``_CHUNK_ROWS`` records at
-    a time, as (line numbers, rows) without blank lines; a row's number is the
-    physical line it starts on. A wrong-width row, non-UTF-8 bytes and a ``csv.Error``
+    a time, as (line numbers, columns) without blank lines; a row's number is the
+    physical line it starts on. A chunk of plain lines (no quote, CR or NUL, each
+    with ``len(header)`` fields) is split on ","; a ``csv.reader`` reads from the
+    first other chunk to the end. A wrong-width row, non-UTF-8 bytes and a ``csv.Error``
     are raised after the rows before them are yielded, so a fault in those is named
     first. The caller's stream stays open: the text layer is detached at the end.
     """
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader, width = csv.reader(text), len(header)
+    reader, width, offset = csv.reader(text), len(header), 0
     try:
         try:
             first = next(reader)
@@ -213,8 +214,27 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
             raise SchemaMismatch(
                 f"{filename}: header {','.join(first)} != expected {','.join(header)}"
             )
+        offset, limit, lines, error = reader.line_num, csv.field_size_limit(), [], None
+        while error is None:
+            try:
+                lines.extend(islice(text, _CHUNK_ROWS))
+            except UnicodeDecodeError as exc:
+                error = exc  # raised after the lines read before it
+            joined = "".join(lines)
+            if ('"' in joined or "\r" in joined or "\0" in joined
+                    or set(map(str.count, lines, repeat(","))) != {width - 1}  # or no line
+                    or max(map(len, lines)) > limit):
+                break
+            # The lines and their text are freed before the split: a lower peak.
+            count, lines, joined = len(lines), [], joined.replace("\n", ",")
+            cells, joined = joined.split(","), None
+            yield range(offset + 1, offset + 1 + count), [
+                cells[k:count * width:width] for k in range(width)]
+            offset, cells = offset + count, None
+        reader = csv.reader(chain(lines, text if error is None else _raising([error])))
+        del lines, joined
         while True:
-            start, rows, error = reader.line_num, [], None
+            start, rows, error = offset + reader.line_num, [], None
             try:
                 rows.extend(islice(reader, _CHUNK_ROWS))
             except (UnicodeDecodeError, csv.Error) as exc:
@@ -222,7 +242,7 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
             if not rows and error is None:
                 return
             linenos: Sequence[int] = range(start + 1, start + 1 + len(rows))
-            if reader.line_num - start != len(rows):  # a record spans lines
+            if offset + reader.line_num - start != len(rows):  # a record spans lines
                 linenos = list(accumulate(map(_span, rows), initial=start + 1))
             if set(map(len, rows)) != {width}:  # a blank line (permitted) or a wrong width
                 end = next((k for k, row in enumerate(rows)
@@ -233,7 +253,7 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
                 kept = [k for k in range(end) if len(rows[k]) == width]
                 linenos, rows = [linenos[k] for k in kept], [rows[k] for k in kept]
             if rows:
-                yield linenos, rows
+                yield linenos, list(zip(*rows))
             if error is not None:
                 try:
                     raise error
@@ -245,9 +265,15 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
         raise SchemaMismatch(f"{filename}: not UTF-8: {exc.reason}") from None
     except csv.Error as exc:
         # An over-long field, or a NUL byte before Python 3.11.
-        raise MalformedRow(filename, reader.line_num, str(exc)) from None
+        raise MalformedRow(filename, offset + reader.line_num, str(exc)) from None
     finally:
         text.detach()
+
+
+def _raising(errors: list) -> Iterator[str]:
+    """No lines, then the error in ``errors``, which the traceback's frame does not hold."""
+    yield from ()
+    raise errors.pop()
 
 
 def _span(row: list[str]) -> int:
@@ -257,9 +283,9 @@ def _span(row: list[str]) -> int:
 
 
 # The characters of numbers joined by ",". A string that float() reads
-# and that matches this is "." decimal or exponent notation: float() also
+# and that holds only these is "." decimal or exponent notation: float() also
 # reads underscores, surrounding whitespace, non-ASCII digits, nan and inf.
-_PLAIN_NUMBERS = re.compile(r"[-+.0-9eE,]+")
+_PLAIN_NUMBERS = b"+-.0123456789eE,"
 
 
 def _float(token: str, filename: str, lineno: int, column: str) -> float:
@@ -269,7 +295,7 @@ def _float(token: str, filename: str, lineno: int, column: str) -> float:
         raise MalformedRow(filename, lineno, f"{column}: not a number: {token!r}") from None
     if not isfinite(value):
         raise MalformedRow(filename, lineno, f"{column}: not a finite number: {token!r}")
-    if not _PLAIN_NUMBERS.fullmatch(token):
+    if _plain_floats([token]) is None:
         raise MalformedRow(filename, lineno, f"{column}: not a number: {token!r}")
     return value
 
@@ -281,13 +307,14 @@ def _plain_floats(cells: Sequence[str]) -> Optional[list[float]]:
         numbers = list(map(float, cells))
     except ValueError:
         return None
-    # float() read every cell, so no cell holds a ",".
-    if isfinite(sum(numbers)) and _PLAIN_NUMBERS.fullmatch(",".join(cells)):
+    text = ",".join(cells)  # float() read every cell, so none holds a ","
+    if isfinite(sum(numbers)) and text.isascii() and not text.encode().translate(
+            None, _PLAIN_NUMBERS):
         return numbers
     return None
 
 
-def _portfolio_numbers(cells: list[str], filename: str, lineno: int) -> list[float]:
+def _portfolio_numbers(cells: Sequence[str], filename: str, lineno: int) -> list[float]:
     """A portfolio row's five numbers; the cells are checked one by one only
     to name a bad one. If none is bad, only their sum overflowed."""
     return _plain_floats(cells) or [
@@ -308,18 +335,17 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     """
     ids, geo_index, sector_index, geo_codes, sector_codes = [], {}, {}, [], []
     numbers = [array("d") for _ in PORTFOLIO_HEADER[3:]]
-    for linenos, rows in _chunks(source, filename, PORTFOLIO_HEADER):
-        cells = list(zip(*rows))
+    for linenos, cells in _chunks(source, filename, PORTFOLIO_HEADER):
         ids.extend(cells[0])
         geo_codes += _codes(cells[1], geo_index)[1]
         sector_codes += _codes(cells[2], sector_index)[1]
         converted = [_plain_floats(column) for column in cells[3:]]
         if None in converted:  # name the bad cell; if none is, a column sum overflowed
-            converted = zip(*(_portfolio_numbers(row[3:], filename, lineno)
-                              for lineno, row in zip(linenos, rows)))
+            converted = map(list, zip(*(_portfolio_numbers(row, filename, lineno)
+                                        for lineno, row in zip(linenos, zip(*cells[3:])))))
         for column, part in zip(numbers, converted):
-            column.extend(part)
-        del rows, cells, converted  # freed before the next chunk is read: a lower peak
+            column.fromlist(part)  # faster per value than extend
+        del cells, converted  # freed before the next chunk is read: a lower peak
     columns = InstrumentColumns(
         tuple(ids), tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
     )
@@ -359,12 +385,11 @@ def _add(table: dict, pairs: Iterable[tuple], count: int) -> bool:
 def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> HazardField:
     """Load baseline hazard intensities with unique (geo_id, hazard) keys."""
     entries: dict[tuple[str, HazardType], float] = {}
-    for linenos, rows in _chunks(source, filename, HAZARDS_HEADER):
-        geo_ids, tokens, cells = zip(*rows)
+    for linenos, (geo_ids, tokens, cells) in _chunks(source, filename, HAZARDS_HEADER):
         hazards, intensities = list(map(HAZARD_BY_TOKEN.get, tokens)), _plain_floats(cells)
         if None in hazards or intensities is None or min(intensities) < 0.0 or not _add(
-                entries, zip(zip(geo_ids, hazards), intensities), len(rows)):
-            for lineno, (geo_id, token, cell) in zip(linenos, rows):  # name the bad row
+                entries, zip(zip(geo_ids, hazards), intensities), len(geo_ids)):
+            for lineno, geo_id, token, cell in zip(linenos, geo_ids, tokens, cells):  # name it
                 hazard = HAZARD_BY_TOKEN.get(token)
                 if hazard is None:
                     raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}")
@@ -375,37 +400,35 @@ def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> Hazar
                 if key in entries:
                     raise DuplicateKey(f"{filename}:{lineno}: duplicate ({geo_id}, {token})")
                 entries[key] = intensity
-        del rows, tokens, cells  # freed before the next chunk is read: a lower peak
+        del geo_ids, tokens, cells  # freed before the next chunk is read: a lower peak
     return HazardField(entries=entries)
 
 
 def load_fragility(source: IO[bytes], filename: str = "fragility.csv") -> FragilityTable:
     """Load per-geo fragility values, all >= 0, unique geo_id keys."""
     entries: dict[str, float] = {}
-    for linenos, rows in _chunks(source, filename, FRAGILITY_HEADER):
-        geo_ids, cells = zip(*rows)
+    for linenos, (geo_ids, cells) in _chunks(source, filename, FRAGILITY_HEADER):
         frags = _plain_floats(cells)
-        if frags is None or min(frags) < 0.0 or not _add(entries, zip(geo_ids, frags), len(rows)):
-            for lineno, (geo_id, cell) in zip(linenos, rows):
+        if frags is None or min(frags) < 0.0 or not _add(entries, zip(geo_ids, frags), len(geo_ids)):
+            for lineno, geo_id, cell in zip(linenos, geo_ids, cells):
                 value = _float(cell, filename, lineno, "fragility")
                 if value < 0.0:
                     raise NegativeFragility(f"{filename}:{lineno}: fragility {value} < 0")
                 if geo_id in entries:
                     raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
                 entries[geo_id] = value
-        del rows, cells
+        del geo_ids, cells
     return FragilityTable(entries=entries)
 
 
 def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[GeoUnit]:
     """Load the geo registry with channel tags."""
     units: dict[str, GeoUnit] = {}
-    for linenos, rows in _chunks(source, filename, GEOUNITS_HEADER):
-        geo_ids, names, tokens = zip(*rows)
+    for linenos, (geo_ids, names, tokens) in _chunks(source, filename, GEOUNITS_HEADER):
         channels = list(map(CHANNEL_BY_TOKEN.get, tokens))
         if not all(geo_ids) or None in channels or not _add(
-                units, zip(geo_ids, map(GeoUnit, geo_ids, names, channels)), len(rows)):
-            for lineno, (geo_id, name, channel_token) in zip(linenos, rows):
+                units, zip(geo_ids, map(GeoUnit, geo_ids, names, channels)), len(geo_ids)):
+            for lineno, geo_id, name, channel_token in zip(linenos, geo_ids, names, tokens):
                 if not geo_id:
                     raise MalformedRow(filename, lineno, "geo_id must be nonempty")
                 if geo_id in units:
@@ -414,7 +437,7 @@ def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[Geo
                 if channel is None:
                     raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
                 units[geo_id] = GeoUnit(id=geo_id, name=name, channel=channel)
-        del rows, tokens
+        del geo_ids, names, tokens
     return list(units.values())
 
 

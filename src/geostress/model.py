@@ -240,9 +240,11 @@ def _transpose(rows: Sequence[StressRow]) -> RowColumns:
 def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, list[int]]:
     """First-appearance codes for ``keys``, after those ``index`` holds:
     the key-to-code map and the code of each key in turn."""
-    index = {} if index is None else index
-    for key in dict.fromkeys(keys):
-        index.setdefault(key, len(index))
+    index, fresh = {} if index is None else index, dict.fromkeys(keys)
+    new = fresh.keys() - index.keys()
+    if new:  # most chunks add no key: walk only those they add, in first-appearance order
+        for key in filter(new.__contains__, fresh):
+            index[key] = len(index)
     return index, list(map(index.__getitem__, keys))
 
 
