@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import isfinite
 from typing import Literal, Sequence, get_args
 
-from .errors import AllZero, Misalignment, NonFiniteSum, ZeroDenominator
+from .errors import Misalignment, ZeroDenominator
 from .ingest import LinkedPortfolio
-from .model import RowColumns, StressResult, StressRow, _transpose, ordered_sum
+from .model import RowColumns, StressResult, StressRow, hhi, ordered_sum
 from .scenarios import Scenario
 
 GroupKey = Literal["geo", "sector", "channel"]
@@ -50,20 +49,6 @@ class ExposureReport:
     top_contributors: tuple[Contributor, ...]
     climate_var: float
     weight_source: str
-
-
-def hhi(basis: Sequence[float]) -> float:
-    """Herfindahl-Hirschman index of a nonnegative share basis.
-
-    Shares are basis entries normalized by their sum; the result lies in
-    [1/n, 1] with 1/n at equal shares and 1 at full concentration.
-    """
-    total = ordered_sum(basis)
-    if total <= 0.0:
-        raise AllZero("HHI needs at least one strictly positive entry")
-    if not isfinite(total):
-        raise NonFiniteSum(f"HHI basis sums to {total!r}")
-    return ordered_sum((x / total) ** 2 for x in basis)
 
 
 def _check_alignment(
@@ -160,7 +145,7 @@ def exposure_summary(
     """Build the full diagnostic report for one scenario run."""
     _check_alignment(credit_rows, linked)
     _check_alignment(valuation_rows, linked, "valuation")
-    columns = _transpose(credit_rows)
+    columns = RowColumns.of(credit_rows)
     return _report(linked, scenario.id, columns, metric, top_k, ordered_sum(columns.el_s))
 
 
@@ -178,7 +163,7 @@ def _report(
         hhi_geo=hhi(list(el_by_geo.values())),
         hhi_sector=hhi(list(el_by_sector.values())),
         hhi_channel=hhi(list(el_by_channel.values())),
-        hhi_geo_ead=hhi(linked.codes.geo_ead),
+        hhi_geo_ead=linked.codes.hhi_geo_ead,
         top_contributors=tuple(_top_contributors(columns.id, columns.el_s, top_k, total_el)),
         climate_var=metric,
         weight_source=linked.weight_source,

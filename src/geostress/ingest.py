@@ -28,6 +28,7 @@ from math import inf, isfinite
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
+    AllZero,
     DomainError,
     DuplicateKey,
     InvalidWeights,
@@ -58,7 +59,7 @@ from .model import (
     _check_weights,
     _codes,
     _require_nonnegative,
-    instrument_columns,
+    hhi,
     normalize_weights,
     validate_portfolio,
 )
@@ -71,8 +72,8 @@ GEOUNITS_HEADER = ["geo_id", "name", "channel"]
 
 @dataclass(frozen=True)
 class ExposureContext:
-    """Resolved geo-unit context: baseline hazards, fragility, channel. A read
-    of ``LinkedPortfolio.contexts`` builds one per geo unit, shared by its rows."""
+    """Resolved geo-unit context: baseline hazards, fragility, channel. Each read
+    of ``LinkedPortfolio.contexts`` builds one per distinct context, shared by its rows."""
 
     baseline_hazards: dict[HazardType, float]
     fragility: float
@@ -80,33 +81,27 @@ class ExposureContext:
 
 
 class ContextColumns(NamedTuple):
-    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES``
-    order), and each row's context code: from ``link_exposures``, its geo code."""
+    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES`` order,
+    None for a type it lacks), and each row's context code (linked: its geo code)."""
 
-    hazards: tuple[Sequence[float], ...]
+    hazards: tuple[Sequence[Optional[float]], ...]
     fragility: Sequence[float]
     channel: Sequence[Channel]
     codes: list[int]
 
+    @classmethod
+    def of(cls, contexts: Sequence[ExposureContext]) -> ContextColumns:
+        """Contexts as columns, each distinct object once, in first-appearance order."""
+        _, codes = _codes(list(map(id, contexts)))
+        distinct = tuple(dict(zip(map(id, contexts), contexts)).values())
+        return cls(tuple([c.baseline_hazards.get(h) for c in distinct] for h in HAZARD_TYPES),
+                   [c.fragility for c in distinct], [c.channel for c in distinct], codes)
+
     def rows(self) -> tuple[ExposureContext, ...]:
-        baselines = map(dict, map(zip, repeat(HAZARD_TYPES), zip(*self.hazards)))
+        baselines = ({h: v for h, v in zip(HAZARD_TYPES, values) if v is not None}
+                     for values in zip(*self.hazards))
         contexts = list(map(ExposureContext, baselines, self.fragility, self.channel))
         return tuple(map(contexts.__getitem__, self.codes))
-
-
-def _context_columns(contexts: Sequence[ExposureContext]) -> ContextColumns:
-    """Hand-built contexts as columns, each distinct object once, in first-appearance order."""
-    _, codes = _codes(list(map(id, contexts)))
-    distinct = tuple(dict(zip(map(id, contexts), contexts)).values())
-    for baseline in (c.baseline_hazards for c in distinct):
-        missing = [h.value for h in HAZARD_TYPES if h not in baseline]
-        if missing:
-            raise DomainError("an exposure context needs " + (
-                f"all four baseline hazards, got none for {missing[0]}" if baseline
-                else "at least one baseline hazard, got none"))
-    return ContextColumns(
-        tuple([c.baseline_hazards[h] for c in distinct] for h in HAZARD_TYPES),
-        [c.fragility for c in distinct], [c.channel for c in distinct], codes)
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,13 @@ class LinkCodes:
     """What every scenario on a linked portfolio reads, derived once; no
     scenario changes it.
 
-    ``columns`` and ``weights`` are the checked instrument columns (ids,
-    geo ids and sectors with their codes) and weights. ``contexts.codes``
-    are the context codes. ``pairs`` are the (context, sector) pairs that
-    occur, as sorted keys ``context_code * len(columns.sectors) +
-    sector_code``; ``pair_codes`` and ``channel_codes`` index ``pairs`` and
-    the first-appearance channel tags per row. ``geo_ead`` is the EAD
-    summed per geo code in row order.
+    ``columns``, ``weights`` and ``contexts`` are the checked instrument
+    columns (ids, geo ids and sectors with their codes), weights and context
+    columns (``contexts.codes`` are the context codes). ``pairs`` are the
+    (context, sector) pairs that occur, as sorted keys ``context_code *
+    len(columns.sectors) + sector_code``; ``pair_codes`` and ``channel_codes``
+    index ``pairs`` and the first-appearance channel tags per row. ``geo_ead``
+    is the EAD summed per geo code in row order.
     """
 
     columns: InstrumentColumns
@@ -131,6 +126,11 @@ class LinkCodes:
     channels: tuple[str, ...]
     channel_codes: list[int]
     geo_ead: tuple[float, ...]
+
+    @cached_property
+    def hhi_geo_ead(self) -> float:
+        """Every report's HHI of ``geo_ead``, taken after the first one's other checks."""
+        return hhi(self.geo_ead)
 
 
 @dataclass(frozen=True)
@@ -143,26 +143,33 @@ class LinkedPortfolio:
 
     @cached_property
     def codes(self) -> LinkCodes:
-        """The rows' integer codes, taken from the instrument columns on
-        first use.
+        """The rows' integer codes, taken from the columns on first use.
 
         Taking them checks, in order, what no scenario can change: hazard
-        types, alignment, weights, each instrument's fields (unless
-        ``load_portfolio`` checked them) and each context's fragility; a
+        types, alignment, weights, each instrument's fields (by column, and
+        row by row only to name a fault), each context's fragility, and a
+        row with nonzero pd0, lgd0 and ead (without one, every EL is 0); a
         failure caches nothing. ``dataclasses.replace`` builds a new
         object, so the codes never outlive the fields.
         """
-        columns, weights = instrument_columns(self.portfolio), self.portfolio.weights
+        columns, weights = vars(self.portfolio)["instruments"], self.portfolio.weights
         contexts = vars(self)["contexts"]
-        if type(contexts) is not ContextColumns:  # hand-built
-            contexts = _context_columns(contexts)
+        for baseline in zip(*contexts.hazards):  # a hand-built one may lack a hazard type
+            if None in baseline:
+                missing = HAZARD_TYPES[baseline.index(None)].value
+                raise DomainError("an exposure context needs " + (
+                    f"all four baseline hazards, got none for {missing}"
+                    if set(baseline) != {None} else "at least one baseline hazard, got none"))
         context_codes = contexts.codes
         if len(context_codes) != len(columns.id):
             raise Misalignment("contexts do not match portfolio ids/order")
         if weights is None:
             raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
         _check_weights(weights, len(columns.id))
-        if columns is not vars(self.portfolio)["instruments"]:  # not from load_portfolio
+        # The number columns, from ead on. A sum catches a NaN, which min() may pass over;
+        # one that only overflows names no field. No column is empty: no weights sum to 1.
+        if not (all(isfinite(sum(column)) and min(column) >= 0.0 for column in columns[5:])
+                and max(columns.pd0) <= 1.0 and max(columns.lgd0) <= 1.0):
             for fields in zip(columns.pd0, columns.lgd0, columns.adaptation, columns.ead,
                               columns.value):
                 _check_fields(*fields)
@@ -179,6 +186,8 @@ class LinkedPortfolio:
         for value in contexts.fragility:
             if not 0.0 <= value < inf:
                 _require_nonnegative(fragility=value)
+        if not any(map(all, zip(columns.pd0, columns.lgd0, columns.ead))):
+            raise AllZero("HHI needs at least one strictly positive entry")
         return LinkCodes(
             columns=columns,
             weights=tuple(weights),
@@ -361,7 +370,7 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
 def dump_portfolio(portfolio: Portfolio) -> bytes:
     """Serialize a portfolio back to its CSV schema (round-trip partner),
     from its columns: no ``Instrument`` is built."""
-    columns = instrument_columns(portfolio)
+    columns = vars(portfolio)["instruments"]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PORTFOLIO_HEADER)
@@ -459,7 +468,7 @@ def link_exposures(
     intensities, fragilities = hazards.entries, fragility.entries
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
-    columns = instrument_columns(normalized)
+    columns = vars(normalized)["instruments"]
 
     geo_ids = columns.geo_ids
     units = list(map(by_geo.get, geo_ids))

@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 from itertools import repeat
-from math import inf
+from math import inf, isfinite
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
+from .errors import AllZero, DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -145,6 +145,11 @@ class RowColumns(NamedTuple):
     el_s: Sequence[float]
     dv_s: Sequence[float]
 
+    @classmethod
+    def of(cls, rows: Iterable[StressRow]) -> RowColumns:
+        """Rows as columns; no rows give five empty columns."""
+        return cls(*(list(zip(*rows)) or [()] * 5))
+
     def rows(self) -> tuple[StressRow, ...]:
         return tuple(map(tuple.__new__, repeat(StressRow), zip(*self)))
 
@@ -152,8 +157,8 @@ class RowColumns(NamedTuple):
 class InstrumentColumns(NamedTuple):
     """A portfolio's instruments in row order, one sequence per field; the
     geo ids and sectors as codes, each row's index into the distinct values
-    in first-appearance order. Columns a portfolio holds are taken as
-    checked field by field, as ``load_portfolio`` checks what it loads."""
+    in first-appearance order. Whatever built them, ``LinkedPortfolio.codes``
+    checks the number columns before a scenario reads them."""
 
     id: tuple[str, ...]
     geo_ids: tuple[str, ...]
@@ -166,6 +171,15 @@ class InstrumentColumns(NamedTuple):
     value: Sequence[float]
     adaptation: Sequence[float]
 
+    @classmethod
+    def of(cls, instruments: Iterable[Instrument]) -> InstrumentColumns:
+        """Instruments as columns of tuples: a list changed later changes none."""
+        read = attrgetter(*(field.name for field in fields(Instrument)))
+        ids, geo_ids, sectors, *numbers = list(zip(*map(read, instruments))) or [()] * 8
+        geo_index, geo_codes = _codes(geo_ids)
+        sector_index, sector_codes = _codes(sectors)
+        return cls(ids, tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers)
+
     def rows(self) -> tuple[Instrument, ...]:
         return tuple(map(
             Instrument, self.id, map(self.geo_ids.__getitem__, self.geo_codes),
@@ -175,37 +189,37 @@ class InstrumentColumns(NamedTuple):
 
 
 class _Rows:
-    """A field set as a tuple of rows or as columns of type ``columns``,
-    read as a tuple of rows, which the first read builds from the columns
-    and keeps in their place. The engine reads the columns
-    (``row_columns``, ``instrument_columns``, ``LinkedPortfolio.codes``),
-    so a CLI run builds no ``Instrument``, ``StressRow`` or
-    ``ExposureContext``: objects that the cyclic garbage collector walks.
+    """A field held as columns of type ``columns`` (rows given are converted by
+    ``columns.of``, which checks nothing) and read as a tuple of rows, which the
+    first read builds and keeps beside the columns. The engine reads the columns
+    (``row_columns``, ``LinkedPortfolio.codes``), so a CLI run builds no
+    ``Instrument``, ``StressRow`` or ``ExposureContext``: objects that the
+    cyclic garbage collector walks.
     """
 
     def __init__(self, columns: type) -> None:
         self.columns = columns
 
     def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
+        self.name, self.built = name, f"_{name}_rows"
 
     def __get__(self, instance: object, owner: type) -> tuple:
         if instance is None:
             # No class attribute, so the dataclass field has no default.
             raise AttributeError(self.name)
-        rows = instance.__dict__[self.name]
-        if type(rows) is self.columns:
-            rows = instance.__dict__[self.name] = rows.rows()
-        return rows
+        state = vars(instance)
+        if self.built not in state:
+            state[self.built] = state[self.name].rows()
+        return state[self.built]
 
-    def __set__(self, instance: object, value: Sequence) -> None:
-        instance.__dict__[self.name] = value
+    def __set__(self, instance: object, rows: Iterable) -> None:
+        vars(instance)[self.name] = rows if type(rows) is self.columns else self.columns.of(rows)
 
 
 @dataclass(frozen=True)
 class Portfolio:
     """Ordered collection of instruments with optional explicit weights.
-    ``instruments`` may be set as ``InstrumentColumns``; see ``_Rows``."""
+    ``instruments`` is held as ``InstrumentColumns``; see ``_Rows``."""
 
     instruments: tuple[Instrument, ...] = _Rows(InstrumentColumns)  # type: ignore[assignment]
     weights: Optional[tuple[float, ...]] = None
@@ -215,8 +229,8 @@ class Portfolio:
 class StressResult:
     """Scenario outcome: per-instrument rows plus portfolio aggregates.
 
-    ``rows`` may be given as ``RowColumns``; it still reads as a tuple of
-    ``StressRow``, built on first read.
+    ``rows`` is held as ``RowColumns``; it reads as a tuple of
+    ``StressRow``, built on first read (see ``_Rows``).
     """
 
     scenario_id: str
@@ -226,15 +240,8 @@ class StressResult:
 
 
 def row_columns(result: StressResult) -> RowColumns:
-    """``result``'s rows as columns, without building rows that are not
-    built yet."""
-    rows = vars(result)["rows"]
-    return rows if type(rows) is RowColumns else _transpose(rows)
-
-
-def _transpose(rows: Sequence[StressRow]) -> RowColumns:
-    """Rows as columns; no rows give five empty columns."""
-    return RowColumns(*zip(*rows)) if rows else RowColumns((), (), (), (), ())
+    """``result``'s rows as the columns it holds: no row is built."""
+    return vars(result)["rows"]
 
 
 def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, list[int]]:
@@ -246,22 +253,6 @@ def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, 
         for key in filter(new.__contains__, fresh):
             index[key] = len(index)
     return index, list(map(index.__getitem__, keys))
-
-
-def instrument_columns(portfolio: Portfolio) -> InstrumentColumns:
-    """``portfolio``'s instruments as columns, without building instruments
-    that are not built yet. A sequence of instruments is read into tuples,
-    so a list changed later does not change the columns."""
-    instruments = vars(portfolio)["instruments"]
-    if type(instruments) is InstrumentColumns:
-        return instruments
-    read = attrgetter(*(field.name for field in fields(Instrument)))
-    ids, geo_ids, sectors, *numbers = list(zip(*map(read, instruments))) or [()] * 8
-    geo_index, geo_codes = _codes(geo_ids)
-    sector_index, sector_codes = _codes(sectors)
-    return InstrumentColumns(
-        ids, tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
-    )
 
 
 @dataclass(frozen=True)
@@ -288,6 +279,20 @@ def ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
+def hhi(basis: Sequence[float]) -> float:
+    """Herfindahl-Hirschman index of a nonnegative share basis.
+
+    Shares are basis entries normalized by their sum; the result lies in
+    [1/n, 1] with 1/n at equal shares and 1 at full concentration.
+    """
+    total = ordered_sum(basis)
+    if total <= 0.0:
+        raise AllZero("HHI needs at least one strictly positive entry")
+    if not isfinite(total):
+        raise NonFiniteSum(f"HHI basis sums to {total!r}")
+    return ordered_sum((x / total) ** 2 for x in basis)
+
+
 def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
     """Check every Instrument and Portfolio invariant.
 
@@ -295,7 +300,7 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
     portfolio is valid.
     """
     violations: list[Violation] = []
-    columns = instrument_columns(portfolio)
+    columns = vars(portfolio)["instruments"]
     if len(columns.id) < 1:
         violations.append(Violation("<portfolio>", "instruments", "N >= 1"))
 
@@ -369,7 +374,7 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     unchanged, so the operation is idempotent. When absent, each weight
     is value_i / Σ value_j.
     """
-    values = instrument_columns(portfolio).value
+    values = vars(portfolio)["instruments"].value
     if portfolio.weights is not None:
         _check_weights(portfolio.weights, len(values))
         return portfolio
@@ -381,5 +386,4 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     if not total < inf:
         raise NonFiniteSum(f"cannot derive value weights: total instrument value is {total!r}")
     weights = tuple(value / total for value in values)
-    # The instruments as held, so columns stay columns.
     return Portfolio(vars(portfolio)["instruments"], weights)

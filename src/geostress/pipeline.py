@@ -6,12 +6,12 @@ the transition shock T once per sector, and the PD shock, LGD factor and
 clamped loss fraction once per (context, sector) pair that occurs, indexed
 by the linked portfolio's codes (``LinkedPortfolio.codes``). It then makes
 one pass over the instruments that emits four result columns and the
-totals; ``StressResult.rows`` is built from the columns only if read. Each
+totals; the result holds the columns, and builds rows only if read. Each
 row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
 ``expected_loss`` and ``repricing_delta`` in their order (a pair's sums add
 left to right, as a row's would), so it is bit-identical to composing them,
-and raises their domain errors. The checks that no scenario can change run
-once per linked portfolio, when its codes are built; ``run_scenario``
+and raises their domain errors. The checks no scenario can change run once
+per linked portfolio, on one path, when its codes are built; ``run_scenario``
 checks only the scenario's parameters, each sector's transition and the
 scaled hazards, so its row loop holds only the equations and the clamps.
 The grouped sums, HHIs and top contributors come from ``analytics``, which

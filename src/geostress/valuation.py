@@ -17,7 +17,7 @@ from typing import Sequence
 from .analytics import _check_alignment
 from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
-from .model import StressRow, _check_weights, _require_nonnegative
+from .model import StressRow, _check_weights, _require_nonnegative, row_columns
 from .pipeline import _stress_metric, run_scenario
 from .scenarios import Repricing, Scenario
 
@@ -89,6 +89,5 @@ def portfolio_valuation(
     """
     _check_alignment(credit_rows, linked)
     result, _ = run_scenario(linked, scenario)
-    dvs = [row.dv_s for row in result.rows]
-    els = [row.el_s for row in credit_rows]
+    dvs, els = row_columns(result).dv_s, [row.el_s for row in credit_rows]
     return list(result.rows), climate_var(linked.codes.weights, dvs, els, scenario.lam)

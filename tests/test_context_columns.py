@@ -53,7 +53,7 @@ def test_column_held_contexts_match_hand_built_ones(tmp_path, shape):
     held = [_outcome(lambda: run_scenario(linked, s, top_k=7)) for s in scenarios]
     assert type(vars(linked)["contexts"]) is ContextColumns  # the runs read only columns
     hand_built = dataclasses.replace(linked, contexts=tuple(linked.contexts))
-    assert type(vars(hand_built)["contexts"]) is tuple
+    assert type(vars(hand_built)["contexts"]) is ContextColumns  # rows are stored as columns
     assert hand_built.codes.contexts == linked.codes.contexts
     assert [_outcome(lambda: run_scenario(hand_built, s, top_k=7)) for s in scenarios] == held
 

@@ -177,7 +177,7 @@ def test_a_loaded_portfolio_holds_columns_and_reads_as_the_reference(fixture_fil
     assert type(vars(loaded)["instruments"]) is InstrumentColumns
     assert loaded.instruments == expected.instruments
     assert all(type(inst) is Instrument for inst in loaded.instruments)
-    assert type(vars(loaded)["instruments"]) is tuple  # built once, on first read
+    assert type(vars(loaded)["instruments"]) is InstrumentColumns  # the columns stay
     assert loaded == expected and repr(loaded) == repr(expected)
 
 

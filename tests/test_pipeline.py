@@ -400,7 +400,7 @@ def test_rows_read_the_same_from_columns_or_from_rows():
     built = lazy()
     assert type(built.rows) is tuple and built.rows is built.rows
     assert all(type(row) is StressRow for row in built.rows)
-    assert type(vars(built)["rows"]) is tuple  # the columns are dropped
+    assert vars(built)["rows"] is columns  # the columns stay
     assert repr(_column_values(built)) == repr(_column_values(eager))
     with pytest.raises(dataclasses.FrozenInstanceError):
         built.rows = rows
