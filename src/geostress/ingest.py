@@ -23,7 +23,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import chain, islice, product, repeat
 from math import inf, isfinite
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -203,13 +203,16 @@ class LinkedPortfolio:
 def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:
     """The data rows of a CSV stream after its header, ``_CHUNK_ROWS`` records at
     a time, as (line numbers, columns) without blank lines; a row's number is the
-    physical line it starts on. A chunk of plain lines (no quote, CR or NUL, each
-    with ``len(header)`` fields) is split on ","; a ``csv.reader`` reads from the
-    first other chunk to the end. A wrong-width row, non-UTF-8 bytes and a ``csv.Error``
-    are raised after the rows before them are yielded, so a fault in those is named
-    first. The caller's stream stays open: the text layer is detached at the end.
+    physical line it starts on. A leading UTF-8 byte order mark is dropped. A chunk
+    of plain lines (no quote, NUL or bare CR, each with ``len(header)`` fields) is
+    split on ",", after CRLF line ends become LF; from the first other chunk to the
+    end, a ``csv.reader`` reads record by record, each numbered by its line count
+    before the record, plus one. A wrong-width row, non-UTF-8 bytes and a
+    ``csv.Error`` are raised after the rows before them are yielded, so a fault in
+    those is named first. The caller's stream stays open: the text layer is
+    detached at the end.
     """
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     reader, width, offset = csv.reader(text), len(header), 0
     try:
         try:
@@ -230,7 +233,10 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
             except UnicodeDecodeError as exc:
                 error = exc  # raised after the lines read before it
             joined = "".join(lines)
-            if ('"' in joined or "\r" in joined or "\0" in joined
+            # The text layer ends a line at every CR, so a chunk whose CRs all sit in
+            # CRLF ends is plain once they become LF; a chunk with no CR pays one scan.
+            if ('"' in joined or "\0" in joined
+                    or "\r" in joined and "\r" in (joined := joined.replace("\r\n", "\n"))
                     or set(map(str.count, lines, repeat(","))) != {width - 1}  # or no line
                     or max(map(len, lines)) > limit):
                 break
@@ -242,32 +248,28 @@ def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator
             offset, cells = offset + count, None
         reader = csv.reader(chain(lines, text if error is None else _raising([error])))
         del lines, joined
-        while True:
-            start, rows, error = offset + reader.line_num, [], None
+        linenos, rows, error, lineno = [], [], None, offset + 1
+        try:
+            for row in reader:
+                if len(row) == width:
+                    linenos.append(lineno)
+                    rows.append(row)
+                    if len(rows) == _CHUNK_ROWS:
+                        yield linenos, list(zip(*rows))
+                        linenos, rows = [], []
+                elif row and row != [""]:  # not a blank line, which is skipped
+                    error = MalformedRow(filename, lineno, f"expected {width} fields, got {len(row)}")
+                    break
+                lineno = offset + reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:
+            error = exc  # raised after the rows read before it
+        if rows:
+            yield linenos, list(zip(*rows))
+        if error is not None:
             try:
-                rows.extend(islice(reader, _CHUNK_ROWS))
-            except (UnicodeDecodeError, csv.Error) as exc:
-                error = exc  # raised after the rows read before it
-            if not rows and error is None:
-                return
-            linenos: Sequence[int] = range(start + 1, start + 1 + len(rows))
-            if offset + reader.line_num - start != len(rows):  # a record spans lines
-                linenos = list(accumulate(map(_span, rows), initial=start + 1))
-            if set(map(len, rows)) != {width}:  # a blank line (permitted) or a wrong width
-                end = next((k for k, row in enumerate(rows)
-                            if len(row) != width and row not in ([], [""])), len(rows))
-                if end < len(rows):
-                    detail = f"expected {width} fields, got {len(rows[end])}"
-                    error = MalformedRow(filename, linenos[end], detail)
-                kept = [k for k in range(end) if len(rows[k]) == width]
-                linenos, rows = [linenos[k] for k in kept], [rows[k] for k in kept]
-            if rows:
-                yield linenos, list(zip(*rows))
-            if error is not None:
-                try:
-                    raise error
-                finally:
-                    error = None  # the traceback holds this frame: no cycle through it
+                raise error
+            finally:
+                error = None  # the traceback holds this frame: no cycle through it
     except UnicodeDecodeError as exc:
         # The text layer decodes ahead of the reader in blocks, so the
         # failing line is not known here; name the file.
@@ -283,12 +285,6 @@ def _raising(errors: list) -> Iterator[str]:
     """No lines, then the error in ``errors``, which the traceback's frame does not hold."""
     yield from ()
     raise errors.pop()
-
-
-def _span(row: list[str]) -> int:
-    """The lines a record takes: a quoted field may hold "\\n", "\\r" or "\\r\\n"."""
-    text = ",".join(row)
-    return 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 # The characters of numbers joined by ",". A string that float() reads

@@ -1,9 +1,10 @@
 """``ingest._chunks`` against ``conftest.reference_rows``, the row-by-row reader.
 
-``_chunks`` splits chunks of plain lines on "," and hands the rest of the
-file to ``csv.reader`` from the first chunk that is not plain. Whatever the
-file holds and wherever a chunk ends, it must give the same line numbers,
-the same rows and the same first error as the reference.
+``_chunks`` splits chunks of plain lines, with LF or CRLF ends, on "," and
+hands the rest of the file to ``csv.reader`` from the first chunk that is
+not plain. Whatever the file holds and wherever a chunk ends, it must give
+the same line numbers, the same rows and the same first error as the
+reference.
 """
 
 from __future__ import annotations
@@ -61,6 +62,36 @@ def _files(draw) -> bytes:
     return b"".join([",".join(HEADER).encode() + b"\n", *lines])
 
 
+# Whole-file shapes of spreadsheet exports: CRLF throughout, every field quoted, or both.
+_SHAPES = {
+    "crlf": ("\r\n", csv.QUOTE_MINIMAL),
+    "quote-all": ("\n", csv.QUOTE_ALL),
+    "quote-all-crlf": ("\r\n", csv.QUOTE_ALL),
+}
+
+
+@st.composite
+def _shaped_files(draw) -> bytes:
+    """The header and the plain lines' rows written in one of ``_SHAPES``, a
+    few of ``_CASES`` placed among them, and at times a last row with no line
+    end and an empty last field."""
+    terminator, quoting = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator, quoting=quoting)
+    writer.writerow(HEADER)
+    n = draw(st.integers(0, 12) | st.integers(4090, 4100))
+    writer.writerows(_plain_line(k).decode().rstrip("\n").split(",") for k in range(n))
+    lines = out.getvalue().encode().splitlines(keepends=True)
+    for where, case in draw(st.lists(st.tuples(st.integers(0), st.sampled_from(sorted(_CASES))),
+                                     max_size=3)):
+        lines.insert(1 + where % len(lines), _CASES[case])
+    if draw(st.booleans()):
+        last = io.StringIO()
+        csv.writer(last, lineterminator="", quoting=quoting).writerow(["g", "x", ""])
+        lines.append(last.getvalue().encode())
+    return b"".join(lines)
+
+
 def _outcome(rows):
     got = []
     try:
@@ -76,8 +107,8 @@ def _chunked_rows(data: bytes):
         yield from zip(linenos, map(list, zip(*columns)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=_files(), chunk_rows=st.sampled_from([1, 3, 4096]),
+@settings(max_examples=600, deadline=None)
+@given(data=_files() | _shaped_files(), chunk_rows=st.sampled_from([1, 3, 4096]),
        limit=st.sampled_from([None, 30]))
 def test_chunks_read_as_the_reference_does(data, chunk_rows, limit):
     old = csv.field_size_limit()

@@ -248,6 +248,22 @@ def test_non_utf8_file_rejected(kind, where):
         loader(as_stream(data), filename=f"{kind}.csv")
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("loader, data", [
+    (load_portfolio, portfolio_csv()), (load_hazard_table, hazards_csv()),
+    (load_fragility, fragility_csv()), (load_geounits, geounits_csv()),
+], ids=["portfolio", "hazards", "fragility", "geounits"])
+def test_leading_byte_order_mark_is_dropped(loader, data):
+    """Spreadsheet tools start a "CSV UTF-8" export with a byte order mark: the
+    file loads as it does without one. A second one is data, so the header's
+    first column is not ``geo_id`` or ``id``."""
+    assert loader(as_stream(_BOM + data)) == loader(as_stream(data))
+    with pytest.raises(SchemaMismatch, match="header missing column"):
+        loader(as_stream(_BOM + _BOM + data))
+
+
 def test_fixture_files_load(fixture_files):
     with open(fixture_files["portfolio"], "rb") as fh:
         assert len(load_portfolio(fh).instruments) == 10
