@@ -66,7 +66,7 @@ def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
 def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
     scenarios: list[Scenario] = []
     for path in args.scenario:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

@@ -72,8 +72,9 @@ GEOUNITS_HEADER = ["geo_id", "name", "channel"]
 
 @dataclass(frozen=True)
 class ExposureContext:
-    """Resolved geo-unit context: baseline hazards, fragility, channel. Each read
-    of ``LinkedPortfolio.contexts`` builds one per distinct context, shared by its rows."""
+    """Resolved geo-unit context: baseline hazards, fragility, channel. The first read of
+    ``LinkedPortfolio.contexts`` builds one per distinct context, shared by its rows, and
+    keeps them (``model._Rows``)."""
 
     baseline_hazards: dict[HazardType, float]
     fragility: float

@@ -4,12 +4,12 @@ Both formats are canonical: JSON has sorted keys and numbers rounded to
 at most 12 significant digits, CSV has a fixed column order, so the same
 inputs always produce byte-identical reports.
 
-The JSON report is written from fixed templates, one per object shape,
-and must match ``json.dumps(docs, sort_keys=True, indent=2)`` byte for
-byte, where each number is ``float(f"{x:.12g}")``. The stdlib encoder
-runs in pure Python whenever ``indent`` is set, which made it the
-largest cost of a default run. ``tests/test_report.py`` holds the
-``json.dumps`` path as the reference and checks the two agree.
+The JSON report must match ``json.dumps(docs, sort_keys=True, indent=2)``
+byte for byte, where each number is ``float(f"{x:.12g}")``. ``json.dumps``
+writes each scenario's entry but its rows; the rows, the bulk of the
+text, are filled into a fixed template, because the stdlib encoder runs
+in pure Python whenever ``indent`` is set. ``tests/test_report.py`` holds
+the ``json.dumps`` path as the reference and checks the two agree.
 
 ``report_blocks`` is the one writer: it renders a report from any
 iterable of results, one scenario at a time, in blocks of rows, so the
@@ -48,38 +48,10 @@ _ROW = (
     "      }"
 )
 
-_CONTRIBUTOR = (
-    "        {\n"
-    '          "el_s": %s,\n'
-    '          "id": %s,\n'
-    '          "share": %s\n'
-    "        }"
-)
-
-# One scenario's entry is the head, then its rows, then the tail.
-_ENTRY_HEAD = (
-    "  {\n"
-    '    "climate_var": %s,\n'
-    '    "report": {\n'
-    '      "el_by_geo": %s,\n'
-    '      "el_by_hazard_channel": %s,\n'
-    '      "el_by_sector": %s,\n'
-    '      "hhi_channel": %s,\n'
-    '      "hhi_geo": %s,\n'
-    '      "hhi_geo_ead": %s,\n'
-    '      "hhi_sector": %s,\n'
-    '      "top_contributors": %s,\n'
-    '      "weight_source": %s\n'
-    "    },\n"
-    '    "rows": '
-)
-
-_ENTRY_TAIL = (
-    ",\n"
-    '    "scenario_id": %s,\n'
-    '    "total_el": %s\n'
-    "  }"
-)
+# What an entry's empty "rows" list looks like in the ``json.dumps`` text
+# of the entry: only the entry's own key sits at this indent, and an
+# ASCII-escaped string holds no raw newline, so it occurs once.
+_NO_ROWS = '\n    "rows": []'
 
 _CSV_HEADER = "scenario_id,instrument_id,pd_s,lgd_s,el_s,dv_s\n"
 
@@ -117,53 +89,44 @@ def _rows_template(n: int) -> str:
     return ",\n".join([_ROW] * n)
 
 
-def _container(members: list[str], indent: str, brackets: str) -> str:
-    """A JSON array (``brackets`` is ``"[]"``) or object (``"{}"``) from
-    members that carry their own indent; empty ones stay on one line."""
-    if not members:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{indent}{brackets[1]}"
-
-
-def _group(sums: dict[str, float]) -> str:
-    return _container(
-        [f"        {_string(k)}: {_number(v)}" for k, v in sorted(sums.items())],
-        "      ",
-        "{}",
-    )
-
-
 def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
     """One scenario's JSON entry, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
-    num, string = _number, _string
-    contributors = [
-        _CONTRIBUTOR % (num(c.el_s), string(c.id), num(c.share))
-        for c in report.top_contributors
-    ]
-    head = _ENTRY_HEAD % (
-        num(result.climate_var),
-        _group(report.el_by_geo),
-        _group(report.el_by_hazard_channel),
-        _group(report.el_by_sector),
-        num(report.hhi_channel),
-        num(report.hhi_geo),
-        num(report.hhi_geo_ead),
-        num(report.hhi_sector),
-        _container(contributors, "      ", "[]"),
-        string(report.weight_source),
-    )
-    tail = _ENTRY_TAIL % (string(result.scenario_id), num(result.total_el))
+    def r(x: float) -> float:
+        return float("%.12g" % x)
+
+    doc = {
+        "climate_var": r(result.climate_var),
+        "report": {
+            "el_by_geo": {k: r(v) for k, v in report.el_by_geo.items()},
+            "el_by_hazard_channel": {k: r(v) for k, v in report.el_by_hazard_channel.items()},
+            "el_by_sector": {k: r(v) for k, v in report.el_by_sector.items()},
+            "hhi_channel": r(report.hhi_channel),
+            "hhi_geo": r(report.hhi_geo),
+            "hhi_geo_ead": r(report.hhi_geo_ead),
+            "hhi_sector": r(report.hhi_sector),
+            "top_contributors": [
+                {"el_s": r(c.el_s), "id": c.id, "share": r(c.share)}
+                for c in report.top_contributors
+            ],
+            "weight_source": report.weight_source,
+        },
+        "rows": [],
+        "scenario_id": result.scenario_id,
+        "total_el": r(result.total_el),
+    }
+    # The entry as an element of the indented report list, without "[\n" and "\n]".
+    head, tail = json.dumps([doc], sort_keys=True, indent=2)[2:-2].split(_NO_ROWS)
     ids, pd_s, lgd_s, el_s, dv_s = row_columns(result)
     if not ids:
-        yield head + "[]" + tail
+        yield head + _NO_ROWS + tail
         return
-    separator = head + "[\n"
+    separator = head + '\n    "rows": [\n'
     for start in range(0, len(ids), ROWS_PER_BLOCK):
         end = start + ROWS_PER_BLOCK
         block_ids = ids[start:end]
         # _ROW's fields in its (sorted-key) order, row after row.
         values = chain.from_iterable(zip(
-            _numbers(dv_s[start:end]), _numbers(el_s[start:end]), map(string, block_ids),
+            _numbers(dv_s[start:end]), _numbers(el_s[start:end]), map(_string, block_ids),
             _numbers(lgd_s[start:end]), _numbers(pd_s[start:end]),
         ))
         yield separator + _rows_template(len(block_ids)) % tuple(values)

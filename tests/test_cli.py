@@ -187,6 +187,27 @@ class TestRun:
         assert "ScenarioParseError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scenario_with_a_byte_order_mark(self, fixture_files, tmp_path, capsys):
+        # Editors and spreadsheet tools start UTF-8 files with a BOM; the
+        # scenario reads as without it, and a second BOM is data.
+        document = b'{"id":"bom","kind":"compound","lambda":0.5}'
+        path = tmp_path / "bom.json"
+        reports = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + document)
+            code, out = run_cli(
+                fixture_files, tmp_path, "--scenario", str(path), out_name=f"r{len(reports)}.json"
+            )
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + document)
+        code, out = run_cli(fixture_files, tmp_path, "--scenario", str(path), out_name="r2.json")
+        assert code == 2
+        assert "error: ScenarioParseError: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_portfolio_number_exits_2(self, fixture_files, tmp_path, capsys):
         bad = portfolio_csv().replace(b"1000000.0", b"nan", 1)
         fixture_files["portfolio"].write_bytes(bad)

@@ -156,6 +156,13 @@ class TestSameBytesAsJsonDumps:
         results = [run_scenario(linked, s, top_k=25) for s in builtin_scenarios()]
         assert_same_bytes(results)
 
+    def test_head_larger_than_first_row_block(self):
+        linked = _synthetic_linked(6_000, n_geos=6_000, n_sectors=200)
+        results = [run_scenario(linked, s, top_k=25) for s in builtin_scenarios()]
+        first = list(report_blocks(results))[1]  # the head and the first row block
+        assert first.index(b'"rows": [') > len(first) / 2
+        assert_same_bytes(results)
+
     def test_empty_containers(self):
         result = StressResult(scenario_id="empty", rows=(), total_el=0.0, climate_var=-0.0)
         report = ExposureReport(
@@ -287,28 +294,42 @@ _ID_CHARS = st.one_of(
 _IDS = st.text(alphabet=_ID_CHARS, max_size=12)
 
 
+_NO_ROWS = '\n    "rows": []'
+
+
 @settings(max_examples=200)
 @given(
     row_ids=st.lists(_IDS, max_size=5),
     group_keys=st.lists(_IDS, max_size=5),
     scenario_id=_IDS,
     weight_source=_IDS,
+    head=st.tuples(_FLOATS, _FLOATS, _FLOATS),
 )
-def test_strings_match_json_dumps(row_ids, group_keys, scenario_id, weight_source):
+# Strings like the text the writer splits each entry at, and non-finite
+# and negative-zero numbers in the entry's head.
+@example(row_ids=[], group_keys=["rows"], scenario_id="s", weight_source="w", head=(1.5, -2.5, 0.5))
+@example(row_ids=[_NO_ROWS], group_keys=[], scenario_id="s", weight_source="w", head=(1.5, -2.5, 0.5))
+@example(row_ids=["a"], group_keys=[], scenario_id='"rows": []', weight_source="w", head=(1.5, -2.5, 0.5))
+@example(row_ids=["a"], group_keys=["g"], scenario_id="s", weight_source="w",
+         head=(math.inf, math.nan, -0.0))
+def test_strings_match_json_dumps(row_ids, group_keys, scenario_id, weight_source, head):
+    total_el, climate_var, hhi_geo = head
     rows = tuple(StressRow(id=i, pd_s=0.1, lgd_s=0.2, el_s=0.3, dv_s=-0.4) for i in row_ids)
     groups = {k: float(n) for n, k in enumerate(group_keys)}
-    result = StressResult(scenario_id=scenario_id, rows=rows, total_el=1.5, climate_var=-2.5)
+    result = StressResult(
+        scenario_id=scenario_id, rows=rows, total_el=total_el, climate_var=climate_var
+    )
     report = ExposureReport(
         scenario_id=scenario_id,
         el_by_geo=groups,
         el_by_hazard_channel=dict(reversed(groups.items())),
         el_by_sector=groups,
-        hhi_geo=0.5,
+        hhi_geo=hhi_geo,
         hhi_sector=1.0,
         hhi_channel=0.25,
         hhi_geo_ead=0.125,
         top_contributors=tuple(Contributor(id=i, el_s=0.3, share=0.1) for i in row_ids),
-        climate_var=-2.5,
+        climate_var=climate_var,
         weight_source=weight_source,
     )
     assert_same_bytes([(result, report)])
