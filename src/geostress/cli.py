@@ -29,7 +29,10 @@ from .analytics import ExposureReport
 from .errors import ScenarioParseError, StressError
 from .ingest import (
     LinkedPortfolio,
-    link_exposures,
+    link_channels,
+    link_fragility,
+    link_hazards,
+    link_resolved,
     load_fragility,
     load_geounits,
     load_hazard_table,
@@ -46,21 +49,16 @@ EXIT_INTERNAL = 3
 
 
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
-    enabled = gc.isenabled()
-    gc.disable()  # the load builds many objects and no cycle: a collection only scans them
-    try:
-        with open(args.portfolio, "rb") as fh:
-            portfolio = load_portfolio(fh, filename=args.portfolio)
-        with open(args.hazards, "rb") as fh:
-            hazards = load_hazard_table(fh, filename=args.hazards)
-        with open(args.fragility, "rb") as fh:
-            fragility = load_fragility(fh, filename=args.fragility)
-        with open(args.geounits, "rb") as fh:
-            registry = load_geounits(fh, filename=args.geounits)
-        return link_exposures(portfolio, hazards, fragility, registry)
-    finally:
-        if enabled:
-            gc.enable()
+    """Load the portfolio, then link each side table as it is read: one is alive at a time."""
+    with open(args.portfolio, "rb") as fh:
+        portfolio = load_portfolio(fh, filename=args.portfolio)
+    with open(args.hazards, "rb") as fh:
+        hazards = link_hazards(portfolio, load_hazard_table(fh, filename=args.hazards))
+    with open(args.fragility, "rb") as fh:
+        fragility = link_fragility(portfolio, load_fragility(fh, filename=args.fragility))
+    with open(args.geounits, "rb") as fh:
+        channels = link_channels(portfolio, load_geounits(fh, filename=args.geounits))
+    return link_resolved(portfolio, hazards, fragility, channels)
 
 
 def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
@@ -184,6 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; the one place that maps an exception to an exit code."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command makes many objects, no cyclic garbage: a collection only scans
     try:
         if args.command == "scenarios":
             for scenario in builtin_scenarios():
@@ -204,6 +204,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # a bug: exit 3 with one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

@@ -14,6 +14,8 @@ covers ``repr`` of every finite float: no surrounding whitespace, no
 underscores, no other digits. A geo unit used by any instrument must
 carry all four hazard types and a fragility entry; truly absent hazards
 are encoded as explicit 0.0 rows. Files are checked by column, in chunks.
+The link is one step per side table, each a lookup of the distinct geo
+ids into float arrays, then ``link_resolved``, the only one that raises.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class ExposureContext:
 
 
 class ContextColumns(NamedTuple):
-    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES`` order,
-    None for a type it lacks), and each row's context code (linked: its geo code)."""
+    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES`` order; a
+    float array, or a list with None for a context that lacks it), and each row's context
+    code (linked: its geo code)."""
 
     hazards: tuple[Sequence[Optional[float]], ...]
     fragility: Sequence[float]
@@ -95,8 +98,9 @@ class ContextColumns(NamedTuple):
         """Contexts as columns, each distinct object once, in first-appearance order."""
         _, codes = _codes(list(map(id, contexts)))
         distinct = tuple(dict(zip(map(id, contexts), contexts)).values())
-        return cls(tuple([c.baseline_hazards.get(h) for c in distinct] for h in HAZARD_TYPES),
-                   [c.fragility for c in distinct], [c.channel for c in distinct], codes)
+        hazards = ([c.baseline_hazards.get(h) for c in distinct] for h in HAZARD_TYPES)
+        return cls(tuple(map(_resolved, hazards)), _resolved([c.fragility for c in distinct]),
+                   [c.channel for c in distinct], codes)
 
     def rows(self) -> tuple[ExposureContext, ...]:
         baselines = ({h: v for h, v in zip(HAZARD_TYPES, values) if v is not None}
@@ -447,43 +451,61 @@ def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[Geo
     return list(units.values())
 
 
-def link_exposures(
-    portfolio: Portfolio,
-    hazards: HazardField,
-    fragility: FragilityTable,
-    registry: Sequence[GeoUnit],
-) -> LinkedPortfolio:
-    """Resolve each instrument's geo context and normalize weights.
+_Column = Sequence[Optional[float]]  # a float per distinct geo id (or context), None at a gap
 
-    Order-preserving and deterministic; never alters any instrument
-    numeric field. Requires all four hazard types and a fragility entry
-    for every referenced geo unit. Each geo unit is looked up once, by
-    column, into ``ContextColumns`` indexed by geo code, which lets
-    scenario evaluation compute per-geo terms once.
-    """
-    by_geo = {unit.id: unit for unit in registry}
-    intensities, fragilities = hazards.entries, fragility.entries
+
+def _resolved(found: list) -> _Column:
+    return found if None in found else array("d", found)  # unboxed, unless it holds a gap
+
+
+def link_hazards(portfolio: Portfolio, hazards: HazardField) -> tuple[_Column, ...]:
+    """The first link step: each distinct geo id's four baselines, a column per type."""
+    # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
+    found = list(map(hazards.entries.get, product(vars(portfolio)["instruments"].geo_ids,
+                                                  HAZARD_TYPES)))
+    return tuple(_resolved(found[k::len(HAZARD_TYPES)]) for k in range(len(HAZARD_TYPES)))
+
+
+def link_fragility(portfolio: Portfolio, fragility: FragilityTable) -> _Column:
+    """The second link step: each distinct geo id's fragility."""
+    return _resolved(list(map(fragility.entries.get, vars(portfolio)["instruments"].geo_ids)))
+
+
+def link_channels(portfolio: Portfolio, registry: Sequence[GeoUnit]) -> list[Optional[Channel]]:
+    """The third link step: each distinct geo id's registry channel, None if unregistered."""
+    by_geo = {unit.id: unit.channel for unit in registry}
+    return list(map(by_geo.get, vars(portfolio)["instruments"].geo_ids))
+
+
+def link_resolved(portfolio: Portfolio, hazards: tuple[_Column, ...], fragility: _Column,
+                  channels: Sequence[Optional[Channel]]) -> LinkedPortfolio:
+    """The last link step: normalize the weights, name the first gap, link the columns."""
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
     columns = vars(normalized)["instruments"]
-
-    geo_ids = columns.geo_ids
-    units = list(map(by_geo.get, geo_ids))
-    # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
-    found = list(map(intensities.get, product(geo_ids, HAZARD_TYPES)))
-    baselines = tuple(found[k::len(HAZARD_TYPES)] for k in range(len(HAZARD_TYPES)))
-    frags = list(map(fragilities.get, geo_ids))
-    if None in units or None in found or None in frags:  # name the first geo unit with a gap
-        for geo_id, unit, frag, *baseline in zip(geo_ids, units, frags, *baselines):
-            if unit is None:
-                row = columns.geo_codes.index(geo_ids.index(geo_id))
+    # A step's column with a gap is a list; one without is an array, which holds no None.
+    if None in channels or list in map(type, (fragility, *hazards)):
+        for geo_id, tag, value, *baseline in zip(columns.geo_ids, channels, fragility, *hazards):
+            if tag is None:
+                row = columns.geo_codes.index(columns.geo_ids.index(geo_id))
                 raise UnresolvedGeo(columns.id[row], geo_id)
             if None in baseline:
                 raise MissingHazard(geo_id, HAZARD_TYPES[baseline.index(None)].value)
-            if frag is None:
+            if value is None:
                 raise MissingFragility(geo_id)
     return LinkedPortfolio(
         portfolio=normalized,
-        contexts=ContextColumns(baselines, frags, [u.channel for u in units], columns.geo_codes),
+        contexts=ContextColumns(hazards, fragility, channels, columns.geo_codes),
         weight_source=weight_source,
     )
+
+
+def link_exposures(portfolio: Portfolio, hazards: HazardField, fragility: FragilityTable,
+                   registry: Sequence[GeoUnit]) -> LinkedPortfolio:
+    """Resolve each instrument's geo context and normalize weights: the link steps in turn.
+
+    Order-preserving and deterministic; never alters any instrument numeric field. Every
+    referenced geo unit needs all four hazard types and a fragility entry. Only the last
+    step raises, so ``stress run`` drops each table after its step, with the same errors."""
+    return link_resolved(portfolio, link_hazards(portfolio, hazards),
+                         link_fragility(portfolio, fragility), link_channels(portfolio, registry))

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BASELINE_HAZARDS,
+    FRAGILITY,
     GEO_CHANNELS,
     INSTRUMENT_DICTS,
     fragility_csv,
@@ -565,8 +567,8 @@ def test_a_closed_stdout_pipe_exits_2(fixture_files, tmp_path, command):
 
 class TestCollectorState:
     """``stress run`` and ``stress validate`` pause the cyclic collector
-    while they load and link, and leave it as they found it; the loaders
-    and the linker, called as a library, never touch it."""
+    for the whole command, and leave it as they found it; the loaders
+    and the link steps, called as a library, never touch it."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -580,7 +582,8 @@ class TestCollectorState:
         self, collector, command, fixture_files, tmp_path, capsys, monkeypatch
     ):
         during = []
-        for name in ("load_portfolio", "load_geounits", "link_exposures"):
+        for name in ("load_portfolio", "load_geounits", "link_hazards", "link_fragility",
+                     "link_channels", "link_resolved", "run_scenario"):
             def watched(*args, _step=getattr(cli, name), **kwargs):
                 during.append(gc.isenabled())
                 if command == "internal-error" and _step.__name__ == "load_geounits":
@@ -596,9 +599,10 @@ class TestCollectorState:
             code = main(validate_argv(fixture_files))
         assert code == {"run": 0, "validate": 0, "load-error": 2, "internal-error": 3}[command]
         assert gc.isenabled() is collector
-        assert during == {"load-error": [False], "internal-error": [False, False]}.get(
-            command, [False, False, False]
-        )
+        # run: the two loaders, four link steps and a scenario per built-in; validate: no
+        # scenario; internal-error: the portfolio, its hazard and fragility steps, the registry.
+        assert during == [False] * {"run": 10, "validate": 6, "load-error": 1,
+                                    "internal-error": 4}[command]
         capsys.readouterr()
 
     def test_the_library_never_touches_the_collector(self, collector, fixture_files, monkeypatch):
@@ -616,3 +620,95 @@ class TestCollectorState:
             load_hazard_table(io.BytesIO(b"geo_id,hazard,intensity\ng1,smog,1\n"))
         assert gc.isenabled() is collector
         assert calls == []
+
+
+def _without(table, geo_id, hazard=None):
+    """A copy of a fixture table without ``geo_id``, or without its ``hazard``."""
+    if hazard is None:
+        return {geo: value for geo, value in table.items() if geo != geo_id}
+    return {geo: {h: x for h, x in per_geo.items() if (geo, h) != (geo_id, hazard)}
+            for geo, per_geo in table.items()}
+
+
+# Inputs with several faults each: (portfolio rows, hazards, fragility, geounits CSV), and
+# the one stderr line both ``run`` and ``validate`` print for them, with the file paths
+# relative to the input directory. Load errors come before link errors, a weights error
+# before any gap, and gaps geo unit by geo unit: registry, then hazards, then fragility.
+MULTI_FAULT = {
+    "hazard-gap-and-bad-registry-line": (
+        INSTRUMENT_DICTS, _without(BASELINE_HAZARDS, "g2", "flood"), FRAGILITY,
+        geounits_csv() + b"g9,G9\n",
+        "error: MalformedRow: geounits.csv:6: malformed row: expected 3 fields, got 2\n"),
+    "unresolved-geo-after-a-hazard-gap": (
+        INSTRUMENT_DICTS, _without(BASELINE_HAZARDS, "g1", "drought"), FRAGILITY,
+        geounits_csv(_without(GEO_CHANNELS, "g3")),
+        "error: MissingHazard: geo unit 'g1': no baseline intensity for drought\n"),
+    "zero-value-and-a-hazard-gap": (
+        [dict(d, value=0.0) for d in INSTRUMENT_DICTS], _without(BASELINE_HAZARDS, "g4", "heat"),
+        FRAGILITY, geounits_csv(),
+        "error: ZeroTotalValue: cannot derive value weights: total instrument value is 0\n"),
+    "unresolved-geo-with-hazard-and-fragility-gaps": (
+        INSTRUMENT_DICTS, _without(BASELINE_HAZARDS, "g2", "heat"), _without(FRAGILITY, "g2"),
+        geounits_csv(_without(GEO_CHANNELS, "g2")),
+        "error: UnresolvedGeo: instrument 'i04': geo unit 'g2' not in registry\n"),
+    "fragility-gap-before-a-hazard-gap": (
+        INSTRUMENT_DICTS, _without(BASELINE_HAZARDS, "g3", "flood"), _without(FRAGILITY, "g1"),
+        geounits_csv(),
+        "error: MissingFragility: geo unit 'g1': no fragility entry\n"),
+    "hazard-and-fragility-gaps-in-one-geo": (
+        INSTRUMENT_DICTS, _without(BASELINE_HAZARDS, "g3", "wildfire"), _without(FRAGILITY, "g3"),
+        geounits_csv(),
+        "error: MissingHazard: geo unit 'g3': no baseline intensity for wildfire\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("case", MULTI_FAULT)
+def test_the_first_of_several_faults_is_named(case, command, fixture_files, tmp_path, capsys):
+    rows, baselines, fragility, registry, line = MULTI_FAULT[case]
+    fixture_files["portfolio"].write_bytes(portfolio_csv(rows))
+    fixture_files["hazards"].write_bytes(hazards_csv(baselines))
+    fixture_files["fragility"].write_bytes(fragility_csv(fragility))
+    fixture_files["geounits"].write_bytes(registry)
+    if command == "run":
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        assert not out.exists()
+    else:
+        code = main(validate_argv(fixture_files))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert (out, err.replace(f"{tmp_path}{os.sep}", "")) == ("", line)
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_each_side_table_is_freed_before_the_next_file_is_read(
+    command, fixture_files, tmp_path, monkeypatch, capsys
+):
+    tables = []  # a weak reference to each side table loaded, or to one of the registry's units
+    alive = {}  # per loader called, and at _load_linked's return: which of those are alive
+
+    def watched(load):
+        def loader(*args, **kwargs):
+            alive[load.__name__] = [ref() is not None for ref in tables]
+            table = load(*args, **kwargs)
+            if load is not load_portfolio:
+                tables.append(weakref.ref(table[0] if type(table) is list else table))
+            return table
+        return loader
+
+    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_geounits"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
+
+    def load_linked(args, _load=cli._load_linked):
+        linked = _load(args)
+        alive["_load_linked"] = [ref() is not None for ref in tables]
+        return linked
+
+    monkeypatch.setattr(cli, "_load_linked", load_linked)
+    if command == "run":
+        assert run_cli(fixture_files, tmp_path, "--builtin", "all")[0] == 0
+    else:
+        assert main(validate_argv(fixture_files)) == 0
+    capsys.readouterr()
+    assert alive == {"load_portfolio": [], "load_hazard_table": [], "load_fragility": [False],
+                     "load_geounits": [False, False], "_load_linked": [False, False, False]}
