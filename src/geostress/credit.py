@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .errors import DomainError, NonFiniteSum
 from .ingest import ExposureContext, LinkedPortfolio
-from .model import BetaParams, StressRow, _require_nonnegative
+from .model import BetaParams, StressRow, _require_in_domain
 from .scenarios import Repricing, Scenario
 
 
@@ -36,9 +36,8 @@ def scenario_pd(
     min(1, pd0 * exp(b_H*hazard + b_T*transition + b_U*fragility
                      - b_A*adaptation)).
     """
-    if not 0.0 <= pd0 <= 1.0:
-        raise DomainError(f"pd0 must lie in [0,1], got {pd0}")
-    _require_nonnegative(
+    _require_in_domain(
+        pd0=pd0,
         hazard=hazard,
         transition=transition,
         fragility=fragility,
@@ -77,9 +76,7 @@ def pd_after_overflow(pd0: float, exponent: float) -> float:
 
 def scenario_lgd(lgd0: float, hazard: float, lgd_gamma: float) -> float:
     """Scenario loss given default: min(1, lgd0 * (1 + gamma * hazard))."""
-    if not 0.0 <= lgd0 <= 1.0:
-        raise DomainError(f"lgd0 must lie in [0,1], got {lgd0}")
-    _require_nonnegative(hazard=hazard, lgd_gamma=lgd_gamma)
+    _require_in_domain(lgd0=lgd0, hazard=hazard, lgd_gamma=lgd_gamma)
     lgd = lgd0 * (1.0 + lgd_gamma * hazard)
     # A NaN product is a zero baseline times an overflowed factor.
     return 0.0 if math.isnan(lgd) else min(1.0, lgd)
@@ -91,7 +88,7 @@ def expected_loss(pd: float, lgd: float, ead: float) -> float:
         raise DomainError(f"pd must lie in [0,1], got {pd}")
     if not 0.0 <= lgd <= 1.0:
         raise DomainError(f"lgd must lie in [0,1], got {lgd}")
-    _require_nonnegative(ead=ead)
+    _require_in_domain(ead=ead)
     return pd * lgd * ead
 
 
@@ -109,7 +106,7 @@ def effective_hazard(context: ExposureContext, scenario: Scenario) -> float:
         raise DomainError("an exposure context needs at least one baseline hazard, got none")
     for value in scaled:
         if not 0.0 <= value < math.inf:
-            _require_nonnegative(hazard=value)
+            _require_in_domain(hazard=value)
     return max(scaled)
 
 

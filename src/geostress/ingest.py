@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product, repeat
-from math import inf, isfinite
+from math import isfinite
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -47,6 +47,7 @@ from .errors import (
 )
 from .model import (
     CHANNEL_BY_TOKEN,
+    DOMAINS,
     HAZARD_BY_TOKEN,
     HAZARD_TYPES,
     Channel,
@@ -56,11 +57,14 @@ from .model import (
     HazardType,
     InstrumentColumns,
     Portfolio,
+    _CHECKED,
     _Rows,
-    _check_fields,
+    _check_columns,
     _check_weights,
     _codes,
-    _require_nonnegative,
+    _in_domain,
+    _passed,
+    _read_only,
     hhi,
     normalize_weights,
     validate_portfolio,
@@ -154,12 +158,17 @@ class LinkedPortfolio:
         types, alignment, weights, each instrument's fields (by column, and
         row by row only to name a fault), each context's fragility, and a
         row with nonzero pd0, lgd0 and ead (without one, every EL is 0); a
-        failure caches nothing. ``dataclasses.replace`` builds a new
+        failure caches nothing. What ``normalize_weights`` or
+        ``load_portfolio`` checked (``model._CHECKED``) is not checked again;
+        number columns that could be written are copied read-only, so no
+        later write reaches a scenario. ``dataclasses.replace`` builds a new
         object, so the codes never outlive the fields.
         """
         columns, weights = vars(self.portfolio)["instruments"], self.portfolio.weights
         contexts = vars(self)["contexts"]
-        for baseline in zip(*contexts.hazards):  # a hand-built one may lack a hazard type
+        # A hand-built context may lack a hazard type; a float array, as linked, has no gap.
+        hazards = contexts.hazards
+        for baseline in zip(*hazards) if {array} != set(map(type, hazards)) else ():
             if None in baseline:
                 missing = HAZARD_TYPES[baseline.index(None)].value
                 raise DomainError("an exposure context needs " + (
@@ -170,14 +179,14 @@ class LinkedPortfolio:
             raise Misalignment("contexts do not match portfolio ids/order")
         if weights is None:
             raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
-        _check_weights(weights, len(columns.id))
-        # The number columns, from ead on. A sum catches a NaN, which min() may pass over;
-        # one that only overflows names no field. No column is empty: no weights sum to 1.
-        if not (all(isfinite(sum(column)) and min(column) >= 0.0 for column in columns[5:])
-                and max(columns.pd0) <= 1.0 and max(columns.lgd0) <= 1.0):
-            for fields in zip(columns.pd0, columns.lgd0, columns.adaptation, columns.ead,
-                              columns.value):
-                _check_fields(*fields)
+        if not _passed(self.portfolio):
+            _check_weights(weights, len(columns.id))
+        if not all(map(_passed, columns[5:])):
+            # In a row, pd0 and lgd0 are named first. No column is empty: the weights sum to 1.
+            _check_columns(pd0=columns.pd0, lgd0=columns.lgd0, adaptation=columns.adaptation,
+                           ead=columns.ead, value=columns.value)
+            columns = columns._replace(**{name: _read_only(getattr(columns, name))
+                                          for name in DOMAINS})
         channel_index, context_channels = _codes(contexts.channel)
         n_sectors = len(columns.sectors)
         pair_keys = [c * n_sectors + s for c, s in zip(context_codes, columns.sector_codes)]
@@ -188,9 +197,7 @@ class LinkedPortfolio:
         geo_ead = [0.0] * len(columns.geo_ids)
         for geo_code, ead in zip(columns.geo_codes, columns.ead):
             geo_ead[geo_code] += ead
-        for value in contexts.fragility:
-            if not 0.0 <= value < inf:
-                _require_nonnegative(fragility=value)
+        _check_columns(fragility=contexts.fragility)
         if not any(map(all, zip(columns.pd0, columns.lgd0, columns.ead))):
             raise AllZero("HHI needs at least one strictly positive entry")
         return LinkCodes(
@@ -340,32 +347,39 @@ _CHUNK_ROWS = 4096
 def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfolio:
     """Load and validate a portfolio CSV, preserving row order, into
     ``InstrumentColumns``: no ``Instrument`` is built. A chunk's numbers
-    are checked a column at a time, and the rules over the portfolio over
-    its columns; the rows are looked at only to name what breaks a check.
+    are checked a column at a time, and the ids over their column; the
+    rows are looked at only to name what breaks a check. The number columns
+    come out read-only (``model._read_only``), and ``LinkedPortfolio.codes``
+    trusts them.
     """
     ids, geo_index, sector_index, geo_codes, sector_codes = [], {}, {}, [], []
     numbers = [array("d") for _ in PORTFOLIO_HEADER[3:]]
+    bounds, in_domain = [DOMAINS[name] for name in PORTFOLIO_HEADER[3:]], True
     for linenos, cells in _chunks(source, filename, PORTFOLIO_HEADER):
         ids.extend(cells[0])
         geo_codes += _codes(cells[1], geo_index)[1]
         sector_codes += _codes(cells[2], sector_index)[1]
         converted = [_plain_floats(column) for column in cells[3:]]
         if None in converted:  # name the bad cell; if none is, a column sum overflowed
-            converted = map(list, zip(*(_portfolio_numbers(row, filename, lineno)
-                                        for lineno, row in zip(linenos, zip(*cells[3:])))))
-        for column, part in zip(numbers, converted):
+            converted = list(map(list, zip(*(_portfolio_numbers(row, filename, lineno)
+                                             for lineno, row in zip(linenos, zip(*cells[3:]))))))
+        for column, part, bound in zip(numbers, converted, bounds):
             column.fromlist(part)  # faster per value than extend
+            in_domain = in_domain and _in_domain(part, bound)  # a list: no value is boxed
         del cells, converted  # freed before the next chunk is read: a lower peak
     columns = InstrumentColumns(
         tuple(ids), tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
     )
-    portfolio = Portfolio(instruments=columns)
-    if not (ids and all(ids) and len(set(ids)) == len(ids) and min(map(min, numbers)) >= 0.0
-            and max(columns.pd0) <= 1.0 and max(columns.lgd0) <= 1.0):
-        raise InvariantViolation(
-            f"{filename}: " + "; ".join(str(v) for v in validate_portfolio(portfolio))
-        )
-    return portfolio
+    del numbers  # the columns alone hold the arrays, so each is freed once copied below
+    ids = columns.id  # the id list is freed before the check: a lower peak
+    if not (ids and all(ids) and len(set(ids)) == len(ids) and in_domain):
+        violations = validate_portfolio(Portfolio(instruments=columns))
+        if violations:  # else a column sum only overflowed
+            raise InvariantViolation(f"{filename}: " + "; ".join(map(str, violations)))
+    for name in DOMAINS:  # one array copied and freed at a time: a lower peak
+        column = _read_only(getattr(columns, name))
+        columns, _CHECKED[id(column)] = columns._replace(**{name: column}), column
+    return Portfolio(instruments=columns)
 
 
 def dump_portfolio(portfolio: Portfolio) -> bytes:

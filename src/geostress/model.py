@@ -11,15 +11,21 @@ share read-only across workers. Numeric conventions:
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, fields
 from itertools import repeat
 from math import inf, isfinite
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import AllZero, DomainError, InvalidWeights, NonFiniteSum, ZeroTotalValue
 
 WEIGHT_SUM_TOL = 1e-9
+
+# Each instrument number field's domain, declared once: from 0 up to the bound, and finite.
+# ``validate_portfolio`` names a row's faults in this order.
+DOMAINS = {"pd0": 1.0, "lgd0": 1.0, "ead": inf, "value": inf, "adaptation": inf}
 
 
 class HazardType(enum.Enum):
@@ -157,8 +163,9 @@ class RowColumns(NamedTuple):
 class InstrumentColumns(NamedTuple):
     """A portfolio's instruments in row order, one sequence per field; the
     geo ids and sectors as codes, each row's index into the distinct values
-    in first-appearance order. Whatever built them, ``LinkedPortfolio.codes``
-    checks the number columns before a scenario reads them."""
+    in first-appearance order. ``load_portfolio`` hands out read-only number
+    columns (``_read_only``) that ``LinkedPortfolio.codes`` trusts; it checks
+    any others before a scenario reads them."""
 
     id: tuple[str, ...]
     geo_ids: tuple[str, ...]
@@ -186,6 +193,42 @@ class InstrumentColumns(NamedTuple):
             map(self.sectors.__getitem__, self.sector_codes),
             self.ead, self.pd0, self.lgd0, self.value, self.adaptation,
         ))
+
+    def __reduce__(self) -> tuple:
+        # A read-only column pickles as the bytes it views, with no copy; the copy views
+        # them again, and is checked as no load checked it.
+        return _unpickled_columns, tuple(c.obj if _frozen(c) else c for c in self)
+
+
+def _unpickled_columns(*fields: object) -> InstrumentColumns:
+    return InstrumentColumns(*(memoryview(f).cast("d") if type(f) is bytes else f for f in fields))
+
+
+def _read_only(values: Sequence[float]) -> Sequence[float]:
+    """``values`` as a float column that no write can change: a tuple or a view of bytes
+    as it is, else copied into a view of bytes."""
+    if type(values) is tuple or _frozen(values):
+        return values
+    if type(values) is not array or values.typecode != "d":
+        values = array("d", values)
+    return memoryview(values.tobytes()).cast("d")
+
+
+def _frozen(column: object) -> bool:
+    """Whether ``column`` is a view of a whole bytes object as floats, as ``_read_only`` makes."""
+    return (type(column) is memoryview and type(column.obj) is bytes
+            and column.format == "d" and column.nbytes == len(column.obj))
+
+
+# By identity, what a check passed and no write can change: number columns that
+# ``load_portfolio`` checked, and portfolios whose tuple of weights ``normalize_weights``
+# checked. An entry only spares a check that would pass again, and goes with its object,
+# so no caller sees another's. A pickled copy is a new object, and is checked again.
+_CHECKED: WeakValueDictionary = WeakValueDictionary()
+
+
+def _passed(obj: object) -> bool:
+    return _CHECKED.get(id(obj)) is obj
 
 
 class _Rows:
@@ -305,26 +348,16 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
         violations.append(Violation("<portfolio>", "instruments", "N >= 1"))
 
     seen: set[str] = set()
-    for inst_id, ead, pd0, lgd0, value, adaptation in zip(
-        columns.id, columns.ead, columns.pd0, columns.lgd0, columns.value, columns.adaptation
-    ):
+    for inst_id, *numbers in zip(columns.id, *(getattr(columns, name) for name in DOMAINS)):
         if not inst_id:
             violations.append(Violation(inst_id, "id", "id nonempty"))
         if inst_id in seen:
             violations.append(Violation(inst_id, "id", "id unique within portfolio"))
         seen.add(inst_id)
-        if not 0.0 <= pd0 <= 1.0:
-            violations.append(Violation(inst_id, "pd0", "pd0 ∈ [0,1]"))
-        if not 0.0 <= lgd0 <= 1.0:
-            violations.append(Violation(inst_id, "lgd0", "lgd0 ∈ [0,1]"))
-        if not 0.0 <= ead < inf:
-            violations.append(Violation(inst_id, "ead", "ead >= 0 and finite"))
-        if not 0.0 <= value < inf:
-            violations.append(Violation(inst_id, "value", "value >= 0 and finite"))
-        if not 0.0 <= adaptation < inf:
-            violations.append(
-                Violation(inst_id, "adaptation", "adaptation >= 0 and finite")
-            )
+        for (name, bound), number in zip(DOMAINS.items(), numbers):
+            if not (0.0 <= number <= bound and number < inf):
+                rule = "∈ [0,1]" if bound == 1.0 else ">= 0 and finite"
+                violations.append(Violation(inst_id, name, f"{name} {rule}"))
 
     if portfolio.weights is not None:
         if len(portfolio.weights) != len(columns.id):
@@ -341,20 +374,29 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
     return violations
 
 
-def _require_nonnegative(**kwargs: float) -> None:
-    """Raise ``DomainError`` naming the first value that is negative, NaN
-    or infinite."""
-    for name, value in kwargs.items():
-        if not 0.0 <= value < inf:
-            raise DomainError(f"{name} must be >= 0 and finite, got {value}")
+def _require_in_domain(**values: float) -> None:
+    """Raise ``DomainError`` naming the first of ``values`` out of its domain: its
+    ``DOMAINS`` entry, or at least 0 and finite for any other name."""
+    for name, value in values.items():
+        bound = DOMAINS.get(name, inf)
+        if not (0.0 <= value <= bound and value < inf):
+            raise DomainError(f"{name} must lie in [0,1], got {value}" if bound == 1.0
+                              else f"{name} must be >= 0 and finite, got {value}")
 
 
-def _check_fields(pd0: float, lgd0: float, adaptation: float, ead: float, value: float) -> None:
-    """Raise the error that names an instrument's out-of-domain field."""
-    for name, number in (("pd0", pd0), ("lgd0", lgd0)):
-        if not 0.0 <= number <= 1.0:
-            raise DomainError(f"{name} must lie in [0,1], got {number}")
-    _require_nonnegative(adaptation=adaptation, ead=ead, value=value)
+def _in_domain(column: Sequence[float], bound: float = inf) -> bool:
+    """Whether each value of a nonempty ``column`` lies in [0, bound] and is finite, tested
+    a column at a time: a sum catches a NaN, which min() may pass over. A sum that only
+    overflows fails the test, though no value breaks the rule."""
+    return isfinite(sum(column)) and min(column) >= 0.0 and (bound == inf or max(column) <= bound)
+
+
+def _check_columns(**columns: Sequence[float]) -> None:
+    """Raise the ``_require_in_domain`` error for the first row's first value out of its
+    domain, if a column fails the column test (``_in_domain``)."""
+    if not all(_in_domain(column, DOMAINS.get(name, inf)) for name, column in columns.items()):
+        for row in zip(*columns.values()):
+            _require_in_domain(**dict(zip(columns, row)))
 
 
 def _check_weights(weights: Sequence[float], n: int) -> None:
@@ -377,6 +419,8 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     values = vars(portfolio)["instruments"].value
     if portfolio.weights is not None:
         _check_weights(portfolio.weights, len(values))
+        if type(portfolio.weights) is tuple:  # no write can change them: see _CHECKED
+            _CHECKED[id(portfolio)] = portfolio
         return portfolio
     total = ordered_sum(values)
     if total <= 0.0:

@@ -30,7 +30,7 @@ from .analytics import ExposureReport, _report
 from .credit import pd_after_overflow
 from .errors import NonFiniteSum
 from .ingest import LinkedPortfolio
-from .model import HAZARD_TYPES, RowColumns, StressResult, _require_nonnegative
+from .model import HAZARD_TYPES, RowColumns, StressResult, _in_domain, _require_in_domain
 from .scenarios import Scenario
 
 
@@ -58,7 +58,7 @@ def run_scenario(
     """
     codes = linked.codes  # checks what does not depend on the scenario
     betas, repricing = scenario.betas, scenario.repricing
-    _require_nonnegative(
+    _require_in_domain(
         **{f"beta_{name}": value for name, value in asdict(betas).items()},
         lgd_gamma=scenario.lgd_gamma,
         financing=scenario.financing_tightening,
@@ -74,9 +74,9 @@ def run_scenario(
     multiplier, contexts = scenario.hazard_multipliers.get, codes.contexts
     scaled = [list(map(mul, repeat(multiplier(h, 1.0)), column))
               for h, column in zip(HAZARD_TYPES, contexts.hazards)]
-    if not all(math.isfinite(sum(column)) and min(column) >= 0.0 for column in scaled):
+    if not all(map(_in_domain, scaled)):
         for value in chain.from_iterable(zip(*scaled)):
-            _require_nonnegative(hazard=value)
+            _require_in_domain(hazard=value)
     context_terms = [(betas.hazard * h, betas.fragility * f, 1.0 + scenario.lgd_gamma * h,
                       repricing.delta_hazard * h)
                      for h, f in zip(map(max, *scaled), contexts.fragility)]
@@ -85,7 +85,7 @@ def run_scenario(
     sector_terms = []
     for sector in codes.columns.sectors:
         transition = scenario.transition.for_sector(sector)
-        _require_nonnegative(transition=transition)
+        _require_in_domain(transition=transition)
         sector_terms.append(
             (betas.transition * transition, repricing.delta_transition * transition)
         )

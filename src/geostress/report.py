@@ -20,6 +20,7 @@ scenarios. ``emit_report`` joins the same blocks into one document.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
@@ -116,6 +117,9 @@ def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
     }
     # The entry as an element of the indented report list, without "[\n" and "\n]".
     head, tail = json.dumps([doc], sort_keys=True, indent=2)[2:-2].split(_NO_ROWS)
+    # With an indent, the stdlib encoder is pure Python and leaves reference cycles of its
+    # closures; free them now, as a paused collector (``cli.main``) never would.
+    gc.collect(0)
     ids, pd_s, lgd_s, el_s, dv_s = row_columns(result)
     if not ids:
         yield head + _NO_ROWS + tail

@@ -17,7 +17,7 @@ from typing import Sequence
 from .analytics import _check_alignment
 from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
-from .model import StressRow, _check_weights, _require_nonnegative, row_columns
+from .model import StressRow, _check_weights, _require_in_domain, row_columns
 from .pipeline import _stress_metric, run_scenario
 from .scenarios import Repricing, Scenario
 
@@ -30,7 +30,7 @@ def repricing_delta(
     repricing: Repricing,
 ) -> float:
     """Mark-to-market change: -value * min(1, dH*H + dT*T + dF*F)."""
-    _require_nonnegative(
+    _require_in_domain(
         value=value,
         hazard=hazard,
         transition=transition,
@@ -64,7 +64,7 @@ def climate_var(
             f"weights/dvs/els lengths differ: {len(weights)}/{len(dvs)}/{len(els)}"
         )
     _check_weights(weights, len(weights))
-    _require_nonnegative(**{"lambda": lam})
+    _require_in_domain(**{"lambda": lam})
     weighted_dv = 0.0
     for w, dv in zip(weights, dvs):
         if not isfinite(dv):

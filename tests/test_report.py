@@ -230,6 +230,24 @@ def test_writer_streams_one_result_at_a_time(fixture_linked, format):
     assert b"".join(written) == emit_report(everything, format)
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_entries_leave_no_more_cyclic_garbage_than_one(fixture_linked, format):
+    """``cli.main`` pauses the collector for the whole command, so cycles
+    that the writer leaves per entry would pile up until exit."""
+    results = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        emit_report(results[:1], format)
+        one = gc.collect()  # the number of unreachable objects found
+        emit_report(results * 8, format)
+        assert gc.collect() <= one
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def test_empty_results_and_unknown_format_rejected(fixture_linked):
     for format in ("json", "csv"):
         with pytest.raises(ValueError):
