@@ -13,19 +13,24 @@ A stdout whose reader is gone (``stress run ... | true``) exits 2 with
 ``stress run`` evaluates one scenario at a time and streams its part of
 the report into a temporary file beside ``--out``, which replaces
 ``--out`` only when the whole report is written, so a failed run never
-leaves a partial report behind.
+leaves a partial report behind. Given two usable CPUs and two or more
+scenarios, it forks one worker after the link, which writes the later
+half's part into a nameless file beside ``--out`` that is then copied in;
+the report, the summary and any error line are a one-process run's.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
+import shutil
 import sys
 import tempfile
-from typing import Iterable, Iterator, Optional, Sequence
+from array import array
+from typing import BinaryIO, Iterator, Optional, Sequence
 
-from .analytics import ExposureReport
 from .errors import ScenarioParseError, StressError
 from .ingest import (
     LinkedPortfolio,
@@ -38,9 +43,8 @@ from .ingest import (
     load_hazard_table,
     load_portfolio,
 )
-from .model import StressResult
 from .pipeline import run_scenario
-from .report import report_blocks
+from .report import Totals, report_blocks, report_end
 from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_scenario
 
 EXIT_OK = 0
@@ -82,7 +86,9 @@ def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
     return scenarios
 
 
-def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+@contextlib.contextmanager
+def _write_atomic(path: str) -> Iterator[BinaryIO]:
+    """A temporary file beside ``path`` that replaces it if the block ends without error."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -96,26 +102,67 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
             # mkstemp creates the file 0600; give the report the mode a
             # plain open() would.
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
         raise
 
 
-def _evaluate(
-    linked: LinkedPortfolio,
-    scenarios: Sequence[Scenario],
-    top_k: int,
-    summary: list[tuple[str, float, float]],
-) -> Iterator[tuple[StressResult, ExposureReport]]:
-    """Evaluate the scenarios lazily, in order, and note each one's
-    (scenario_id, total_el, climate_var) in ``summary``."""
-    for scenario in scenarios:
-        result, report = run_scenario(linked, scenario, top_k=top_k)
-        summary.append((result.scenario_id, result.total_el, result.climate_var))
-        yield result, report
-        del result, report  # freed before the next scenario runs
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the one probe behind a run's worker."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
+                 args: argparse.Namespace, first: bool = True) -> Totals:
+    """Evaluate ``scenarios`` in order and write their part of the report to ``out``, each
+    result freed before the next runs; return their (scenario_id, total_el, climate_var)."""
+    totals: Totals = []
+    results = (run_scenario(linked, scenario, top_k=args.top_k) for scenario in scenarios)
+    out.writelines(report_blocks(results, args.format, totals, first))
+    return totals
+
+
+def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
+                  args: argparse.Namespace) -> Totals:
+    """Write every scenario's part of the report to ``out``; return their totals in order.
+    Given ``os.fork``, two usable CPUs and two or more scenarios, a forked worker writes the
+    later half's part and totals into a part file; if it fails, its share runs here again."""
+    linked.codes  # every check that needs no scenario, once, before any fork
+    later = scenarios[len(scenarios) - len(scenarios) // 2:]
+    if not later or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return _write_share(out, linked, scenarios, args)
+    directory = os.path.dirname(os.path.abspath(args.out))
+    with tempfile.TemporaryFile(dir=directory, prefix=".stress-") as part:  # it has no name
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had (a process limit, no memory): run on one
+            return _write_share(out, linked, scenarios, args)
+        if not pid:  # the worker leaves through os._exit: never into the caller's stack
+            try:
+                totals = _write_share(part, linked, later, args, first=False)
+                part.write(array("d", [x for _, *pair in totals for x in pair]))
+                part.flush()
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        try:
+            totals = _write_share(out, linked, scenarios[:-len(later)], args)
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            import signal  # only a failed share needs it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status:
+            return totals + _write_share(out, linked, later, args, first=False)
+        size = part.seek(-16 * len(later), os.SEEK_END)
+        values = array("d", part.read())
+        part.truncate(size)
+        part.seek(0)
+        shutil.copyfileobj(part, out, 1 << 16)  # larger reads raise the peak RSS
+    return totals + list(zip([scenario.id for scenario in later], values[::2], values[1::2]))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -126,12 +173,12 @@ def run(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    summary: list[tuple[str, float, float]] = []
     linked = _load_linked(args)
     scenarios = _load_scenarios(args)
-    results = _evaluate(linked, scenarios, args.top_k, summary)
-    _write_atomic(args.out, report_blocks(results, format=args.format))
-    for scenario_id, total_el, climate_var in summary:
+    with _write_atomic(args.out) as out:
+        totals = _write_report(out, linked, scenarios, args)
+        out.write(report_end(totals, args.format))
+    for scenario_id, total_el, climate_var in totals:
         print(f"{scenario_id}: total_el={total_el:.12g} climate_var={climate_var:.12g}")
     return EXIT_OK
 

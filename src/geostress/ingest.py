@@ -106,6 +106,8 @@ class ContextColumns(NamedTuple):
         return cls(tuple(map(_resolved, hazards)), _resolved([c.fragility for c in distinct]),
                    [c.channel for c in distinct], codes)
 
+    __reduce__ = InstrumentColumns.__reduce__  # a read-only fragility column as its bytes
+
     def rows(self) -> tuple[ExposureContext, ...]:
         baselines = ({h: v for h, v in zip(HAZARD_TYPES, values) if v is not None}
                      for values in zip(*self.hazards))
@@ -203,7 +205,7 @@ class LinkedPortfolio:
         return LinkCodes(
             columns=columns,
             weights=tuple(weights),
-            contexts=contexts,
+            contexts=contexts._replace(fragility=_read_only(contexts.fragility)),  # as checked
             pairs=tuple(pairs),
             pair_codes=list(map(pair_index.__getitem__, pair_keys)),
             channels=tuple(c.value for c in channel_index),

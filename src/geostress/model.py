@@ -197,11 +197,11 @@ class InstrumentColumns(NamedTuple):
     def __reduce__(self) -> tuple:
         # A read-only column pickles as the bytes it views, with no copy; the copy views
         # them again, and is checked as no load checked it.
-        return _unpickled_columns, tuple(c.obj if _frozen(c) else c for c in self)
+        return _unpickled, (type(self), *(c.obj if _frozen(c) else c for c in self))
 
 
-def _unpickled_columns(*fields: object) -> InstrumentColumns:
-    return InstrumentColumns(*(memoryview(f).cast("d") if type(f) is bytes else f for f in fields))
+def _unpickled(cls: type, *fields: object) -> tuple:
+    return cls(*(memoryview(f).cast("d") if type(f) is bytes else f for f in fields))
 
 
 def _read_only(values: Sequence[float]) -> Sequence[float]:

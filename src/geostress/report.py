@@ -14,7 +14,10 @@ the ``json.dumps`` path as the reference and checks the two agree.
 ``report_blocks`` is the one writer: it renders a report from any
 iterable of results, one scenario at a time, in blocks of rows, so the
 CLI streams the report into its output file while it evaluates the
-scenarios. ``emit_report`` joins the same blocks into one document.
+scenarios. ``emit_report`` joins the same blocks into one document. A
+report can also be written in shares, each one's blocks apart from the
+others', and closed with ``report_end``: ``stress run`` writes a later
+share in a second process.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
@@ -54,7 +57,9 @@ _ROW = (
 # ASCII-escaped string holds no raw newline, so it occurs once.
 _NO_ROWS = '\n    "rows": []'
 
-_CSV_HEADER = "scenario_id,instrument_id,pd_s,lgd_s,el_s,dv_s\n"
+_CSV_HEADER = b"scenario_id,instrument_id,pd_s,lgd_s,el_s,dv_s\n"
+
+Totals = list[tuple[str, float, float]]  # each entry's (scenario_id, total_el, climate_var)
 
 
 def _number(x: float) -> str:
@@ -138,18 +143,6 @@ def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
     yield "\n    ]" + tail
 
 
-def _json_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
-    opening = "[\n"
-    for result, report in results:
-        yield opening
-        yield from _json_entry(result, report)
-        opening = ",\n"
-        del result, report  # freed before the next result is made
-    if opening == "[\n":  # no entry was written
-        raise ValueError("a report needs at least one result")
-    yield "\n]\n"
-
-
 # A field holding none of these is written bare by csv.writer on every
 # supported Python. NUL is here too: csv.writer's handling of it differs
 # between versions.
@@ -180,35 +173,32 @@ def _csv_rows(result: StressResult) -> Iterator[str]:
         yield text
 
 
-def _csv_blocks(results: Iterable[tuple[StressResult, ExposureReport]]) -> Iterator[str]:
-    totals = []
+def _blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
+            totals: Optional[Totals], first: bool) -> Iterator[bytes]:
+    whole, csv_rows = totals is None, format == "csv"
+    totals = [] if whole else totals
     for result, report in results:
-        if not totals:
+        if not csv_rows:
+            yield b"[\n" if first else b",\n"
+        elif first:
             yield _CSV_HEADER
-        yield from _csv_rows(result)
+        first = False
+        yield from map(_utf8, _csv_rows(result) if csv_rows else _json_entry(result, report))
         totals.append((result.scenario_id, result.total_el, result.climate_var))
         del result, report  # freed before the next result is made
-    if not totals:
-        raise ValueError("a report needs at least one result")
-    yield _csv_lines([
-        [],
-        ["scenario_id", "total_el", "climate_var"],
-        *([scenario_id, f"{total_el:.12g}", f"{climate_var:.12g}"]
-          for scenario_id, total_el, climate_var in totals),
-    ])
+    if whole:
+        yield report_end(totals, format)
 
 
-def _utf8(blocks: Iterable[str]) -> Iterator[bytes]:
+def _utf8(block: str) -> bytes:
     try:
-        for block in blocks:
-            yield block.encode("utf-8")
+        return block.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate in an id
         raise UnencodableText(f"report text is not UTF-8 encodable: {exc}") from None
 
 
-def report_blocks(
-    results: Iterable[tuple[StressResult, ExposureReport]], format: str = "json"
-) -> Iterator[bytes]:
+def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str = "json",
+                  totals: Optional[Totals] = None, first: bool = True) -> Iterator[bytes]:
     """The report, one entry per scenario in input order, as encoded blocks.
 
     ``results`` is read one pair at a time, and each pair is unreachable
@@ -217,12 +207,28 @@ def report_blocks(
     caller one block of text. Raises ``ValueError`` for an unknown format
     now, and for an empty ``results`` once it is exhausted; CSV raises
     ``UnencodableText`` for an id that UTF-8 cannot encode.
+
+    Given a ``totals`` list, the blocks are one share of a report, which
+    ``report_end`` ends: each result's (scenario_id, total_el, climate_var)
+    goes to ``totals``. A share not ``first`` follows entries already written.
     """
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown format {format!r}")
+    return _blocks(results, format, totals, first)
+
+
+def report_end(totals: Totals, format: str = "json") -> bytes:
+    """What ends a report whose entries' totals, in input order, are ``totals``."""
+    if not totals:
+        raise ValueError("a report needs at least one result")
     if format == "json":
-        return (block.encode("ascii") for block in _json_blocks(results))
-    if format == "csv":
-        return _utf8(_csv_blocks(results))
-    raise ValueError(f"unknown format {format!r}")
+        return b"\n]\n"
+    return _utf8(_csv_lines([
+        [],
+        ["scenario_id", "total_el", "climate_var"],
+        *([scenario_id, f"{total_el:.12g}", f"{climate_var:.12g}"]
+          for scenario_id, total_el, climate_var in totals),
+    ]))
 
 
 def emit_report(

@@ -108,6 +108,23 @@ def test_a_hand_built_column_written_after_a_run_does_not_reach_a_report():
         run_scenario(_link(columns), _SCENARIO)
 
 
+def test_the_linked_fragility_cannot_be_written_after_a_run(tmp_path):
+    # cli_json's inputs: gen.py seed 1, 15,000 instruments, 50 geo units, 5 sectors. A write
+    # to the fragility column that codes checked once used to reach the next run: its
+    # total_el went to 13,232,301,303.17 with no error.
+    linked = _load_linked(gen.generate(str(tmp_path), 1, 15_000, 50, 5)["paths"])
+    before = run_scenario(linked, _SCENARIO)[0].total_el
+    assert f"{before:,.2f}" == "13,489,757,035.15"
+    with pytest.raises(TypeError):
+        linked.codes.contexts.fragility[0] = -1e6
+    assert type(linked.codes.contexts.fragility.obj) is bytes  # nothing writable behind it
+    assert run_scenario(linked, _SCENARIO)[0].total_el == before
+    copy = _copy(linked)  # pickled with its codes: the copy's column is read-only as well
+    with pytest.raises(TypeError):
+        copy.codes.contexts.fragility[0] = -1e6
+    assert run_scenario(copy, _SCENARIO)[0].total_el == before
+
+
 def test_codes_test_only_the_number_columns_no_load_checked(paths, monkeypatch):
     tested = []
     check = ingest._check_columns

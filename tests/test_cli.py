@@ -334,6 +334,7 @@ class TestStreaming:
             return pair
 
         monkeypatch.setattr(cli, "run_scenario", watched)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # one process: every scenario here
         code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
         assert code == 0
         assert dropped == [True, True, True]
@@ -591,6 +592,7 @@ class TestCollectorState:
                 return _step(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, watched)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # one process: every scenario here
         if command == "load-error":
             fixture_files["hazards"].write_bytes(b"geo_id,hazard,intensity\ng1,smog,1\n")
         if command == "run":
