@@ -13,10 +13,12 @@ A stdout whose reader is gone (``stress run ... | true``) exits 2 with
 ``stress run`` evaluates one scenario at a time and streams its part of
 the report into a temporary file beside ``--out``, which replaces
 ``--out`` only when the whole report is written, so a failed run never
-leaves a partial report behind. Given two usable CPUs and two or more
-scenarios, it forks one worker after the link, which writes the later
-half's part into a nameless file beside ``--out`` that is then copied in;
-the report, the summary and any error line are a one-process run's.
+leaves a partial report behind. Given two usable CPUs, ``run`` and
+``validate`` fork a load worker, which loads and links the side tables
+while the portfolio is read; with two or more scenarios, ``run`` forks one
+more after the link, which writes the later half's part into a nameless
+file beside ``--out`` that is then copied in. The report, the summary and
+any error line are a one-process run's.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import marshal
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from array import array
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ScenarioParseError, StressError
 from .ingest import (
@@ -43,6 +47,7 @@ from .ingest import (
     load_hazard_table,
     load_portfolio,
 )
+from .model import CHANNEL_BY_TOKEN, Portfolio
 from .pipeline import run_scenario
 from .report import Totals, report_blocks, report_end
 from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_scenario
@@ -50,19 +55,48 @@ from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_sc
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+_TOKENS = {channel: token for token, channel in CHANNEL_BY_TOKEN.items()}  # not Enum.value: slow
+
+
+def _side_tables(args: argparse.Namespace) -> Iterator:
+    """The three side tables in order, each loaded from its file when it is asked for."""
+    for path, load in ((args.hazards, load_hazard_table), (args.fragility, load_fragility),
+                       (args.geounits, load_geounits)):
+        with open(path, "rb") as fh:
+            yield load(fh, filename=path)
+
+
+def _side_steps(geo_ids: Sequence[str], tables: Iterable) -> list:
+    """The three side steps in order, each on the next table, dropped before the next is read."""
+    return list(map(lambda table, link: link(geo_ids, table), tables,
+                    (link_hazards, link_fragility, link_channels)))
 
 
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
-    """Load the portfolio, then link each side table as it is read: one is alive at a time."""
-    with open(args.portfolio, "rb") as fh:
-        portfolio = load_portfolio(fh, filename=args.portfolio)
-    with open(args.hazards, "rb") as fh:
-        hazards = link_hazards(portfolio, load_hazard_table(fh, filename=args.hazards))
-    with open(args.fragility, "rb") as fh:
-        fragility = link_fragility(portfolio, load_fragility(fh, filename=args.fragility))
-    with open(args.geounits, "rb") as fh:
-        channels = link_channels(portfolio, load_geounits(fh, filename=args.geounits))
-    return link_resolved(portfolio, hazards, fragility, channels)
+    """Load the portfolio, then link each side table to its distinct geo ids. Given ``os.fork``
+    and two usable CPUs, a forked worker loads all three and links them meanwhile; if it fails,
+    the side steps run here after the portfolio, so the first error is one process's."""
+    def worker(receive: Callable[[], Sequence[str]]) -> tuple:
+        # A FIFO or a terminal is not even opened: the side steps' rerun here reads its bytes.
+        if not all(stat.S_ISREG(os.stat(path).st_mode)
+                   for path in (args.hazards, args.fragility, args.geounits)):
+            os._exit(1)
+        tables = list(_side_tables(args))
+        # Each table is dropped after its step, the hazards (most of the peak) first.
+        hazards, fragility, channels = _side_steps(receive(), (tables.pop(0) for _ in range(3)))
+        return (*hazards, fragility, list(map(_TOKENS.get, channels)))
+
+    def here() -> tuple[Portfolio, Sequence[str]]:
+        with open(args.portfolio, "rb") as fh:
+            portfolio = load_portfolio(fh, filename=args.portfolio)
+        return portfolio, vars(portfolio)["instruments"].geo_ids
+
+    (portfolio, geo_ids), linked = _forked(worker, here)
+    if linked is None:  # in order, one table alive at a time: the first error is one process's
+        return link_resolved(portfolio, *_side_steps(geo_ids, _side_tables(args)))
+    *floats, tokens = (array("d", c) if type(c) is bytes else c for c in linked)
+    return link_resolved(portfolio, tuple(floats[:-1]), floats[-1],
+                         list(map(CHANNEL_BY_TOKEN.get, tokens)))
 
 
 def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
@@ -117,52 +151,73 @@ def _usable_cpus() -> int:
 def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
                  args: argparse.Namespace, first: bool = True) -> Totals:
     """Evaluate ``scenarios`` in order and write their part of the report to ``out``, each
-    result freed before the next runs; return their (scenario_id, total_el, climate_var)."""
+    result freed before the next runs, and flush it (a worker leaves through ``os._exit``);
+    return their (scenario_id, total_el, climate_var)."""
     totals: Totals = []
     results = (run_scenario(linked, scenario, top_k=args.top_k) for scenario in scenarios)
     out.writelines(report_blocks(results, args.format, totals, first))
+    out.flush()
     return totals
+
+
+def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[], tuple]) -> tuple:
+    """Call ``here()`` while a forked worker calls ``work(receive)``; ``receive()`` returns the
+    last item of what ``here`` returned. Return what ``here`` returned and what ``work`` did,
+    sent back by marshal: None if it failed or no worker could be had (no ``os.fork``, one
+    usable CPU, a failed fork). The worker leaves only through ``os._exit``, never into the
+    caller's stack; if ``here`` fails, the worker is killed and reaped before it goes on."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return here(), None
+    (sent_in, sent_out), (reply_in, reply_out) = os.pipe(), os.pipe()
+    with open(sent_out, "wb") as sent, open(reply_in, "rb") as reply, \
+            open(sent_in, "rb") as received, open(reply_out, "wb") as replied:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had (a process limit, no memory): run on one
+            return here(), None
+        if not pid:
+            try:
+                sent.close(), reply.close()  # else a parent gone leaves the worker waiting
+                replied.write(marshal.dumps(work(lambda: marshal.loads(received.read()))))
+                replied.close()  # the parent reads to EOF, which exiting would delay
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        received.close(), replied.close()  # else no EOF comes
+        try:
+            mine = here()
+            with contextlib.suppress(BrokenPipeError), sent:  # the worker is gone: it failed
+                sent.write(marshal.dumps(mine[-1]))
+            data, status = reply.read(), os.waitpid(pid, 0)[1]
+        except BaseException:
+            import signal  # only a failure needs it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    with contextlib.suppress(EOFError, ValueError, TypeError):  # a short or spoiled reply
+        return mine, None if status else marshal.loads(data)
+    return mine, None
 
 
 def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
                   args: argparse.Namespace) -> Totals:
     """Write every scenario's part of the report to ``out``; return their totals in order.
     Given ``os.fork``, two usable CPUs and two or more scenarios, a forked worker writes the
-    later half's part and totals into a part file; if it fails, its share runs here again."""
+    later half's part into a part file; if it fails, its share runs here again."""
     linked.codes  # every check that needs no scenario, once, before any fork
     later = scenarios[len(scenarios) - len(scenarios) // 2:]
     if not later or not hasattr(os, "fork") or _usable_cpus() < 2:
         return _write_share(out, linked, scenarios, args)
     directory = os.path.dirname(os.path.abspath(args.out))
     with tempfile.TemporaryFile(dir=directory, prefix=".stress-") as part:  # it has no name
-        try:
-            pid = os.fork()
-        except OSError:  # no process to be had (a process limit, no memory): run on one
-            return _write_share(out, linked, scenarios, args)
-        if not pid:  # the worker leaves through os._exit: never into the caller's stack
-            try:
-                totals = _write_share(part, linked, later, args, first=False)
-                part.write(array("d", [x for _, *pair in totals for x in pair]))
-                part.flush()
-            except BaseException:
-                os._exit(1)
-            os._exit(0)
-        try:
-            totals = _write_share(out, linked, scenarios[:-len(later)], args)
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            import signal  # only a failed share needs it
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if status:
+        earlier = scenarios[:-len(later)]
+        (totals, _), rest = _forked(lambda _: _write_share(part, linked, later, args, first=False),
+                                    lambda: (_write_share(out, linked, earlier, args), None))
+        if rest is None:  # the worker failed, or none could be forked
             return totals + _write_share(out, linked, later, args, first=False)
-        size = part.seek(-16 * len(later), os.SEEK_END)
-        values = array("d", part.read())
-        part.truncate(size)
         part.seek(0)
         shutil.copyfileobj(part, out, 1 << 16)  # larger reads raise the peak RSS
-    return totals + list(zip([scenario.id for scenario in later], values[::2], values[1::2]))
+    return totals + rest
 
 
 def run(args: argparse.Namespace) -> int:

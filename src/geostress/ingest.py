@@ -14,8 +14,10 @@ covers ``repr`` of every finite float: no surrounding whitespace, no
 underscores, no other digits. A geo unit used by any instrument must
 carry all four hazard types and a fragility entry; truly absent hazards
 are encoded as explicit 0.0 rows. Files are checked by column, in chunks.
-The link is one step per side table, each a lookup of the distinct geo
-ids into float arrays, then ``link_resolved``, the only one that raises.
+The link is one step per side table, each a lookup of the portfolio's
+distinct geo ids into float arrays (the ids are all a step reads, so a
+process without the portfolio can run it), then ``link_resolved``, the
+only one that raises.
 """
 
 from __future__ import annotations
@@ -474,23 +476,22 @@ def _resolved(found: list) -> _Column:
     return found if None in found else array("d", found)  # unboxed, unless it holds a gap
 
 
-def link_hazards(portfolio: Portfolio, hazards: HazardField) -> tuple[_Column, ...]:
+def link_hazards(geo_ids: Sequence[str], hazards: HazardField) -> tuple[_Column, ...]:
     """The first link step: each distinct geo id's four baselines, a column per type."""
     # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
-    found = list(map(hazards.entries.get, product(vars(portfolio)["instruments"].geo_ids,
-                                                  HAZARD_TYPES)))
+    found = list(map(hazards.entries.get, product(geo_ids, HAZARD_TYPES)))
     return tuple(_resolved(found[k::len(HAZARD_TYPES)]) for k in range(len(HAZARD_TYPES)))
 
 
-def link_fragility(portfolio: Portfolio, fragility: FragilityTable) -> _Column:
+def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column:
     """The second link step: each distinct geo id's fragility."""
-    return _resolved(list(map(fragility.entries.get, vars(portfolio)["instruments"].geo_ids)))
+    return _resolved(list(map(fragility.entries.get, geo_ids)))
 
 
-def link_channels(portfolio: Portfolio, registry: Sequence[GeoUnit]) -> list[Optional[Channel]]:
+def link_channels(geo_ids: Sequence[str], registry: Sequence[GeoUnit]) -> list[Optional[Channel]]:
     """The third link step: each distinct geo id's registry channel, None if unregistered."""
     by_geo = {unit.id: unit.channel for unit in registry}
-    return list(map(by_geo.get, vars(portfolio)["instruments"].geo_ids))
+    return list(map(by_geo.get, geo_ids))
 
 
 def link_resolved(portfolio: Portfolio, hazards: tuple[_Column, ...], fragility: _Column,
@@ -523,5 +524,6 @@ def link_exposures(portfolio: Portfolio, hazards: HazardField, fragility: Fragil
     Order-preserving and deterministic; never alters any instrument numeric field. Every
     referenced geo unit needs all four hazard types and a fragility entry. Only the last
     step raises, so ``stress run`` drops each table after its step, with the same errors."""
-    return link_resolved(portfolio, link_hazards(portfolio, hazards),
-                         link_fragility(portfolio, fragility), link_channels(portfolio, registry))
+    geo_ids = vars(portfolio)["instruments"].geo_ids
+    return link_resolved(portfolio, link_hazards(geo_ids, hazards),
+                         link_fragility(geo_ids, fragility), link_channels(geo_ids, registry))

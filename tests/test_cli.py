@@ -707,6 +707,7 @@ def test_each_side_table_is_freed_before_the_next_file_is_read(
         return linked
 
     monkeypatch.setattr(cli, "_load_linked", load_linked)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # one process: every table here
     if command == "run":
         assert run_cli(fixture_files, tmp_path, "--builtin", "all")[0] == 0
     else:
@@ -714,3 +715,36 @@ def test_each_side_table_is_freed_before_the_next_file_is_read(
     capsys.readouterr()
     assert alive == {"load_portfolio": [], "load_hazard_table": [], "load_fragility": [False],
                      "load_geounits": [False, False], "_load_linked": [False, False, False]}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_on_two_cpus_the_parent_loads_and_links_no_side_table(
+    command, fixture_files, tmp_path, monkeypatch, capsys
+):
+    """The two-CPU twin of the test above: the load worker loads and links the side
+    tables, and the parent calls only the portfolio loader and ``link_resolved``."""
+    parent, here, seen = os.getpid(), [], tmp_path / "worker.txt"
+
+    def watched(step):
+        def call(*args, **kwargs):
+            if os.getpid() == parent:
+                here.append(step.__name__)
+            else:
+                with open(seen, "a", encoding="ascii") as fh:
+                    fh.write(step.__name__ + "\n")
+            return step(*args, **kwargs)
+        return call
+
+    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_geounits",
+                 "link_hazards", "link_fragility", "link_channels", "link_resolved"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if command == "run":
+        assert run_cli(fixture_files, tmp_path, "--builtin", "physical")[0] == 0
+    else:
+        assert main(validate_argv(fixture_files)) == 0
+    capsys.readouterr()
+    assert here == ["load_portfolio", "link_resolved"]
+    assert seen.read_text(encoding="ascii").split() == [
+        "load_hazard_table", "load_fragility", "load_geounits",
+        "link_hazards", "link_fragility", "link_channels"]

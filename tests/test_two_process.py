@@ -1,6 +1,8 @@
 """``stress run`` on two processes: given two usable CPUs and two or more
 scenarios, a forked worker evaluates the later half of the scenarios and
 writes their part of the report, while the parent writes the first half.
+Before that, the load worker (``test_load_worker``) links the side tables:
+two usable CPUs fork one more process.
 The report bytes, stdout, stderr and exit code are those of the same run on
 one process, and neither the worker nor its part file outlives the run.
 
@@ -97,7 +99,7 @@ def test_two_processes_write_the_one_process_report(
         out = tmp_path / f"{cpus}.{format}"
         code, stdout, stderr, forks = _run(_argv(inputs, out, count, format), cpus,
                                            monkeypatch, capsys)
-        assert (code, stderr, forks) == (0, "", cpus - 1)
+        assert (code, stderr, forks) == (0, "", 2 * (cpus - 1))  # the load worker too
         runs[cpus] = (stdout, out.read_bytes(), list(evaluated))
         _assert_nothing_left(tmp_path)
     (one_out, one_report, everything), (two_out, two_report, first_half) = runs[1], runs[2]
@@ -106,12 +108,12 @@ def test_two_processes_write_the_one_process_report(
     assert first_half == everything[:(count + 1) // 2]  # the parent's share
 
 
-def test_one_scenario_forks_nothing(inputs, tmp_path, monkeypatch, capsys):
+def test_one_scenario_forks_only_the_load_worker(inputs, tmp_path, monkeypatch, capsys):
     argv = _argv(inputs, tmp_path / "r.json")
     argv[argv.index("--builtin") + 1] = "physical"
     argv = argv[:argv.index("--scenario")]
     code, _, _, forks = _run(argv, 2, monkeypatch, capsys)
-    assert (code, forks) == (0, 0)
+    assert (code, forks) == (0, 1)
 
 
 def test_a_fork_that_fails_leaves_the_run_on_one_process(inputs, tmp_path, monkeypatch, capsys):
@@ -150,7 +152,7 @@ def test_a_failing_share_fails_as_one_process_does(
     out = tmp_path / f"report.{format}"
     for cpus in (1, 2):
         outcome = _run(_argv(inputs, out, 4, format), cpus, monkeypatch, capsys)
-        assert outcome == (exit_code, "", stderr, cpus - 1)
+        assert outcome == (exit_code, "", stderr, 2 * (cpus - 1))
         assert not out.exists()
         _assert_nothing_left(tmp_path)
 
@@ -224,7 +226,7 @@ def test_two_processes_leave_the_collector_as_they_found_it(
 
     monkeypatch.setattr(cli, "run_scenario", watched)
     code, _, _, forks = _run(_argv(inputs, tmp_path / "r.json"), 2, monkeypatch, capsys)
-    assert (code, forks) == (0, 1)
+    assert (code, forks) == (0, 2)
     assert gc.isenabled() is collector
     assert during == [False, False]
     assert seen.read_text(encoding="ascii") == "False\nFalse\n"
