@@ -29,11 +29,10 @@ import gc
 import marshal
 import os
 import shutil
-import stat
 import sys
 import tempfile
 from array import array
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import ScenarioParseError, StressError
 from .ingest import (
@@ -66,36 +65,39 @@ def _side_tables(args: argparse.Namespace) -> Iterator:
             yield load(fh, filename=path)
 
 
-def _side_steps(geo_ids: Sequence[str], tables: Iterable) -> list:
-    """The three side steps in order, each on the next table, dropped before the next is read."""
-    return list(map(lambda table, link: link(geo_ids, table), tables,
-                    (link_hazards, link_fragility, link_channels)))
+def _column(linked: Any) -> Any:
+    """A float column as the load worker sent it: an array as its bytes, a gap as a list."""
+    return array("d", linked) if type(linked) is bytes else linked
 
 
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
-    """Load the portfolio, then link each side table to its distinct geo ids. Given ``os.fork``
-    and two usable CPUs, a forked worker loads all three and links them meanwhile; if it fails,
-    the side steps run here after the portfolio, so the first error is one process's."""
+    """Load the portfolio, then link each side table to its distinct geo ids. A load worker
+    (see ``_forked``) loads and links the side tables meanwhile; if it fails, they are linked
+    here after the portfolio, one alive at a time, so the first error is one process's."""
     def worker(receive: Callable[[], Sequence[str]]) -> tuple:
-        # A FIFO or a terminal is not even opened: the side steps' rerun here reads its bytes.
-        if not all(stat.S_ISREG(os.stat(path).st_mode)
-                   for path in (args.hazards, args.fragility, args.geounits)):
+        # A FIFO or a terminal is not even opened: the parent's rerun reads its bytes.
+        if not all(map(os.path.isfile, (args.hazards, args.fragility, args.geounits))):
             os._exit(1)
-        tables = list(_side_tables(args))
-        # Each table is dropped after its step, the hazards (most of the peak) first.
-        hazards, fragility, channels = _side_steps(receive(), (tables.pop(0) for _ in range(3)))
-        return (*hazards, fragility, list(map(_TOKENS.get, channels)))
+        hazards, fragility, registry = _side_tables(args)  # while the portfolio is read
+        geo_ids = receive()
+        hazards = link_hazards(geo_ids, hazards)  # each table is dropped after its step,
+        fragility = link_fragility(geo_ids, fragility)  # the hazards (most of the peak) first
+        return hazards, fragility, list(map(_TOKENS.get, link_channels(geo_ids, registry)))
 
-    def here() -> tuple[Portfolio, Sequence[str]]:
+    def here(send: Callable[[Sequence[str]], None]) -> Portfolio:
         with open(args.portfolio, "rb") as fh:
             portfolio = load_portfolio(fh, filename=args.portfolio)
-        return portfolio, vars(portfolio)["instruments"].geo_ids
+        send(vars(portfolio)["instruments"].geo_ids)
+        return portfolio
 
-    (portfolio, geo_ids), linked = _forked(worker, here)
-    if linked is None:  # in order, one table alive at a time: the first error is one process's
-        return link_resolved(portfolio, *_side_steps(geo_ids, _side_tables(args)))
-    *floats, tokens = (array("d", c) if type(c) is bytes else c for c in linked)
-    return link_resolved(portfolio, tuple(floats[:-1]), floats[-1],
+    portfolio, linked = _forked(worker, here)
+    if linked is None:
+        tables, geo_ids = _side_tables(args), vars(portfolio)["instruments"].geo_ids
+        return link_resolved(portfolio, link_hazards(geo_ids, next(tables)),
+                             link_fragility(geo_ids, next(tables)),
+                             link_channels(geo_ids, next(tables)))
+    hazards, fragility, tokens = linked
+    return link_resolved(portfolio, tuple(map(_column, hazards)), _column(fragility),
                          list(map(CHANNEL_BY_TOKEN.get, tokens)))
 
 
@@ -144,7 +146,7 @@ def _write_atomic(path: str) -> Iterator[BinaryIO]:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: the one probe behind a run's worker."""
+    """The CPUs this process may run on: the one probe behind a run's workers."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -160,21 +162,21 @@ def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Sce
     return totals
 
 
-def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[], tuple]) -> tuple:
-    """Call ``here()`` while a forked worker calls ``work(receive)``; ``receive()`` returns the
-    last item of what ``here`` returned. Return what ``here`` returned and what ``work`` did,
-    sent back by marshal: None if it failed or no worker could be had (no ``os.fork``, one
-    usable CPU, a failed fork). The worker leaves only through ``os._exit``, never into the
-    caller's stack; if ``here`` fails, the worker is killed and reaped before it goes on."""
+def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable], Any]) -> tuple:
+    """Call ``here(send)`` while a forked worker calls ``work(receive)``: ``receive()`` returns
+    what ``here`` passed to ``send``. Return what ``here`` returned, and what ``work`` did, sent
+    back by marshal, or None if it failed or none was forked: a worker is forked only given
+    ``os.fork`` and two usable CPUs. It leaves only through ``os._exit``; if ``here`` raises,
+    it is killed and reaped."""
     if not hasattr(os, "fork") or _usable_cpus() < 2:
-        return here(), None
+        return here(lambda message: None), None
     (sent_in, sent_out), (reply_in, reply_out) = os.pipe(), os.pipe()
     with open(sent_out, "wb") as sent, open(reply_in, "rb") as reply, \
             open(sent_in, "rb") as received, open(reply_out, "wb") as replied:
         try:
             pid = os.fork()
         except OSError:  # no process to be had (a process limit, no memory): run on one
-            return here(), None
+            return here(lambda message: None), None
         if not pid:
             try:
                 sent.close(), reply.close()  # else a parent gone leaves the worker waiting
@@ -184,10 +186,13 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[], tuple])
                 os._exit(1)
             os._exit(0)
         received.close(), replied.close()  # else no EOF comes
-        try:
-            mine = here()
+
+        def send(message: Any) -> None:
             with contextlib.suppress(BrokenPipeError), sent:  # the worker is gone: it failed
-                sent.write(marshal.dumps(mine[-1]))
+                sent.write(marshal.dumps(message))
+
+        try:
+            mine = here(send)
             data, status = reply.read(), os.waitpid(pid, 0)[1]
         except BaseException:
             import signal  # only a failure needs it
@@ -202,17 +207,17 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[], tuple])
 def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
                   args: argparse.Namespace) -> Totals:
     """Write every scenario's part of the report to ``out``; return their totals in order.
-    Given ``os.fork``, two usable CPUs and two or more scenarios, a forked worker writes the
-    later half's part into a part file; if it fails, its share runs here again."""
+    With two or more scenarios, a worker (see ``_forked``) writes the later half's part into
+    a part file; if it fails, its share runs here again."""
     linked.codes  # every check that needs no scenario, once, before any fork
     later = scenarios[len(scenarios) - len(scenarios) // 2:]
-    if not later or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if not later:
         return _write_share(out, linked, scenarios, args)
     directory = os.path.dirname(os.path.abspath(args.out))
     with tempfile.TemporaryFile(dir=directory, prefix=".stress-") as part:  # it has no name
         earlier = scenarios[:-len(later)]
-        (totals, _), rest = _forked(lambda _: _write_share(part, linked, later, args, first=False),
-                                    lambda: (_write_share(out, linked, earlier, args), None))
+        totals, rest = _forked(lambda _: _write_share(part, linked, later, args, first=False),
+                               lambda _: _write_share(out, linked, earlier, args))
         if rest is None:  # the worker failed, or none could be forked
             return totals + _write_share(out, linked, later, args, first=False)
         part.seek(0)

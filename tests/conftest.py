@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 
 import pytest
 
@@ -19,6 +20,7 @@ from geostress import (
     Portfolio,
     link_exposures,
 )
+from geostress import cli
 from geostress.errors import MalformedRow, SchemaMismatch
 
 GEO_CHANNELS = {
@@ -131,6 +133,44 @@ def fixture_files(tmp_path):
         path.write_bytes(data)
         paths[name.split(".")[0]] = path
     return paths
+
+
+def _open_fds():
+    """This process's open file descriptors (Linux), or None where that is not known."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture
+def pinned(monkeypatch, tmp_path):
+    """``pinned(cpus, command, *args)``: call ``command(*args)`` with ``cpus`` usable CPUs
+    (through ``cli._usable_cpus``), and check that it forked a worker only given two, and
+    left no child, no open descriptor and no ``.stress-`` file under ``tmp_path``.
+    ``pinned.forked`` holds the pids of the workers the last command forked."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def run(cpus, command, *args):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        forked.clear()
+        before = _open_fds()
+        try:
+            return command(*args)
+        finally:
+            assert _open_fds() == before
+            assert not list(tmp_path.glob("**/.stress-*"))
+            with pytest.raises(ChildProcessError):  # no child, running or unreaped
+                os.waitpid(-1, os.WNOHANG)
+            assert bool(forked) == (cpus > 1)  # the load worker, at least
+
+    run.forked = forked
+    return run
 
 
 def as_stream(data: bytes) -> io.BytesIO:

@@ -664,21 +664,24 @@ MULTI_FAULT = {
 }
 
 
+@pytest.mark.parametrize("cpus", [1, 2])  # on two, the load worker links the side tables
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize("case", MULTI_FAULT)
-def test_the_first_of_several_faults_is_named(case, command, fixture_files, tmp_path, capsys):
+def test_the_first_of_several_faults_is_named(
+    case, command, cpus, pinned, fixture_files, tmp_path, capfd
+):
     rows, baselines, fragility, registry, line = MULTI_FAULT[case]
     fixture_files["portfolio"].write_bytes(portfolio_csv(rows))
     fixture_files["hazards"].write_bytes(hazards_csv(baselines))
     fixture_files["fragility"].write_bytes(fragility_csv(fragility))
     fixture_files["geounits"].write_bytes(registry)
     if command == "run":
-        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        code, out = pinned(cpus, run_cli, fixture_files, tmp_path, "--builtin", "all")
         assert not out.exists()
     else:
-        code = main(validate_argv(fixture_files))
+        code = pinned(cpus, main, validate_argv(fixture_files))
     assert code == 2
-    out, err = capsys.readouterr()
+    out, err = capfd.readouterr()  # at the descriptors, where a worker's write would show
     assert (out, err.replace(f"{tmp_path}{os.sep}", "")) == ("", line)
 
 

@@ -4,9 +4,10 @@ while the parent reads the portfolio. Whatever the worker does, the exit
 code, stdout, stderr and report are those of the same command on one CPU,
 and no child, pipe, report or ``.stress-`` file outlives the command.
 
-Each case runs under one and under two usable CPUs, set through
-``cli._usable_cpus``, so that both paths run on any host. Output is captured
-at the file descriptors, so a write by the worker would show.
+Each case runs under one and under two usable CPUs through the ``pinned``
+fixture, so that both paths run on any host; ``test_cli`` runs its
+several-fault inputs the same way. Output is captured at the file
+descriptors, so a write by the worker would show.
 """
 
 import marshal
@@ -18,53 +19,16 @@ import types
 
 import pytest
 
-from conftest import fragility_csv, hazards_csv, portfolio_csv
 from geostress import cli
 from geostress.cli import main
-from test_cli import MULTI_FAULT, run_cli, validate_argv
+from test_cli import run_cli, validate_argv
 from test_golden import ERROR_CASES, generate, observe_error
 
 COMMANDS = ["run", "validate"]
 
 
-def _open_fds():
-    """This process's open file descriptors (Linux), or None where that is not known."""
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
 def _in_worker(parent):
     return os.getpid() != parent
-
-
-@pytest.fixture
-def pinned(monkeypatch, tmp_path):
-    """Run a command with a given number of usable CPUs, and check that it forked a worker
-    only with two and left no child, no open descriptor and no ``.stress-`` file."""
-    forked = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        forked.extend([pid] if pid else [])
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-
-    def run(cpus, command, *args):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        forked.clear()
-        before = _open_fds()
-        try:
-            return command(*args)
-        finally:
-            assert _open_fds() == before
-            assert not list(tmp_path.glob("**/.stress-*"))
-            with pytest.raises(ChildProcessError):  # no child, running or unreaped
-                os.waitpid(-1, os.WNOHANG)
-            assert bool(forked) == (cpus > 1)  # the load worker, at least
-
-    run.forked = forked
-    return run
 
 
 def _command(command, fixture_files, tmp_path, capfd):
@@ -92,25 +56,12 @@ def cli_json_inputs(tmp_path_factory):
     return generate("cli_json", str(tmp_path_factory.mktemp("load-worker")))
 
 
+# test_golden runs these cases on the host's CPUs only; here each runs under one and two.
 @pytest.mark.parametrize("case", list(ERROR_CASES))
 def test_rejected_inputs_fail_as_on_one_cpu(cli_json_inputs, pinned, tmp_path, case):
     one = pinned(1, observe_error, case, cli_json_inputs, str(tmp_path))
     two = pinned(2, observe_error, case, cli_json_inputs, str(tmp_path))
     assert two == one and one["exit"] == 2
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("case", MULTI_FAULT)
-def test_the_first_of_several_faults_is_named_as_on_one_cpu(
-    pinned, fixture_files, tmp_path, capfd, case, command
-):
-    rows, baselines, fragility, registry, line = MULTI_FAULT[case]
-    fixture_files["portfolio"].write_bytes(portfolio_csv(rows))
-    fixture_files["hazards"].write_bytes(hazards_csv(baselines))
-    fixture_files["fragility"].write_bytes(fragility_csv(fragility))
-    fixture_files["geounits"].write_bytes(registry)
-    code, out, err, report = _parity(pinned, command, fixture_files, tmp_path, capfd)
-    assert (code, out, err.replace(f"{tmp_path}{os.sep}", ""), report) == (2, "", line, None)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
