@@ -31,7 +31,6 @@ import os
 import shutil
 import sys
 import tempfile
-from array import array
 from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import ScenarioParseError, StressError
@@ -66,8 +65,8 @@ def _side_tables(args: argparse.Namespace) -> Iterator:
 
 
 def _column(linked: Any) -> Any:
-    """A float column as the load worker sent it: an array as its bytes, a gap as a list."""
-    return array("d", linked) if type(linked) is bytes else linked
+    """A float column as the load worker sent it: its bytes, viewed read-only, or a gap's list."""
+    return memoryview(linked).cast("d") if type(linked) is bytes else linked
 
 
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
@@ -97,8 +96,8 @@ def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
                              link_fragility(geo_ids, next(tables)),
                              link_channels(geo_ids, next(tables)))
     hazards, fragility, tokens = linked
-    return link_resolved(portfolio, tuple(map(_column, hazards)), _column(fragility),
-                         list(map(CHANNEL_BY_TOKEN.get, tokens)))
+    return link_resolved(portfolio, _column(hazards), _column(fragility),
+                         tuple(map(CHANNEL_BY_TOKEN.get, tokens)))
 
 
 def _load_scenarios(args: argparse.Namespace) -> list[Scenario]:
@@ -302,7 +301,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError as exc:  # an OSError, so first
         # As the Python docs advise for SIGPIPE: stdout to devnull, so that
         # the flush at exit succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:  # closed once stdout is a copy of it
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (StressError, OSError) as exc:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product, repeat
 from math import isfinite
+from operator import is_
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -65,7 +66,6 @@ from .model import (
     _check_weights,
     _codes,
     _in_domain,
-    _passed,
     _read_only,
     hhi,
     normalize_weights,
@@ -90,29 +90,29 @@ class ExposureContext:
 
 
 class ContextColumns(NamedTuple):
-    """Contexts as columns, one entry per context (``hazards`` in ``HAZARD_TYPES`` order; a
-    float array, or a list with None for a context that lacks it), and each row's context
-    code (linked: its geo code)."""
+    """Contexts as columns: ``hazards`` holds each context's four baselines in ``HAZARD_TYPES``
+    order, context after context (a float column, or a list with None at a gap), ``fragility``
+    and ``channel`` one entry per context, and ``codes`` each row's (linked: its geo code)."""
 
-    hazards: tuple[Sequence[Optional[float]], ...]
+    hazards: Sequence[Optional[float]]
     fragility: Sequence[float]
     channel: Sequence[Channel]
-    codes: list[int]
+    codes: Sequence[int]
 
     @classmethod
     def of(cls, contexts: Sequence[ExposureContext]) -> ContextColumns:
         """Contexts as columns, each distinct object once, in first-appearance order."""
         _, codes = _codes(list(map(id, contexts)))
         distinct = tuple(dict(zip(map(id, contexts), contexts)).values())
-        hazards = ([c.baseline_hazards.get(h) for c in distinct] for h in HAZARD_TYPES)
-        return cls(tuple(map(_resolved, hazards)), _resolved([c.fragility for c in distinct]),
-                   [c.channel for c in distinct], codes)
+        hazards = [c.baseline_hazards.get(h) for c in distinct for h in HAZARD_TYPES]
+        return cls(_resolved(hazards), _resolved([c.fragility for c in distinct]),
+                   tuple(c.channel for c in distinct), codes)
 
-    __reduce__ = InstrumentColumns.__reduce__  # a read-only fragility column as its bytes
+    __reduce__ = InstrumentColumns.__reduce__  # a read-only column as its bytes
 
     def rows(self) -> tuple[ExposureContext, ...]:
         baselines = ({h: v for h, v in zip(HAZARD_TYPES, values) if v is not None}
-                     for values in zip(*self.hazards))
+                     for values in _per_context(self.hazards))
         contexts = list(map(ExposureContext, baselines, self.fragility, self.channel))
         return tuple(map(contexts.__getitem__, self.codes))
 
@@ -128,16 +128,16 @@ class LinkCodes:
     (context, sector) pairs that occur, as sorted keys ``context_code *
     len(columns.sectors) + sector_code``; ``pair_codes`` and ``channel_codes``
     index ``pairs`` and the first-appearance channel tags per row. ``geo_ead``
-    is the EAD summed per geo code in row order.
+    is the EAD summed per geo code in row order. All are tuples or read-only.
     """
 
     columns: InstrumentColumns
     weights: tuple[float, ...]
     contexts: ContextColumns
     pairs: tuple[int, ...]
-    pair_codes: list[int]
+    pair_codes: tuple[int, ...]
     channels: tuple[str, ...]
-    channel_codes: list[int]
+    channel_codes: tuple[int, ...]
     geo_ead: tuple[float, ...]
 
     @cached_property
@@ -162,38 +162,40 @@ class LinkedPortfolio:
         types, alignment, weights, each instrument's fields (by column, and
         row by row only to name a fault), each context's fragility, and a
         row with nonzero pd0, lgd0 and ead (without one, every EL is 0); a
-        failure caches nothing. What ``normalize_weights`` or
-        ``load_portfolio`` checked (``model._CHECKED``) is not checked again;
-        number columns that could be written are copied read-only, so no
-        later write reaches a scenario. ``dataclasses.replace`` builds a new
-        object, so the codes never outlive the fields.
+        failure caches nothing. Only the number columns that ``load_portfolio``
+        checked (``model._CHECKED``) are not checked again. Every sequence held
+        is a tuple or a read-only column (``model._read_only``), copied only if
+        it was made writable, so no later write reaches a scenario.
+        ``dataclasses.replace`` builds a new object, so the codes never outlive
+        the fields.
         """
         columns, weights = vars(self.portfolio)["instruments"], self.portfolio.weights
         contexts = vars(self)["contexts"]
-        # A hand-built context may lack a hazard type; a float array, as linked, has no gap.
+        # A hand-built context may lack a hazard type; a float column, as linked, has no gap.
         hazards = contexts.hazards
-        for baseline in zip(*hazards) if {array} != set(map(type, hazards)) else ():
+        for baseline in _per_context(hazards) if type(hazards) not in (array, memoryview) else ():
             if None in baseline:
                 missing = HAZARD_TYPES[baseline.index(None)].value
                 raise DomainError("an exposure context needs " + (
                     f"all four baseline hazards, got none for {missing}"
                     if set(baseline) != {None} else "at least one baseline hazard, got none"))
-        context_codes = contexts.codes
-        if len(context_codes) != len(columns.id):
+        if len(contexts.codes) != len(columns.id):
             raise Misalignment("contexts do not match portfolio ids/order")
         if weights is None:
             raise InvalidWeights("a linked portfolio needs weights; link_exposures derives them")
-        if not _passed(self.portfolio):
-            _check_weights(weights, len(columns.id))
-        if not all(map(_passed, columns[5:])):
+        _check_weights(weights, len(columns.id))
+        if not all(_CHECKED.get(id(column)) is column for column in columns[5:]):
             # In a row, pd0 and lgd0 are named first. No column is empty: the weights sum to 1.
             _check_columns(pd0=columns.pd0, lgd0=columns.lgd0, adaptation=columns.adaptation,
                            ead=columns.ead, value=columns.value)
-            columns = columns._replace(**{name: _read_only(getattr(columns, name))
-                                          for name in DOMAINS})
+        _check_columns(fragility=contexts.fragility)
+        frozen = InstrumentColumns(*map(tuple, columns[:5]), *map(_read_only, columns[5:]))
+        columns = columns if all(map(is_, frozen, columns)) else frozen  # as loaded: no copy
+        contexts = ContextColumns(_read_only(hazards), _read_only(contexts.fragility),
+                                  tuple(contexts.channel), tuple(contexts.codes))
         channel_index, context_channels = _codes(contexts.channel)
         n_sectors = len(columns.sectors)
-        pair_keys = [c * n_sectors + s for c, s in zip(context_codes, columns.sector_codes)]
+        pair_keys = [c * n_sectors + s for c, s in zip(contexts.codes, columns.sector_codes)]
         # Sorted, so the kernel holds each context's pair terms together, in context order.
         # Distinct in first-appearance order, which is nearly sorted: a cheap sort.
         pairs = sorted(dict.fromkeys(pair_keys))
@@ -201,17 +203,16 @@ class LinkedPortfolio:
         geo_ead = [0.0] * len(columns.geo_ids)
         for geo_code, ead in zip(columns.geo_codes, columns.ead):
             geo_ead[geo_code] += ead
-        _check_columns(fragility=contexts.fragility)
         if not any(map(all, zip(columns.pd0, columns.lgd0, columns.ead))):
             raise AllZero("HHI needs at least one strictly positive entry")
         return LinkCodes(
             columns=columns,
             weights=tuple(weights),
-            contexts=contexts._replace(fragility=_read_only(contexts.fragility)),  # as checked
+            contexts=contexts,
             pairs=tuple(pairs),
-            pair_codes=list(map(pair_index.__getitem__, pair_keys)),
+            pair_codes=tuple(map(pair_index.__getitem__, pair_keys)),
             channels=tuple(c.value for c in channel_index),
-            channel_codes=list(map(context_channels.__getitem__, context_codes)),
+            channel_codes=tuple([context_channels[code] for code in contexts.codes]),
             geo_ead=tuple(geo_ead),
         )
 
@@ -354,7 +355,7 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     are checked a column at a time, and the ids over their column; the
     rows are looked at only to name what breaks a check. The number columns
     come out read-only (``model._read_only``), and ``LinkedPortfolio.codes``
-    trusts them.
+    trusts them; the rest are tuples.
     """
     ids, geo_index, sector_index, geo_codes, sector_codes = [], {}, {}, [], []
     numbers = [array("d") for _ in PORTFOLIO_HEADER[3:]]
@@ -371,6 +372,8 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
             column.fromlist(part)  # faster per value than extend
             in_domain = in_domain and _in_domain(part, bound)  # a list: no value is boxed
         del cells, converted  # freed before the next chunk is read: a lower peak
+    geo_codes = tuple(geo_codes)  # each list is freed before the next is copied: a lower peak
+    sector_codes = tuple(sector_codes)
     columns = InstrumentColumns(
         tuple(ids), tuple(geo_index), geo_codes, tuple(sector_index), sector_codes, *numbers
     )
@@ -476,11 +479,16 @@ def _resolved(found: list) -> _Column:
     return found if None in found else array("d", found)  # unboxed, unless it holds a gap
 
 
-def link_hazards(geo_ids: Sequence[str], hazards: HazardField) -> tuple[_Column, ...]:
-    """The first link step: each distinct geo id's four baselines, a column per type."""
+def _per_context(hazards: _Column) -> Iterator[tuple]:
+    """A hazard column four values at a time: each context's in ``HAZARD_TYPES`` order."""
+    return zip(*[iter(hazards)] * len(HAZARD_TYPES))
+
+
+def link_hazards(geo_ids: Sequence[str], hazards: HazardField) -> _Column:
+    """The first link step: each distinct geo id's four baselines in ``HAZARD_TYPES`` order,
+    one geo id after another, as ``ContextColumns.hazards`` holds them."""
     # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
-    found = list(map(hazards.entries.get, product(geo_ids, HAZARD_TYPES)))
-    return tuple(_resolved(found[k::len(HAZARD_TYPES)]) for k in range(len(HAZARD_TYPES)))
+    return _resolved(list(map(hazards.entries.get, product(geo_ids, HAZARD_TYPES))))
 
 
 def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column:
@@ -488,21 +496,23 @@ def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column
     return _resolved(list(map(fragility.entries.get, geo_ids)))
 
 
-def link_channels(geo_ids: Sequence[str], registry: Sequence[GeoUnit]) -> list[Optional[Channel]]:
+def link_channels(geo_ids: Sequence[str],
+                  registry: Sequence[GeoUnit]) -> tuple[Optional[Channel], ...]:
     """The third link step: each distinct geo id's registry channel, None if unregistered."""
     by_geo = {unit.id: unit.channel for unit in registry}
-    return list(map(by_geo.get, geo_ids))
+    return tuple(map(by_geo.get, geo_ids))
 
 
-def link_resolved(portfolio: Portfolio, hazards: tuple[_Column, ...], fragility: _Column,
+def link_resolved(portfolio: Portfolio, hazards: _Column, fragility: _Column,
                   channels: Sequence[Optional[Channel]]) -> LinkedPortfolio:
-    """The last link step: normalize the weights, name the first gap, link the columns."""
+    """The last link step: normalize the weights, name the first gap, link the columns as made."""
     weight_source = "provided" if portfolio.weights is not None else "derived_from_value"
     normalized = normalize_weights(portfolio)
     columns = vars(normalized)["instruments"]
-    # A step's column with a gap is a list; one without is an array, which holds no None.
-    if None in channels or list in map(type, (fragility, *hazards)):
-        for geo_id, tag, value, *baseline in zip(columns.geo_ids, channels, fragility, *hazards):
+    # A step's column with a gap is a list; one without is a float column, which holds no None.
+    if None in channels or list in map(type, (fragility, hazards)):
+        for geo_id, tag, value, baseline in zip(columns.geo_ids, channels, fragility,
+                                                _per_context(hazards)):
             if tag is None:
                 row = columns.geo_codes.index(columns.geo_ids.index(geo_id))
                 raise UnresolvedGeo(columns.id[row], geo_id)

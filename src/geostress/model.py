@@ -163,15 +163,14 @@ class RowColumns(NamedTuple):
 class InstrumentColumns(NamedTuple):
     """A portfolio's instruments in row order, one sequence per field; the
     geo ids and sectors as codes, each row's index into the distinct values
-    in first-appearance order. ``load_portfolio`` hands out read-only number
-    columns (``_read_only``) that ``LinkedPortfolio.codes`` trusts; it checks
-    any others before a scenario reads them."""
+    in first-appearance order. ``load_portfolio`` makes each a tuple or a read-only
+    column (``_read_only``); ``LinkedPortfolio.codes`` copies any other."""
 
     id: tuple[str, ...]
     geo_ids: tuple[str, ...]
-    geo_codes: list[int]
+    geo_codes: Sequence[int]
     sectors: tuple[str, ...]
-    sector_codes: list[int]
+    sector_codes: Sequence[int]
     ead: Sequence[float]
     pd0: Sequence[float]
     lgd0: Sequence[float]
@@ -220,15 +219,10 @@ def _frozen(column: object) -> bool:
             and column.format == "d" and column.nbytes == len(column.obj))
 
 
-# By identity, what a check passed and no write can change: number columns that
-# ``load_portfolio`` checked, and portfolios whose tuple of weights ``normalize_weights``
-# checked. An entry only spares a check that would pass again, and goes with its object,
-# so no caller sees another's. A pickled copy is a new object, and is checked again.
+# By identity, the read-only number columns that ``load_portfolio`` checked: the one trust
+# record. An entry only spares a check that would pass again, and goes with its column, so
+# no caller sees another's. A pickled copy is a new object, and is checked again.
 _CHECKED: WeakValueDictionary = WeakValueDictionary()
-
-
-def _passed(obj: object) -> bool:
-    return _CHECKED.get(id(obj)) is obj
 
 
 class _Rows:
@@ -287,7 +281,7 @@ def row_columns(result: StressResult) -> RowColumns:
     return vars(result)["rows"]
 
 
-def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, list[int]]:
+def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, tuple[int, ...]]:
     """First-appearance codes for ``keys``, after those ``index`` holds:
     the key-to-code map and the code of each key in turn."""
     index, fresh = {} if index is None else index, dict.fromkeys(keys)
@@ -295,7 +289,7 @@ def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, 
     if new:  # most chunks add no key: walk only those they add, in first-appearance order
         for key in filter(new.__contains__, fresh):
             index[key] = len(index)
-    return index, list(map(index.__getitem__, keys))
+    return index, tuple(map(index.__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -419,8 +413,6 @@ def normalize_weights(portfolio: Portfolio) -> Portfolio:
     values = vars(portfolio)["instruments"].value
     if portfolio.weights is not None:
         _check_weights(portfolio.weights, len(values))
-        if type(portfolio.weights) is tuple:  # no write can change them: see _CHECKED
-            _CHECKED[id(portfolio)] = portfolio
         return portfolio
     total = ordered_sum(values)
     if total <= 0.0:

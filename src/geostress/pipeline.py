@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import cycle, repeat, starmap
 from operator import mul
 
 from .analytics import ExposureReport, _report
 from .credit import pd_after_overflow
 from .errors import NonFiniteSum
-from .ingest import LinkedPortfolio
+from .ingest import LinkedPortfolio, _per_context
 from .model import HAZARD_TYPES, RowColumns, StressResult, _in_domain, _require_in_domain
 from .scenarios import Scenario
 
@@ -68,18 +68,18 @@ def run_scenario(
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
 
-    # Per distinct geo context: each scaled hazard, binding or not, checked a column at a
-    # time; a column that fails is walked context by context to name the first bad value
+    # Per distinct geo context: each scaled hazard, binding or not, checked in one column
+    # test; a column that fails is walked context by context to name the first bad value
     # (a sum that only overflows finds none). Then b_H*H, b_U*U, 1 + gamma*H, dH*H.
-    multiplier, contexts = scenario.hazard_multipliers.get, codes.contexts
-    scaled = [list(map(mul, repeat(multiplier(h, 1.0)), column))
-              for h, column in zip(HAZARD_TYPES, contexts.hazards)]
-    if not all(map(_in_domain, scaled)):
-        for value in chain.from_iterable(zip(*scaled)):
+    multipliers = [scenario.hazard_multipliers.get(h, 1.0) for h in HAZARD_TYPES]
+    contexts = codes.contexts
+    scaled = list(map(mul, cycle(multipliers), contexts.hazards))
+    if not _in_domain(scaled):
+        for value in scaled:
             _require_in_domain(hazard=value)
     context_terms = [(betas.hazard * h, betas.fragility * f, 1.0 + scenario.lgd_gamma * h,
                       repricing.delta_hazard * h)
-                     for h, f in zip(map(max, *scaled), contexts.fragility)]
+                     for h, f in zip(starmap(max, _per_context(scaled)), contexts.fragility)]
     del scaled
     # Per sector: b_T*T, dT*T.
     sector_terms = []

@@ -11,13 +11,13 @@ text, are filled into a fixed template, because the stdlib encoder runs
 in pure Python whenever ``indent`` is set. ``tests/test_report.py`` holds
 the ``json.dumps`` path as the reference and checks the two agree.
 
-``report_blocks`` is the one writer: it renders a report from any
-iterable of results, one scenario at a time, in blocks of rows, so the
-CLI streams the report into its output file while it evaluates the
-scenarios. ``emit_report`` joins the same blocks into one document. A
-report can also be written in shares, each one's blocks apart from the
-others', and closed with ``report_end``: ``stress run`` writes a later
-share in a second process.
+``report_blocks`` is the one writer: it renders a share of a report
+from any iterable of results, one scenario at a time, in blocks of rows,
+so the CLI streams the report into its output file while it evaluates
+the scenarios. A report is one or more shares, each one's blocks apart
+from the others', closed with ``report_end``: ``stress run`` writes a
+later share in a second process, and ``emit_report`` joins one share and
+its end into one document.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
@@ -174,9 +174,8 @@ def _csv_rows(result: StressResult) -> Iterator[str]:
 
 
 def _blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
-            totals: Optional[Totals], first: bool) -> Iterator[bytes]:
-    whole, csv_rows = totals is None, format == "csv"
-    totals = [] if whole else totals
+            totals: Totals, first: bool) -> Iterator[bytes]:
+    csv_rows = format == "csv"
     for result, report in results:
         if not csv_rows:
             yield b"[\n" if first else b",\n"
@@ -186,8 +185,6 @@ def _blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
         yield from map(_utf8, _csv_rows(result) if csv_rows else _json_entry(result, report))
         totals.append((result.scenario_id, result.total_el, result.climate_var))
         del result, report  # freed before the next result is made
-    if whole:
-        yield report_end(totals, format)
 
 
 def _utf8(block: str) -> bytes:
@@ -197,20 +194,19 @@ def _utf8(block: str) -> bytes:
         raise UnencodableText(f"report text is not UTF-8 encodable: {exc}") from None
 
 
-def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str = "json",
-                  totals: Optional[Totals] = None, first: bool = True) -> Iterator[bytes]:
-    """The report, one entry per scenario in input order, as encoded blocks.
+def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
+                  totals: Totals, first: bool = True) -> Iterator[bytes]:
+    """One share of a report, one entry per scenario in input order, as
+    encoded blocks; ``report_end`` ends the report. Each result's
+    (scenario_id, total_el, climate_var) goes to ``totals``, and a share not
+    ``first`` follows entries already written. An empty ``results`` yields
+    nothing.
 
     ``results`` is read one pair at a time, and each pair is unreachable
     from here once its blocks are out, before the next pair is asked for;
     so a lazy ``results`` keeps one scenario's results in memory, and the
     caller one block of text. Raises ``ValueError`` for an unknown format
-    now, and for an empty ``results`` once it is exhausted; CSV raises
-    ``UnencodableText`` for an id that UTF-8 cannot encode.
-
-    Given a ``totals`` list, the blocks are one share of a report, which
-    ``report_end`` ends: each result's (scenario_id, total_el, climate_var)
-    goes to ``totals``. A share not ``first`` follows entries already written.
+    now; CSV raises ``UnencodableText`` for an id that UTF-8 cannot encode.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -235,4 +231,6 @@ def emit_report(
     results: Sequence[tuple[StressResult, ExposureReport]], format: str = "json"
 ) -> bytes:
     """Serialize one entry per scenario, in input order."""
-    return b"".join(report_blocks(results, format))
+    totals: Totals = []
+    share = b"".join(report_blocks(results, format, totals))
+    return share + report_end(totals, format)

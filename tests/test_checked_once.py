@@ -1,34 +1,41 @@
 """Each loaded number is checked once: ``load_portfolio`` checks its number
 columns and hands them out read-only, so ``LinkedPortfolio.codes`` trusts
 those exact columns and does not test them again. A copy, a hand-built
-portfolio or a column that can be written is checked as before, and no write
-after the check reaches a report. Each instrument field's domain is declared
-once, in ``model.DOMAINS``."""
+portfolio or a column that can be written is checked as before. Every
+sequence the codes hold, and so every sequence a run reads, is a tuple or a
+read-only column, so no write after the check reaches a report. Each
+instrument field's domain is declared once, in ``model.DOMAINS``."""
 
+import argparse
 import dataclasses
 import io
 import math
 import pickle
+from operator import attrgetter
 
 import pytest
 
-from conftest import FRAGILITY, make_hazard_field, make_registry
+from conftest import FRAGILITY, make_hazard_field, make_portfolio, make_registry
 from geostress import (
+    Channel,
     FragilityTable,
     Portfolio,
     builtin_scenarios,
+    cli,
     ingest,
     link_exposures,
     load_portfolio,
     model,
+    normalize_weights,
     run_scenario,
     validate_portfolio,
 )
 from geostress.errors import DomainError, InvariantViolation
+from geostress.ingest import ContextColumns, LinkCodes
 from geostress.model import DOMAINS, InstrumentColumns
 from test_columns_only import _GOOD, _columns
 from test_context_columns import _load_linked
-from test_golden import gen
+from test_golden import INPUTS, gen
 
 _SCENARIO = builtin_scenarios()[3]
 
@@ -65,9 +72,15 @@ def _outcome(evaluate):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _cli_linked(paths, pinned, cpus):
+    """The portfolio at ``paths`` as ``stress run`` loads and links it on ``cpus`` CPUs."""
+    return pinned(cpus, cli._load_linked, argparse.Namespace(**{n: paths[n] for n in INPUTS}))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("codes_built", [False, True], ids=["before-codes", "after-codes"])
-def test_loaded_portfolios_pickle(paths, codes_built):
-    linked = _load_linked(paths)
+def test_loaded_portfolios_pickle(paths, pinned, codes_built, cpus):
+    linked = _cli_linked(paths, pinned, cpus)
     if codes_built:
         linked.codes
     expected = _runs(linked)
@@ -81,6 +94,9 @@ def test_loaded_portfolios_pickle(paths, codes_built):
     with pytest.raises(TypeError):
         copy.codes.columns.ead[0] = -1e6
     assert type(copy.codes.columns.ead.obj) is bytes
+    with pytest.raises(TypeError):  # the hazard column too
+        copy.codes.contexts.hazards[0] = -1e6
+    assert type(copy.codes.contexts.hazards.obj) is bytes
 
 
 def test_a_loaded_column_cannot_be_written_after_a_run(paths):
@@ -125,6 +141,55 @@ def test_the_linked_fragility_cannot_be_written_after_a_run(tmp_path):
     assert run_scenario(copy, _SCENARIO)[0].total_el == before
 
 
+# Every sequence the codes hold, by its path from ``linked.codes``.
+_HELD = [*(f"columns.{name}" for name in InstrumentColumns._fields), "weights",
+         *(f"contexts.{name}" for name in ContextColumns._fields),
+         *(f.name for f in dataclasses.fields(LinkCodes)[3:])]
+_PORTFOLIOS = ["loaded-1-cpu", "loaded-2-cpus", "instruments", "list-codes"]
+
+
+def _linked(kind, paths, pinned):
+    """A loaded portfolio as ``stress run`` links it, on one or two CPUs; or the conftest
+    portfolio from ``Instrument`` rows, or from columns with list codes and float arrays."""
+    if kind.startswith("loaded"):
+        return _cli_linked(paths, pinned, 1 if kind == "loaded-1-cpu" else 2)
+    instruments = make_portfolio().instruments
+    return _link(instruments if kind == "instruments" else _columns(instruments))
+
+
+@pytest.mark.parametrize("path", _HELD)
+@pytest.mark.parametrize("kind", _PORTFOLIOS)
+def test_no_write_after_a_run_reaches_the_next(paths, pinned, kind, path):
+    linked = _linked(kind, paths, pinned)
+    before = repr(run_scenario(linked, _SCENARIO))
+    held = attrgetter(path)(linked.codes)
+    assert type(held) is tuple or model._frozen(held)
+    value = held[0]
+    assert type(value) in (int, float, str, Channel)  # a value, not a nested column
+    with pytest.raises(TypeError):
+        held[0] = value + 1 if type(value) in (int, float) else None
+    assert repr(run_scenario(linked, _SCENARIO)) == before
+
+
+def test_on_two_cpus_the_codes_copy_no_column_the_link_made(paths, pinned):
+    linked = _cli_linked(paths, pinned, 2)
+    made = vars(linked)["contexts"]
+    assert linked.codes.contexts.hazards is made.hazards
+    assert all(map(model._frozen, (made.hazards, made.fragility)))
+    assert all(a is b for a, b in zip(linked.codes.contexts, made))
+    assert linked.codes.columns is vars(linked.portfolio)["instruments"]
+
+
+def test_the_trust_record_holds_only_loaded_columns(paths):
+    held = list(model._CHECKED.values())  # alive until the end: no id is reused
+    normalized = normalize_weights(Portfolio(_rows(), (0.25,) * 4))  # checked, kept alive
+    with open(paths["portfolio"], "rb") as source:
+        columns = vars(load_portfolio(source))["instruments"]
+    added = [v for v in model._CHECKED.values() if not any(v is h for h in held)]
+    assert sorted(map(id, added)) == sorted(id(getattr(columns, name)) for name in DOMAINS)
+    assert normalized.weights == (0.25,) * 4
+
+
 def test_codes_test_only_the_number_columns_no_load_checked(paths, monkeypatch):
     tested = []
     check = ingest._check_columns
@@ -153,8 +218,9 @@ def test_codes_test_only_the_number_columns_no_load_checked(paths, monkeypatch):
 
 
 @pytest.mark.parametrize("weights, checks", [
-    ((0.25, 0.25, 0.25, 0.25), 1),  # normalize_weights checks them, and no write can change them
-    ([0.25, 0.25, 0.25, 0.25], 3),  # a list can be written: each build of codes checks it again
+    # Given weights: normalize_weights checks them, and each build of codes checks them again.
+    ((0.25, 0.25, 0.25, 0.25), 3),
+    ([0.25, 0.25, 0.25, 0.25], 3),
     (None, 2),  # derived weights: each build of codes checks them
 ])
 def test_provided_weights_are_checked_once(monkeypatch, weights, checks):

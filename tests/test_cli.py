@@ -21,6 +21,7 @@ from conftest import (
     FRAGILITY,
     GEO_CHANNELS,
     INSTRUMENT_DICTS,
+    _open_fds,
     fragility_csv,
     geounits_csv,
     hazards_csv,
@@ -564,6 +565,29 @@ def test_a_closed_stdout_pipe_exits_2(fixture_files, tmp_path, command):
     if command == "run":  # the report was complete before the summary failed
         assert len(json.loads(out.read_text())) == 4
         assert not list(tmp_path.glob(".stress-*"))
+
+
+def test_a_closed_stdout_pipe_leaves_no_descriptor_open(capfd, monkeypatch):
+    """In process, ``main`` points stdout at devnull and closes the descriptor it opened."""
+    if _open_fds() is None:
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    saved = os.dup(1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    os.dup2(write_end, 1)
+    os.close(write_end)
+    stdout = open(1, "w", encoding="utf-8", closefd=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        before = _open_fds()
+        assert main(["scenarios", "print"]) == 2
+        assert _open_fds() == before
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()  # its unwritten text goes where fd 1 points: devnull
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert capfd.readouterr().err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 class TestCollectorState:

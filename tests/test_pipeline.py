@@ -310,7 +310,7 @@ def test_one_geo_id_served_by_two_equal_context_objects():
     assert len(codes.contexts.fragility) == len(linked.codes.contexts.fragility) + 1
     assert codes.columns.geo_ids == linked.codes.columns.geo_ids
     # s0 (code 0) and its twin (code 4) take turns; the later geo units move up one.
-    assert codes.contexts.codes == [0, 1, 2, 3, 4, 1, 2, 3] * 6 + list(range(5, 17)) + [17] * 4
+    assert codes.contexts.codes == (0, 1, 2, 3, 4, 1, 2, 3) * 6 + (*range(5, 17),) + (17,) * 4
     _assert_fused_matches_reference(split)
 
 

@@ -37,7 +37,7 @@ from geostress.analytics import Contributor, ExposureReport
 from geostress.errors import UnencodableText
 from geostress.model import StressResult, StressRow
 from geostress import report as report_module
-from geostress.report import _number, report_blocks
+from geostress.report import _number, report_blocks, report_end
 from geostress.report import _numbers
 
 
@@ -159,7 +159,7 @@ class TestSameBytesAsJsonDumps:
     def test_head_larger_than_first_row_block(self):
         linked = _synthetic_linked(6_000, n_geos=6_000, n_sectors=200)
         results = [run_scenario(linked, s, top_k=25) for s in builtin_scenarios()]
-        first = list(report_blocks(results))[1]  # the head and the first row block
+        first = list(report_blocks(results, "json", []))[1]  # the head and first row block
         assert first.index(b'"rows": [') > len(first) / 2
         assert_same_bytes(results)
 
@@ -186,7 +186,8 @@ class TestSameBytesAsJsonDumps:
 def test_same_bytes_in_any_block_size(fixture_linked, monkeypatch, rows_per_block, format, reference):
     monkeypatch.setattr(report_module, "ROWS_PER_BLOCK", rows_per_block)
     results = [run_scenario(fixture_linked, s, top_k=3) for s in builtin_scenarios()]
-    blocks = list(report_blocks(results, format))
+    totals = []
+    blocks = [*report_blocks(results, format, totals), report_end(totals, format)]
     assert b"".join(blocks) == emit_report(results, format) == reference(results)
     # No block holds more rows than the block size; the last CSV block is
     # the totals table.
@@ -223,8 +224,10 @@ def test_writer_streams_one_result_at_a_time(fixture_linked, format):
             yield pair
             del pair
 
-    for block in report_blocks(results(), format):
+    totals = []
+    for block in report_blocks(results(), format, totals):
         written.append(block)
+    written.append(report_end(totals, format))
     assert dropped == [True, True, True]
     everything = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
     assert b"".join(written) == emit_report(everything, format)
@@ -252,10 +255,12 @@ def test_empty_results_and_unknown_format_rejected(fixture_linked):
     for format in ("json", "csv"):
         with pytest.raises(ValueError):
             emit_report([], format)
+        totals = []
+        assert list(report_blocks(iter([]), format, totals)) == [] and totals == []
         with pytest.raises(ValueError):
-            list(report_blocks(iter([]), format))
+            report_end(totals, format)
     with pytest.raises(ValueError):
-        report_blocks([run_scenario(fixture_linked, builtin_scenarios()[0])], "xml")
+        report_blocks([run_scenario(fixture_linked, builtin_scenarios()[0])], "xml", [])
 
 
 _SIGNS = st.sampled_from([1.0, -1.0])

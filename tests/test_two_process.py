@@ -6,8 +6,11 @@ two usable CPUs fork one more process.
 The report bytes, stdout, stderr and exit code are those of the same run on
 one process, and neither the worker nor its part file outlives the run.
 
-Each run sets the number of usable CPUs through ``cli._usable_cpus``, the
-one probe the split reads, so that both paths run on any host.
+Each run goes through the ``pinned`` fixture, which sets the number of usable
+CPUs through ``cli._usable_cpus``, the one probe the split reads, so that both
+paths run on any host, and checks that no descriptor, child or ``.stress-``
+file outlives the command. Output is captured at the file descriptors, so a
+write by a worker would show.
 """
 
 import gc
@@ -56,34 +59,18 @@ def _argv(inputs, out, count=4, format="json"):
     return argv
 
 
-def _run(argv, cpus, monkeypatch, capsys):
-    """``main(argv)`` with ``cpus`` usable CPUs: its exit code, stdout, stderr and the
-    number of processes it forked."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        forks.extend([pid] if pid else [])
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, len(forks)
-
-
-def _assert_nothing_left(directory):
-    assert [p.name for p in directory.iterdir() if p.name.startswith(".stress-")] == []
-    with pytest.raises(ChildProcessError):  # no child, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
+def _run(pinned, cpus, argv, capfd, command=main):
+    """``command(argv)`` under ``pinned`` with ``cpus`` usable CPUs: its exit code, stdout,
+    stderr and the number of processes it forked."""
+    code = pinned(cpus, command, argv)
+    captured = capfd.readouterr()
+    return code, captured.out, captured.err, len(pinned.forked)
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
 @pytest.mark.parametrize("count", sorted(MIXES))
 def test_two_processes_write_the_one_process_report(
-    inputs, tmp_path, monkeypatch, capsys, count, format
+    inputs, tmp_path, monkeypatch, pinned, capfd, count, format
 ):
     parent, evaluated = os.getpid(), []
 
@@ -97,45 +84,48 @@ def test_two_processes_write_the_one_process_report(
     for cpus in (1, 2):
         evaluated.clear()
         out = tmp_path / f"{cpus}.{format}"
-        code, stdout, stderr, forks = _run(_argv(inputs, out, count, format), cpus,
-                                           monkeypatch, capsys)
+        code, stdout, stderr, forks = _run(pinned, cpus, _argv(inputs, out, count, format), capfd)
         assert (code, stderr, forks) == (0, "", 2 * (cpus - 1))  # the load worker too
         runs[cpus] = (stdout, out.read_bytes(), list(evaluated))
-        _assert_nothing_left(tmp_path)
     (one_out, one_report, everything), (two_out, two_report, first_half) = runs[1], runs[2]
     assert two_report == one_report and two_out == one_out
     assert len(one_out.splitlines()) == len(everything) == count
     assert first_half == everything[:(count + 1) // 2]  # the parent's share
 
 
-def test_one_scenario_forks_only_the_load_worker(inputs, tmp_path, monkeypatch, capsys):
+def test_one_scenario_forks_only_the_load_worker(inputs, tmp_path, pinned, capfd):
     argv = _argv(inputs, tmp_path / "r.json")
     argv[argv.index("--builtin") + 1] = "physical"
     argv = argv[:argv.index("--scenario")]
-    code, _, _, forks = _run(argv, 2, monkeypatch, capsys)
+    code, _, _, forks = _run(pinned, 2, argv, capfd)
     assert (code, forks) == (0, 1)
 
 
-def test_a_fork_that_fails_leaves_the_run_on_one_process(inputs, tmp_path, monkeypatch, capsys):
-    expected = _run(_argv(inputs, tmp_path / "one.json"), 1, monkeypatch, capsys)
+def test_a_fork_that_fails_leaves_the_run_on_one_process(
+    inputs, tmp_path, monkeypatch, pinned, capfd
+):
+    expected = _run(pinned, 1, _argv(inputs, tmp_path / "one.json"), capfd)
     expected += ((tmp_path / "one.json").read_bytes(),)
 
     def failing_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", failing_fork)
-    code = main(_argv(inputs, tmp_path / "two.json"))
-    captured = capsys.readouterr()
-    assert expected == (code, captured.out, captured.err, 0, (tmp_path / "two.json").read_bytes())
-    _assert_nothing_left(tmp_path)
+    def on_two_cpus_with_no_fork(argv):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        return main(argv)
+
+    # ``pinned`` expects no fork, as on one CPU; the command sees two, and no fork succeeds.
+    outcome = _run(pinned, 1, _argv(inputs, tmp_path / "two.json"), capfd,
+                   on_two_cpus_with_no_fork)
+    assert expected == (*outcome, (tmp_path / "two.json").read_bytes())
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
 @pytest.mark.parametrize("share", ["parent", "worker"])
 @pytest.mark.parametrize("failure", sorted(FAILURES))
 def test_a_failing_share_fails_as_one_process_does(
-    inputs, tmp_path, monkeypatch, capsys, failure, share, format
+    inputs, tmp_path, monkeypatch, pinned, capfd, failure, share, format
 ):
     # Of four scenarios, the parent evaluates the first two and the worker the last two.
     error, exit_code, stderr = FAILURES[failure]
@@ -151,15 +141,14 @@ def test_a_failing_share_fails_as_one_process_does(
     monkeypatch.setattr(cli, "run_scenario", failing_run)
     out = tmp_path / f"report.{format}"
     for cpus in (1, 2):
-        outcome = _run(_argv(inputs, out, 4, format), cpus, monkeypatch, capsys)
+        outcome = _run(pinned, cpus, _argv(inputs, out, 4, format), capfd)
         assert outcome == (exit_code, "", stderr, 2 * (cpus - 1))
         assert not out.exists()
-        _assert_nothing_left(tmp_path)
 
 
 @pytest.mark.parametrize("share_fails", [False, True], ids=["clean", "share-fails"])
 def test_a_worker_killed_by_a_signal_is_replaced_by_the_parent(
-    inputs, tmp_path, monkeypatch, capsys, share_fails
+    inputs, tmp_path, monkeypatch, pinned, capfd, share_fails
 ):
     parent = os.getpid()
 
@@ -174,9 +163,8 @@ def test_a_worker_killed_by_a_signal_is_replaced_by_the_parent(
     runs = []
     for cpus in (1, 2):
         out = tmp_path / f"{cpus}.json"
-        runs.append(_run(_argv(inputs, out), cpus, monkeypatch, capsys)[:3])
+        runs.append(_run(pinned, cpus, _argv(inputs, out), capfd)[:3])
         runs[-1] += (out.read_bytes() if out.exists() else None,)
-        _assert_nothing_left(tmp_path)
     assert runs[0] == runs[1]
     if share_fails:
         assert runs[0] == (2, "", "error: DomainError: boom\n", None)
@@ -184,7 +172,7 @@ def test_a_worker_killed_by_a_signal_is_replaced_by_the_parent(
         assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 4
 
 
-def test_an_interrupt_leaves_no_worker_and_no_file(inputs, tmp_path, monkeypatch):
+def test_an_interrupt_leaves_no_worker_and_no_file(inputs, tmp_path, monkeypatch, pinned):
     parent = os.getpid()
 
     def interrupted(linked, scenario, top_k):
@@ -193,12 +181,11 @@ def test_an_interrupt_leaves_no_worker_and_no_file(inputs, tmp_path, monkeypatch
         return run_scenario(linked, scenario, top_k=top_k)
 
     monkeypatch.setattr(cli, "run_scenario", interrupted)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "report.json"
     with pytest.raises(KeyboardInterrupt):
-        main(_argv(inputs, out))
+        pinned(2, main, _argv(inputs, out))
     assert not out.exists()
-    _assert_nothing_left(tmp_path)
+    assert len(pinned.forked) == 2
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -210,7 +197,7 @@ def collector(request):
 
 
 def test_two_processes_leave_the_collector_as_they_found_it(
-    collector, inputs, tmp_path, monkeypatch, capsys
+    collector, inputs, tmp_path, monkeypatch, pinned, capfd
 ):
     """The twin of ``test_cli``'s one-process check: both processes run with the
     collector paused, and the parent leaves it as it found it."""
@@ -225,7 +212,7 @@ def test_two_processes_leave_the_collector_as_they_found_it(
         return run_scenario(linked, scenario, top_k=top_k)
 
     monkeypatch.setattr(cli, "run_scenario", watched)
-    code, _, _, forks = _run(_argv(inputs, tmp_path / "r.json"), 2, monkeypatch, capsys)
+    code, _, _, forks = _run(pinned, 2, _argv(inputs, tmp_path / "r.json"), capfd)
     assert (code, forks) == (0, 2)
     assert gc.isenabled() is collector
     assert during == [False, False]
