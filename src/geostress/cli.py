@@ -15,7 +15,11 @@ the report into a temporary file beside ``--out``, which replaces
 ``--out`` only when the whole report is written, so a failed run never
 leaves a partial report behind. Given two usable CPUs, ``run`` and
 ``validate`` fork a load worker, which loads and links the side tables
-while the portfolio is read; with two or more scenarios, ``run`` forks one
+while the portfolio is read. If the side files hold S bytes and the
+portfolio (a regular file) P, the worker also loads the portfolio's last
+P/2 - S bytes, from a line start; should that part hold a ``"``, either
+part fail or an id be in both, the parent loads the whole file as one
+process does. With two or more scenarios, ``run`` forks one
 more after the link, which writes the later half's part into a nameless
 file beside ``--out`` that is then copied in. The report, the summary and
 any error line are a one-process run's.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import marshal
 import os
 import shutil
@@ -36,6 +41,7 @@ from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 from .errors import ScenarioParseError, StressError
 from .ingest import (
     LinkedPortfolio,
+    join_portfolio,
     link_channels,
     link_fragility,
     link_hazards,
@@ -69,33 +75,93 @@ def _column(linked: Any) -> Any:
     return memoryview(linked).cast("d") if type(linked) is bytes else linked
 
 
+class _Part(io.BufferedIOBase):
+    """The header line of the portfolio open as ``fh`` (if ``start``), then its bytes from
+    ``start`` to ``end``, for ``load_portfolio``. A ``"`` raises ValueError: a quoted field
+    may hold a line end, so the part need not start at a record."""
+
+    def __init__(self, fh: BinaryIO, start: int, end: int) -> None:
+        self.fh, self.left, self.header = fh, end - start, fh.readline() if start else b""
+        fh.seek(start)
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int) -> bytes:  # the text layer's only read
+        if self.header:
+            data, self.header = self.header, b""
+        else:
+            data = self.fh.read(min(size, self.left))
+            self.left -= len(data)
+        if b'"' in data:
+            raise ValueError("a quote in a part of the portfolio")
+        return data
+
+
+def _load_part(path: str, start: int = 0, end: int = 0) -> Portfolio:
+    """``load_portfolio`` of the portfolio at ``path``, or of its ``_Part`` given an ``end``.
+    A part is streamed, not read into one ``bytes``: at 1M rows that held the peak RSS higher."""
+    with open(path, "rb") as fh:
+        return load_portfolio(_Part(fh, start, end) if end else fh, filename=path)
+
+
+def _split(args: argparse.Namespace) -> tuple[int, int]:
+    """The portfolio's size P and where the load worker's part of it starts: after the first
+    line end at or past byte P - share, the share being P/2 less the side files' sizes; 0 for
+    no part, unless a worker is forked, the share is positive and each file is regular."""
+    paths = (args.portfolio, args.hazards, args.fragility, args.geounits)
+    with contextlib.suppress(OSError):  # the load raises it, as one process would
+        size, *sides = map(os.path.getsize, paths)
+        share = size // 2 - sum(sides)
+        if _forks() and share > 0 and all(map(os.path.isfile, paths)):
+            with open(args.portfolio, "rb") as fh:
+                fh.seek(size - share)
+                fh.readline()
+                return size, fh.tell() if fh.tell() < size else 0
+    return 0, 0
+
+
 def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
     """Load the portfolio, then link each side table to its distinct geo ids. A load worker
-    (see ``_forked``) loads and links the side tables meanwhile; if it fails, they are linked
-    here after the portfolio, one alive at a time, so the first error is one process's."""
+    (see ``_forked``) loads and links the side tables meanwhile, and the part of the portfolio
+    ``_split`` leaves it, which ``join_portfolio`` joins to the parent's. If the worker fails,
+    a part raises or an id is in both, the whole portfolio is loaded here, then each side
+    table linked, one alive at a time: the first error is one process's."""
+    size, split = _split(args)
+
     def worker(receive: Callable[[], Sequence[str]]) -> tuple:
         # A FIFO or a terminal is not even opened: the parent's rerun reads its bytes.
         if not all(map(os.path.isfile, (args.hazards, args.fragility, args.geounits))):
             os._exit(1)
         hazards, fragility, registry = _side_tables(args)  # while the portfolio is read
+        tail = vars(_load_part(args.portfolio, split, size))["instruments"] if split else ()
         geo_ids = receive()
+        if tail:  # in one pass's order: the parent's, then the tail's new ones
+            geo_ids = tuple(dict.fromkeys((*geo_ids, *tail.geo_ids)))
         hazards = link_hazards(geo_ids, hazards)  # each table is dropped after its step,
         fragility = link_fragility(geo_ids, fragility)  # the hazards (most of the peak) first
-        return hazards, fragility, list(map(_TOKENS.get, link_channels(geo_ids, registry)))
+        return (hazards, fragility, list(map(_TOKENS.get, link_channels(geo_ids, registry))),
+                [column.obj if type(column) is memoryview else column for column in tail])
 
     def here(send: Callable[[Sequence[str]], None]) -> Portfolio:
-        with open(args.portfolio, "rb") as fh:
-            portfolio = load_portfolio(fh, filename=args.portfolio)
+        portfolio = _load_part(args.portfolio, 0, split)
         send(vars(portfolio)["instruments"].geo_ids)
         return portfolio
 
-    portfolio, linked = _forked(worker, here)
+    try:
+        portfolio, linked = _forked(worker, here)
+    except Exception:  # a part failed: the whole, loaded below, fails as one process's does
+        if not split:
+            raise
+        linked = None
+    if split:  # the parts joined, or the whole (which fails if an id is in both parts)
+        portfolio = linked and join_portfolio(portfolio, linked[3]) or _load_part(args.portfolio)
     if linked is None:
         tables, geo_ids = _side_tables(args), vars(portfolio)["instruments"].geo_ids
         return link_resolved(portfolio, link_hazards(geo_ids, next(tables)),
                              link_fragility(geo_ids, next(tables)),
                              link_channels(geo_ids, next(tables)))
-    hazards, fragility, tokens = linked
+    hazards, fragility, tokens, _ = linked
     return link_resolved(portfolio, _column(hazards), _column(fragility),
                          tuple(map(CHANNEL_BY_TOKEN.get, tokens)))
 
@@ -149,6 +215,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _forks() -> bool:
+    """Whether a run forks its workers: given ``os.fork`` and two usable CPUs."""
+    return hasattr(os, "fork") and _usable_cpus() > 1
+
+
 def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
                  args: argparse.Namespace, first: bool = True) -> Totals:
     """Evaluate ``scenarios`` in order and write their part of the report to ``out``, each
@@ -166,9 +237,13 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable],
     what ``here`` passed to ``send``. Return what ``here`` returned, and what ``work`` did, sent
     back by marshal, or None if it failed or none was forked: a worker is forked only given
     ``os.fork`` and two usable CPUs. It leaves only through ``os._exit``; if ``here`` raises,
-    it is killed and reaped."""
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    it is killed and reaped. While it runs, the parent keeps to its first usable CPU and the
+    worker to the others, where the platform places processes: else a new process can stay
+    on its parent's CPU for longer than a run."""
+    if not _forks():
         return here(lambda message: None), None
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    first = {min(cpus)} if len(cpus) > 1 else set()
     (sent_in, sent_out), (reply_in, reply_out) = os.pipe(), os.pipe()
     with open(sent_out, "wb") as sent, open(reply_in, "rb") as reply, \
             open(sent_in, "rb") as received, open(reply_out, "wb") as replied:
@@ -178,6 +253,8 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable],
             return here(lambda message: None), None
         if not pid:
             try:
+                if first:
+                    os.sched_setaffinity(0, cpus - first)
                 sent.close(), reply.close()  # else a parent gone leaves the worker waiting
                 replied.write(marshal.dumps(work(lambda: marshal.loads(received.read()))))
                 replied.close()  # the parent reads to EOF, which exiting would delay
@@ -191,6 +268,8 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable],
                 sent.write(marshal.dumps(message))
 
         try:
+            if first:
+                os.sched_setaffinity(0, first)
             mine = here(send)
             data, status = reply.read(), os.waitpid(pid, 0)[1]
         except BaseException:
@@ -198,6 +277,9 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable],
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
+        finally:
+            if first:
+                os.sched_setaffinity(0, cpus)
     with contextlib.suppress(EOFError, ValueError, TypeError):  # a short or spoiled reply
         return mine, None if status else marshal.loads(data)
     return mine, None

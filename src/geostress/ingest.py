@@ -389,16 +389,33 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     return Portfolio(instruments=columns)
 
 
+def join_portfolio(head: Portfolio, tail: Sequence) -> Optional[Portfolio]:
+    """The portfolio ``load_portfolio`` makes of a file whose rows are those it made ``head``
+    of, then those it made ``tail``'s columns of (each number column as its bytes, each code
+    column indexing ``tail``'s distinct values); None if an id is in both."""
+    columns = vars(head)["instruments"]
+    if not set(columns.id).isdisjoint(tail[0]):
+        return None
+    joined = [columns.id + tail[0]]
+    for k in (1, 3):  # the geo ids, then the sectors: the distinct values, then the codes
+        index = dict(zip(columns[k], range(len(columns[k]))))
+        recoded = _codes(tail[k], index)[1]  # the tail's new values are added in its order
+        joined += [tuple(index), columns[k + 1] + tuple([recoded[code] for code in tail[k + 1]])]
+    numbers = [memoryview(column.obj + part).cast("d") for column, part in zip(columns[5:], tail[5:])]
+    _CHECKED.update(zip(map(id, numbers), numbers))  # each part's numbers were checked
+    return Portfolio(instruments=InstrumentColumns(*joined, *numbers))
+
+
 def dump_portfolio(portfolio: Portfolio) -> bytes:
     """Serialize a portfolio back to its CSV schema (round-trip partner),
     from its columns: no ``Instrument`` is built."""
     columns = vars(portfolio)["instruments"]
-    out = io.StringIO()
+    geo_ids, sectors, out = columns.geo_ids, columns.sectors, io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PORTFOLIO_HEADER)
     writer.writerows(zip(
-        columns.id, map(columns.geo_ids.__getitem__, columns.geo_codes),
-        map(columns.sectors.__getitem__, columns.sector_codes),
+        columns.id, [geo_ids[code] for code in columns.geo_codes],
+        [sectors[code] for code in columns.sector_codes],
         *(map(repr, getattr(columns, name)) for name in PORTFOLIO_HEADER[3:]),
     ))
     return out.getvalue().encode("utf-8")
