@@ -11,9 +11,9 @@ Reports go to ``--out``; stdout carries one summary line per scenario.
 A stdout whose reader is gone (``stress run ... | true``) exits 2 with
 ``error: BrokenPipeError: ...`` on stderr; a report already written stays.
 ``stress run`` evaluates one scenario at a time and streams its part of
-the report into a temporary file beside ``--out``, which replaces
-``--out`` only when the whole report is written, so a failed run never
-leaves a partial report behind. Given two usable CPUs, ``run`` and
+the report, each block of rows once evaluated, into a temporary file
+beside ``--out``, which replaces ``--out`` only when the whole report is
+written, so a failed run never leaves a partial report behind. Given two usable CPUs, ``run`` and
 ``validate`` fork a load worker, which loads and links the side tables
 while the portfolio is read. If the side files hold S bytes and the
 portfolio (a regular file) P, the worker also loads the portfolio's last
@@ -53,7 +53,7 @@ from .ingest import (
 )
 from .model import CHANNEL_BY_TOKEN, Portfolio
 from .pipeline import run_scenario
-from .report import Totals, report_blocks, report_end
+from .report import Totals, entry_blocks, entry_start, report_end, row_text
 from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_scenario
 
 EXIT_OK = 0
@@ -224,10 +224,21 @@ def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Sce
                  args: argparse.Namespace, first: bool = True) -> Totals:
     """Evaluate ``scenarios`` in order and write their part of the report to ``out``, each
     result freed before the next runs, and flush it (a worker leaves through ``os._exit``);
-    return their (scenario_id, total_el, climate_var)."""
+    return their (scenario_id, total_el, climate_var). Each block of rows is written once
+    evaluated, to ``out`` (CSV) or a nameless file copied in after the entry's head (JSON)."""
     totals: Totals = []
-    results = (run_scenario(linked, scenario, top_k=args.top_k) for scenario in scenarios)
-    out.writelines(report_blocks(results, args.format, totals, first))
+    directory = os.path.dirname(os.path.abspath(args.out))
+    for scenario in scenarios:
+        out.write(entry_start(args.format, first))
+        first, text = False, row_text(args.format, scenario.id)  # ids were UTF-8: they encode
+        with contextlib.nullcontext(out) if args.format == "csv" else \
+                tempfile.TemporaryFile(dir=directory, prefix=".stress-") as rows:
+            result, report = run_scenario(linked, scenario, top_k=args.top_k,
+                                          rows=lambda *block: rows.write(text(*block)))
+            if rows is not out:
+                out.writelines(entry_blocks(result, report, args.format, rows))
+        totals.append((result.scenario_id, result.total_el, result.climate_var))
+        del result, report  # freed before the next scenario runs
     out.flush()
     return totals
 
@@ -399,5 +410,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def script() -> int:
+    """``main`` as the ``stress`` script and ``python -m geostress.cli`` run it. The process
+    ends after it, so every object is frozen out of the interpreter's collection at exit,
+    which would only scan them: a command leaves no cyclic garbage worth the pass."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(script())

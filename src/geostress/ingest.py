@@ -389,21 +389,26 @@ def load_portfolio(source: IO[bytes], filename: str = "portfolio.csv") -> Portfo
     return Portfolio(instruments=columns)
 
 
-def join_portfolio(head: Portfolio, tail: Sequence) -> Optional[Portfolio]:
+def join_portfolio(head: Portfolio, tail: list) -> Optional[Portfolio]:
     """The portfolio ``load_portfolio`` makes of a file whose rows are those it made ``head``
     of, then those it made ``tail``'s columns of (each number column as its bytes, each code
-    column indexing ``tail``'s distinct values); None if an id is in both."""
+    column indexing ``tail``'s distinct values); None if an id is in both. Each of ``tail``'s
+    columns is dropped once joined, and no joined column has a temporary copy: freed parts
+    then leave room for the next, where they would otherwise stay as holes in the heap."""
     columns = vars(head)["instruments"]
     if not set(columns.id).isdisjoint(tail[0]):
         return None
-    joined = [columns.id + tail[0]]
+    joined, tail[0] = [columns.id + tail[0]], None
     for k in (1, 3):  # the geo ids, then the sectors: the distinct values, then the codes
         index = dict(zip(columns[k], range(len(columns[k]))))
-        recoded = _codes(tail[k], index)[1]  # the tail's new values are added in its order
-        joined += [tuple(index), columns[k + 1] + tuple([recoded[code] for code in tail[k + 1]])]
-    numbers = [memoryview(column.obj + part).cast("d") for column, part in zip(columns[5:], tail[5:])]
-    _CHECKED.update(zip(map(id, numbers), numbers))  # each part's numbers were checked
-    return Portfolio(instruments=InstrumentColumns(*joined, *numbers))
+        recoded = _codes(tail[k], index)[1].__getitem__  # the tail's new values, in its order
+        joined += [tuple(index), tuple(chain(columns[k + 1], map(recoded, tail[k + 1])))]
+        tail[k + 1] = None
+    for k, column in enumerate(columns[5:], 5):
+        joined.append(memoryview(column.obj + tail[k]).cast("d"))
+        tail[k] = None
+    _CHECKED.update(zip(map(id, joined[5:]), joined[5:]))  # each part's numbers were checked
+    return Portfolio(instruments=InstrumentColumns(*joined))
 
 
 def dump_portfolio(portfolio: Portfolio) -> bytes:

@@ -5,8 +5,11 @@ For each scenario it computes the binding hazard H once per geo context,
 the transition shock T once per sector, and the PD shock, LGD factor and
 clamped loss fraction once per (context, sector) pair that occurs, indexed
 by the linked portfolio's codes (``LinkedPortfolio.codes``). It then makes
-one pass over the instruments that emits four result columns and the
-totals; the result holds the columns, and builds rows only if read. Each
+one pass over the instruments, a ``report.ROWS_PER_BLOCK`` block at a time,
+that emits four result columns and the totals. The result gathers the
+blocks into its columns, and builds rows only if read; or a caller's
+``rows`` takes each block once it is made (``stress run`` writes it to the
+report), and only the losses are kept, for the diagnostics. Each
 row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
 ``expected_loss`` and ``repricing_delta`` in their order (a pair's sums add
 left to right, as a row's would), so it is bit-identical to composing them,
@@ -22,10 +25,13 @@ builds them the same way for any rows. The layer functions
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict
-from itertools import cycle, repeat, starmap
+from itertools import cycle, islice, repeat, starmap
 from operator import mul
+from typing import Callable, Optional
 
+from . import report
 from .analytics import ExposureReport, _report
 from .credit import pd_after_overflow
 from .errors import NonFiniteSum
@@ -48,11 +54,14 @@ def _stress_metric(weighted_dv: float, total_el: float, lam: float) -> float:
 
 
 def run_scenario(
-    linked: LinkedPortfolio, scenario: Scenario, top_k: int = 10
+    linked: LinkedPortfolio, scenario: Scenario, top_k: int = 10,
+    rows: Optional[Callable[..., object]] = None,
 ) -> tuple[StressResult, ExposureReport]:
     """Evaluate credit and valuation for every instrument and build the
-    diagnostics, in one pass over the portfolio.
+    diagnostics, in one pass over the portfolio, a block of rows at a time.
 
+    The result holds the rows. Given ``rows``, it holds none: each block
+    goes to ``rows(ids, pd_s, lgd_s, el_s, dv_s)`` once it is evaluated.
     The linked portfolio is reusable across scenarios: link once,
     evaluate many.
     """
@@ -70,16 +79,14 @@ def run_scenario(
 
     # Per distinct geo context: each scaled hazard, binding or not, checked in one column
     # test; a column that fails is walked context by context to name the first bad value
-    # (a sum that only overflows finds none). Then b_H*H, b_U*U, 1 + gamma*H, dH*H.
+    # (a sum that only overflows finds none). Then the binding hazard H, as a float column.
     multipliers = [scenario.hazard_multipliers.get(h, 1.0) for h in HAZARD_TYPES]
     contexts = codes.contexts
     scaled = list(map(mul, cycle(multipliers), contexts.hazards))
     if not _in_domain(scaled):
         for value in scaled:
             _require_in_domain(hazard=value)
-    context_terms = [(betas.hazard * h, betas.fragility * f, 1.0 + scenario.lgd_gamma * h,
-                      repricing.delta_hazard * h)
-                     for h, f in zip(starmap(max, _per_context(scaled)), contexts.fragility)]
+    binding = array("d", starmap(max, _per_context(scaled)))
     del scaled
     # Per sector: b_T*T, dT*T.
     sector_terms = []
@@ -89,61 +96,62 @@ def run_scenario(
         sector_terms.append(
             (betas.transition * transition, repricing.delta_transition * transition)
         )
-    # One entry per (context, sector) pair that occurs, in float lists (not tuples, which
-    # the garbage collector tracks), each sum added left to right as a row adds it: PD
-    # shock b_H*H + b_T*T + b_U*U, LGD factor, loss fraction dH*H + dT*T + d_f clamped at 1.
+    # One entry per (context, sector) pair that occurs, in float lists (not tuples, which the
+    # garbage collector tracks), each sum added left to right as a row adds it: PD shock
+    # b_H*H + b_T*T + b_U*U, LGD factor 1 + gamma*H, loss fraction dH*H + dT*T + d_f, at most 1.
+    b_h, b_u, d_h = betas.hazard, betas.fragility, repricing.delta_hazard
+    gamma, fragility = scenario.lgd_gamma, contexts.fragility
     shocks, lgd_factors, loss_fractions = [], [], []
     for context_code, sector_code in map(divmod, codes.pairs, repeat(len(sector_terms))):
-        b_h, b_u, lgd_factor, d_h = context_terms[context_code]
-        b_t, d_t = sector_terms[sector_code]
-        loss_fraction = d_h + d_t + d_f
-        shocks.append(b_h + b_t + b_u)
-        lgd_factors.append(lgd_factor)
+        hazard, (b_t, d_t) = binding[context_code], sector_terms[sector_code]
+        loss_fraction = d_h * hazard + d_t + d_f
+        shocks.append(b_h * hazard + b_t + b_u * fragility[context_code])
+        lgd_factors.append(1.0 + gamma * hazard)
         loss_fractions.append(loss_fraction if loss_fraction < 1.0 else 1.0)
-    del context_terms, sector_terms
+    del binding, sector_terms
 
     exp, nan = math.exp, math.nan
-    # Four float columns, not a StressRow per instrument: floats are not
-    # tracked by the cyclic garbage collector, tuples are.
-    pd_column, lgd_column, el_column, dv_column = [], [], [], []
-    add_pd, add_lgd, add_el, add_dv = (
-        pd_column.append, lgd_column.append, el_column.append, dv_column.append
-    )
-    total_el = 0.0
-    weighted_dv = 0.0
-    columns = codes.columns
-    for pd0, lgd0, ead, value, adaptation, pair_code, weight in zip(
-        columns.pd0, columns.lgd0, columns.ead, columns.value, columns.adaptation,
-        codes.pair_codes, codes.weights,
-    ):
-        exponent = shocks[pair_code] - b_a * adaptation
-        try:
-            pd_s = pd0 * exp(exponent)
-        except OverflowError:
-            pd_s = nan
-        if not pd_s < 1.0:
-            # A NaN product (exp overflowed, a zero baseline met exp(inf),
-            # or the exponent is NaN) goes to pd_after_overflow.
-            pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
-        lgd_s = lgd0 * lgd_factors[pair_code]
-        if not lgd_s < 1.0:
-            # A NaN product is a zero baseline times an overflowed factor.
-            lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
-        # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
-        el_s = pd_s * lgd_s * ead
-        dv_s = -value * loss_fractions[pair_code]
+    # Four float columns, not a StressRow per instrument: floats are not tracked by the cyclic
+    # garbage collector, tuples are. Without ``rows`` they are the result's; with it, each
+    # block's are handed over and dropped, and only the losses are kept, unboxed, for the report.
+    columns, step = codes.columns, report.ROWS_PER_BLOCK
+    kept = RowColumns(columns.id, [], [], [] if rows is None else array("d"), [])
+    total_el = weighted_dv = 0.0
+    values = zip(columns.pd0, columns.lgd0, columns.ead, columns.value, columns.adaptation,
+                 codes.pair_codes, codes.weights)
+    for start in range(0, len(kept.id), step):
+        block = kept[1:] if rows is None else ([], [], [], [])
+        add_pd, add_lgd, add_el, add_dv = (column.append for column in block)
+        for pd0, lgd0, ead, value, adaptation, pair_code, weight in islice(values, step):
+            exponent = shocks[pair_code] - b_a * adaptation
+            try:
+                pd_s = pd0 * exp(exponent)
+            except OverflowError:
+                pd_s = nan
+            if not pd_s < 1.0:
+                # A NaN product (exp overflowed, a zero baseline met exp(inf),
+                # or the exponent is NaN) goes to pd_after_overflow.
+                pd_s = 1.0 if pd_s >= 1.0 else pd_after_overflow(pd0, exponent)
+            lgd_s = lgd0 * lgd_factors[pair_code]
+            if not lgd_s < 1.0:
+                # A NaN product is a zero baseline times an overflowed factor.
+                lgd_s = 1.0 if lgd_s >= 1.0 else 0.0
+            # The clamps keep pd_s and lgd_s in [0, 1], so 0 <= el_s <= ead.
+            el_s = pd_s * lgd_s * ead
+            dv_s = -value * loss_fractions[pair_code]
 
-        add_pd(pd_s)
-        add_lgd(lgd_s)
-        add_el(el_s)
-        add_dv(dv_s)
-        total_el += el_s
-        weighted_dv += weight * dv_s
+            add_pd(pd_s)
+            add_lgd(lgd_s)
+            add_el(el_s)
+            add_dv(dv_s)
+            total_el += el_s
+            weighted_dv += weight * dv_s
+        if rows is not None:
+            rows(kept.id[start:start + step], *block)
+            kept.el_s.extend(block[2])
 
     del shocks, lgd_factors, loss_fractions
     metric = _stress_metric(weighted_dv, total_el, scenario.lam)
-    columns = RowColumns(columns.id, pd_column, lgd_column, el_column, dv_column)
-    result = StressResult(
-        scenario_id=scenario.id, rows=columns, total_el=total_el, climate_var=metric
-    )
-    return result, _report(linked, scenario.id, columns, metric, top_k, total_el)
+    result = StressResult(scenario_id=scenario.id, rows=kept if rows is None else (),
+                          total_el=total_el, climate_var=metric)
+    return result, _report(linked, scenario.id, kept, metric, top_k, total_el)

@@ -11,13 +11,14 @@ text, are filled into a fixed template, because the stdlib encoder runs
 in pure Python whenever ``indent`` is set. ``tests/test_report.py`` holds
 the ``json.dumps`` path as the reference and checks the two agree.
 
-``report_blocks`` is the one writer: it renders a share of a report
-from any iterable of results, one scenario at a time, in blocks of rows,
-so the CLI streams the report into its output file while it evaluates
-the scenarios. A report is one or more shares, each one's blocks apart
-from the others', closed with ``report_end``: ``stress run`` writes a
-later share in a second process, and ``emit_report`` joins one share and
-its end into one document.
+``row_text`` is the one row writer: it renders a block of rows, cut from
+a result's columns or as ``run_scenario`` hands it over, so ``stress run``
+writes each block once it is evaluated (a JSON entry's into a scratch file
+until the entry's head, which needs the totals, is out). An entry is its
+``entry_start`` and ``entry_blocks``; ``report_blocks`` renders a report's
+entries from any iterable of results, ``report_end`` closes it, and
+``emit_report`` joins the two into one document. ``stress run`` writes its
+entries from the same pieces, a later share of them in a second process.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import gc
 import io
 import json
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
@@ -91,12 +92,12 @@ def _numbers(values: Sequence[float]) -> list[str]:
 
 @lru_cache(maxsize=2)  # a scenario's full blocks, then its last one
 def _rows_template(n: int) -> str:
-    """The JSON text of ``n`` rows, with a ``%s`` per value."""
-    return ",\n".join([_ROW] * n)
+    """The JSON text of ``n`` rows, each after ",\n", with a ``%s`` per value."""
+    return (",\n" + _ROW) * n
 
 
-def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
-    """One scenario's JSON entry, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
+def _json_head(result: StressResult, report: ExposureReport) -> tuple[str, str]:
+    """One scenario's JSON entry without its rows, split where they go."""
     def r(x: float) -> float:
         return float("%.12g" % x)
 
@@ -125,22 +126,7 @@ def _json_entry(result: StressResult, report: ExposureReport) -> Iterator[str]:
     # With an indent, the stdlib encoder is pure Python and leaves reference cycles of its
     # closures; free them now, as a paused collector (``cli.main``) never would.
     gc.collect(0)
-    ids, pd_s, lgd_s, el_s, dv_s = row_columns(result)
-    if not ids:
-        yield head + _NO_ROWS + tail
-        return
-    separator = head + '\n    "rows": [\n'
-    for start in range(0, len(ids), ROWS_PER_BLOCK):
-        end = start + ROWS_PER_BLOCK
-        block_ids = ids[start:end]
-        # _ROW's fields in its (sorted-key) order, row after row.
-        values = chain.from_iterable(zip(
-            _numbers(dv_s[start:end]), _numbers(el_s[start:end]), map(_string, block_ids),
-            _numbers(lgd_s[start:end]), _numbers(pd_s[start:end]),
-        ))
-        yield separator + _rows_template(len(block_ids)) % tuple(values)
-        separator = ",\n"
-    yield "\n    ]" + tail
+    return head, tail
 
 
 # A field holding none of these is written bare by csv.writer on every
@@ -155,34 +141,60 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
     return out.getvalue()
 
 
-def _csv_rows(result: StressResult) -> Iterator[str]:
-    """One scenario's CSV rows, in blocks of at most ``ROWS_PER_BLOCK`` rows."""
-    columns, scenario_id = row_columns(result), result.scenario_id
-    plain = not _CSV_SPECIAL.search(scenario_id + "".join(columns.id))
-    # What csv.writer writes for plain fields; RowColumns are in column order.
+def row_text(format: str, scenario_id: str) -> Callable[..., bytes]:
+    """The one row writer: a block of rows, given as its columns ``(ids, pd_s, lgd_s, el_s,
+    dv_s)``, as encoded report text: CSV lines, or JSON rows, each after ",\n"."""
+    # What csv.writer writes for plain fields; the columns are in its order.
     line = scenario_id.replace("%", "%%") + ",%s,%.12g,%.12g,%.12g,%.12g\n"
-    for start in range(0, len(columns.id), ROWS_PER_BLOCK):
-        block = [column[start:start + ROWS_PER_BLOCK] for column in columns]
-        if plain:
-            text = line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
-        else:
-            text = _csv_lines(
+
+    def text(*block: Sequence) -> bytes:
+        if format == "json":  # _ROW's fields in its (sorted-key) order, row after row
+            values = zip(_numbers(block[4]), _numbers(block[3]), map(_string, block[0]),
+                         _numbers(block[2]), _numbers(block[1]))
+            return _utf8(_rows_template(len(block[0])) % tuple(chain.from_iterable(values)))
+        if _CSV_SPECIAL.search(scenario_id + "".join(block[0])):
+            return _utf8(_csv_lines(
                 [scenario_id, id, f"{pd_s:.12g}", f"{lgd_s:.12g}", f"{el_s:.12g}", f"{dv_s:.12g}"]
                 for id, pd_s, lgd_s, el_s, dv_s in zip(*block)
-            )
-        yield text
+            ))
+        return _utf8(line * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+    return text
+
+
+def entry_start(format: str, first: bool) -> bytes:
+    """What goes before an entry: the CSV header before the first, JSON's "[" or ","."""
+    return (_CSV_HEADER if first else b"") if format == "csv" else (b"[\n" if first else b",\n")
+
+
+def entry_blocks(result: StressResult, report: ExposureReport, format: str,
+                 rows: Optional[BinaryIO] = None) -> Iterator[bytes]:
+    """One scenario's entry after its start, in blocks of at most ``ROWS_PER_BLOCK`` rows: the
+    result's, or those ``row_text`` wrote to the file ``rows`` (JSON only)."""
+    if rows is None:
+        columns, text = row_columns(result), row_text(format, result.scenario_id)
+        blocks = (text(*[column[start:start + ROWS_PER_BLOCK] for column in columns])
+                  for start in range(0, len(columns.id), ROWS_PER_BLOCK))
+    else:
+        rows.seek(0)
+        blocks = iter(partial(rows.read, 1 << 16), b"")  # larger reads raise the peak RSS
+    if format == "csv":
+        yield from blocks
+        return
+    head, tail = _json_head(result, report)
+    first = next(blocks, b"")  # none for no rows: then the list's "[]"
+    yield _utf8(head + '\n    "rows": [') + first[1:]  # the first row's "\n", not its ","
+    yield from blocks
+    yield _utf8(("\n    ]" if first else "]") + tail)
 
 
 def _blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
-            totals: Totals, first: bool) -> Iterator[bytes]:
-    csv_rows = format == "csv"
+            totals: Totals) -> Iterator[bytes]:
+    first = True  # not enumerate(), whose cached tuple would keep the last pair alive
     for result, report in results:
-        if not csv_rows:
-            yield b"[\n" if first else b",\n"
-        elif first:
-            yield _CSV_HEADER
+        yield entry_start(format, first)
         first = False
-        yield from map(_utf8, _csv_rows(result) if csv_rows else _json_entry(result, report))
+        yield from entry_blocks(result, report, format)
         totals.append((result.scenario_id, result.total_el, result.climate_var))
         del result, report  # freed before the next result is made
 
@@ -195,11 +207,10 @@ def _utf8(block: str) -> bytes:
 
 
 def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
-                  totals: Totals, first: bool = True) -> Iterator[bytes]:
-    """One share of a report, one entry per scenario in input order, as
-    encoded blocks; ``report_end`` ends the report. Each result's
-    (scenario_id, total_el, climate_var) goes to ``totals``, and a share not
-    ``first`` follows entries already written. An empty ``results`` yields
+                  totals: Totals) -> Iterator[bytes]:
+    """A report's entries, one per scenario in input order, as encoded
+    blocks; ``report_end`` ends the report. Each result's (scenario_id,
+    total_el, climate_var) goes to ``totals``. An empty ``results`` yields
     nothing.
 
     ``results`` is read one pair at a time, and each pair is unreachable
@@ -210,7 +221,7 @@ def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format
     """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    return _blocks(results, format, totals, first)
+    return _blocks(results, format, totals)
 
 
 def report_end(totals: Totals, format: str = "json") -> bytes:
@@ -232,5 +243,5 @@ def emit_report(
 ) -> bytes:
     """Serialize one entry per scenario, in input order."""
     totals: Totals = []
-    share = b"".join(report_blocks(results, format, totals))
-    return share + report_end(totals, format)
+    entries = b"".join(report_blocks(results, format, totals))
+    return entries + report_end(totals, format)

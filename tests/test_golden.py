@@ -24,10 +24,11 @@ import io
 import json
 import os
 import shutil
+from typing import Optional
 
 import pytest
 
-from geostress import builtin_scenarios, cli, run_scenario, serialize_scenario
+from geostress import builtin_scenarios, cli, report, run_scenario, serialize_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden.json")
@@ -157,8 +158,9 @@ ERROR_CASES = {
     # Two EADs whose sum overflows: the EAD-based geo HHI has no finite basis.
     "ead-overflow": ([(1, _set_cell(3, "1.7e308")), (2, _set_cell(3, "1.7e308"))], [],
                      None, "json"),
-    # b_H*H and b_A*A both reach +inf on row 1, so its PD exponent is nan.
-    "nan-pd-exponent": ([(1, _set_cell(7, "2.0"))], [], {
+    # b_H*H and b_A*A both reach +inf on row 1,500, so its PD exponent is nan: the rows
+    # before it, more than one block of them, have been evaluated and streamed.
+    "nan-pd-exponent": ([(1500, _set_cell(7, "2.0"))], [], {
         "id": "x", "kind": "compound",
         "hazard_multipliers": {h: 100 for h in gen.HAZARDS},
         "betas": {"hazard": 1e308, "adaptation": 1e308},
@@ -175,9 +177,19 @@ ERROR_CASES = {
 }
 
 
-def observe_error(case: str, source: dict, directory: str) -> dict:
-    """Run ``case`` on a copy of the ``source`` input set in ``directory``."""
-    portfolio_changes, hazard_changes, document, fmt = ERROR_CASES[case]
+# A fault raised after rows were streamed, beside ``ERROR_CASES``: a lambda so large that the
+# climate_var overflows once every row is evaluated. golden.json does not hold its line.
+STREAMED = {"lambda-overflow": ([], [], {"id": "x", "kind": "compound", "lambda": 1e308}, "csv")}
+STREAMED_LINES = {
+    "lambda-overflow": "error: NonFiniteSum: climate_var is inf: a sum of finite inputs overflowed\n",
+}
+
+
+def observe_error(case: str, source: dict, directory: str, fmt: Optional[str] = None) -> dict:
+    """Run ``case`` on a copy of the ``source`` input set in ``directory``, in its report
+    format or ``fmt``."""
+    portfolio_changes, hazard_changes, document, case_fmt = {**ERROR_CASES, **STREAMED}[case]
+    fmt = fmt or case_fmt
     paths = {name: shutil.copy(path, directory) for name, path in source["paths"].items()}
     for index, change in portfolio_changes:
         _replace_line(paths["portfolio"], index, change)
@@ -241,3 +253,28 @@ def test_rejected_inputs(golden, generated, tmp_path, case):
     assert observed == golden["errors"][case]
     assert observed["exit"] == 2 and observed["stdout"] == ""
     assert "Traceback" not in observed["stderr"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case, streamed", [("nan-pd-exponent", 23 * 64), ("lambda-overflow", N)])
+def test_a_fault_after_streamed_rows_leaves_nothing(
+    golden, generated, tmp_path, monkeypatch, pinned, case, streamed, cpus, fmt
+):
+    """Blocks of 64 rows: the nan exponent on row 1,500 fails the 24th block, after 23 were
+    written, and the overflow comes after all 47. Either way, on one CPU or two (a load
+    worker), the run exits 2 with its one line and leaves no report and no part file."""
+    monkeypatch.setattr(report, "ROWS_PER_BLOCK", 64)
+    written = []
+    row_text = cli.row_text
+
+    def counted(format, scenario_id):
+        text = row_text(format, scenario_id)
+        return lambda *block: written.append(len(block[0])) or text(*block)
+
+    monkeypatch.setattr(cli, "row_text", counted)
+    inputs, _ = generated("cli_json")
+    observed = pinned(cpus, observe_error, case, inputs, str(tmp_path), fmt)
+    line = STREAMED_LINES.get(case) or golden["errors"][case]["stderr"]
+    assert observed == {"exit": 2, "stdout": "", "stderr": line}  # and no report
+    assert sum(written) == streamed and max(written) == 64

@@ -74,10 +74,10 @@ def test_two_processes_write_the_one_process_report(
 ):
     parent, evaluated = os.getpid(), []
 
-    def watched(linked, scenario, top_k):
+    def watched(linked, scenario, top_k, **rows):
         if os.getpid() == parent:
             evaluated.append(scenario.id)
-        return run_scenario(linked, scenario, top_k=top_k)
+        return run_scenario(linked, scenario, top_k=top_k, **rows)
 
     monkeypatch.setattr(cli, "run_scenario", watched)
     runs = {}
@@ -133,10 +133,10 @@ def test_a_failing_share_fails_as_one_process_does(
     names = [json.loads(p.read_text())["id"] for p in inputs[1][:3]] + ["compound"]
     assert names.index(failing) == (1 if share == "parent" else 3)
 
-    def failing_run(linked, scenario, top_k):
+    def failing_run(linked, scenario, top_k, **rows):
         if scenario.id == failing:
             raise error
-        return run_scenario(linked, scenario, top_k=top_k)
+        return run_scenario(linked, scenario, top_k=top_k, **rows)
 
     monkeypatch.setattr(cli, "run_scenario", failing_run)
     out = tmp_path / f"report.{format}"
@@ -152,12 +152,12 @@ def test_a_worker_killed_by_a_signal_is_replaced_by_the_parent(
 ):
     parent = os.getpid()
 
-    def killing(linked, scenario, top_k):
+    def killing(linked, scenario, top_k, **rows):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         if share_fails and scenario.id == "compound":  # in the worker's share
             raise DomainError("boom")
-        return run_scenario(linked, scenario, top_k=top_k)
+        return run_scenario(linked, scenario, top_k=top_k, **rows)
 
     monkeypatch.setattr(cli, "run_scenario", killing)
     runs = []
@@ -175,10 +175,10 @@ def test_a_worker_killed_by_a_signal_is_replaced_by_the_parent(
 def test_an_interrupt_leaves_no_worker_and_no_file(inputs, tmp_path, monkeypatch, pinned):
     parent = os.getpid()
 
-    def interrupted(linked, scenario, top_k):
+    def interrupted(linked, scenario, top_k, **rows):
         if os.getpid() == parent and scenario.id == "disorderly-v1":  # the parent's second
             raise KeyboardInterrupt
-        return run_scenario(linked, scenario, top_k=top_k)
+        return run_scenario(linked, scenario, top_k=top_k, **rows)
 
     monkeypatch.setattr(cli, "run_scenario", interrupted)
     out = tmp_path / "report.json"
@@ -203,13 +203,13 @@ def test_two_processes_leave_the_collector_as_they_found_it(
     collector paused, and the parent leaves it as it found it."""
     parent, during, seen = os.getpid(), [], tmp_path / "worker.txt"
 
-    def watched(linked, scenario, top_k):
+    def watched(linked, scenario, top_k, **rows):
         if os.getpid() == parent:
             during.append(gc.isenabled())
         else:
             with open(seen, "a", encoding="ascii") as fh:
                 fh.write(f"{gc.isenabled()}\n")
-        return run_scenario(linked, scenario, top_k=top_k)
+        return run_scenario(linked, scenario, top_k=top_k, **rows)
 
     monkeypatch.setattr(cli, "run_scenario", watched)
     code, _, _, forks = _run(pinned, 2, _argv(inputs, tmp_path / "r.json"), capfd)
