@@ -14,10 +14,10 @@ covers ``repr`` of every finite float: no surrounding whitespace, no
 underscores, no other digits. A geo unit used by any instrument must
 carry all four hazard types and a fragility entry; truly absent hazards
 are encoded as explicit 0.0 rows. Files are checked by column, in chunks.
-The link is one step per side table, each a lookup of the portfolio's
-distinct geo ids into float arrays (the ids are all a step reads, so a
-process without the portfolio can run it), then ``link_resolved``, the
-only one that raises.
+The link is one step per side table, each one lookup per distinct geo id
+of the portfolio into a table held by geo id, giving a float column (the
+ids are all a step reads, so a process without the portfolio can run it),
+then ``link_resolved``, the only one that raises.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import io
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, product, repeat
-from math import isfinite
-from operator import is_
+from itertools import chain, islice, repeat
+from math import isfinite, isnan, nan
+from operator import add, is_, mul
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -51,11 +51,11 @@ from .errors import (
 from .model import (
     CHANNEL_BY_TOKEN,
     DOMAINS,
-    HAZARD_BY_TOKEN,
     HAZARD_TYPES,
     Channel,
     FragilityTable,
     GeoUnit,
+    HazardColumns,
     HazardField,
     HazardType,
     InstrumentColumns,
@@ -67,6 +67,7 @@ from .model import (
     _codes,
     _in_domain,
     _read_only,
+    _reduced,
     hhi,
     normalize_weights,
     validate_portfolio,
@@ -128,17 +129,21 @@ class LinkCodes:
     (context, sector) pairs that occur, as sorted keys ``context_code *
     len(columns.sectors) + sector_code``; ``pair_codes`` and ``channel_codes``
     index ``pairs`` and the first-appearance channel tags per row. ``geo_ead``
-    is the EAD summed per geo code in row order. All are tuples or read-only.
+    is the EAD summed per geo code in row order. All are tuples or read-only
+    columns (``model._read_only``), these four typed ones: a view of bytes.
     """
 
     columns: InstrumentColumns
     weights: tuple[float, ...]
     contexts: ContextColumns
-    pairs: tuple[int, ...]
-    pair_codes: tuple[int, ...]
+    pairs: Sequence[int]
+    pair_codes: Sequence[int]
     channels: tuple[str, ...]
-    channel_codes: tuple[int, ...]
-    geo_ead: tuple[float, ...]
+    channel_codes: Sequence[int]
+    geo_ead: Sequence[float]
+
+    def __reduce__(self) -> tuple:
+        return _reduced(self, map(vars(self).__getitem__, self.__dataclass_fields__))
 
     @cached_property
     def hhi_geo_ead(self) -> float:
@@ -209,11 +214,11 @@ class LinkedPortfolio:
             columns=columns,
             weights=tuple(weights),
             contexts=contexts,
-            pairs=tuple(pairs),
-            pair_codes=tuple(map(pair_index.__getitem__, pair_keys)),
+            pairs=_read_only(pairs, "q"),
+            pair_codes=_read_only(map(pair_index.__getitem__, pair_keys), "q"),
             channels=tuple(c.value for c in channel_index),
-            channel_codes=tuple([context_channels[code] for code in contexts.codes]),
-            geo_ead=tuple(geo_ead),
+            channel_codes=_read_only([context_channels[code] for code in contexts.codes], "q"),
+            geo_ead=_read_only(geo_ead),
         )
 
 
@@ -436,25 +441,35 @@ def _add(table: dict, pairs: Iterable[tuple], count: int) -> bool:
 
 
 def load_hazard_table(source: IO[bytes], filename: str = "hazards.csv") -> HazardField:
-    """Load baseline hazard intensities with unique (geo_id, hazard) keys."""
-    entries: dict[tuple[str, HazardType], float] = {}
+    """Load baseline hazard intensities with unique (geo_id, hazard) keys into their geo
+    units' slots (``model.HazardColumns``): no key is built. An unfilled slot holds NaN."""
+    index, values, filled, width = {}, array("d"), 0, len(HAZARD_TYPES)
+    places = {hazard.value: k for k, hazard in enumerate(HAZARD_TYPES)}  # a token's slot in four
     for linenos, (geo_ids, tokens, cells) in _chunks(source, filename, HAZARDS_HEADER):
-        hazards, intensities = list(map(HAZARD_BY_TOKEN.get, tokens)), _plain_floats(cells)
-        if None in hazards or intensities is None or min(intensities) < 0.0 or not _add(
-                entries, zip(zip(geo_ids, hazards), intensities), len(geo_ids)):
-            for lineno, geo_id, token, cell in zip(linenos, geo_ids, tokens, cells):  # name it
-                hazard = HAZARD_BY_TOKEN.get(token)
-                if hazard is None:
+        known = len(values) // width  # the geo units before this chunk: only theirs are filled
+        codes, kinds = _codes(geo_ids, index)[1], list(map(places.get, tokens))
+        values.fromlist([nan] * (width * len(index) - len(values)))
+        slots = [] if None in kinds else list(map(add, map(mul, codes, repeat(width)), kinds))
+        intensities = _plain_floats(cells)
+        if (len(slots) < len(codes) or intensities is None or min(intensities) < 0.0
+                or len(set(slots)) < len(slots) or min(codes) < known
+                and not all(map(isnan, map(values.__getitem__, slots)))):
+            for lineno, geo_id, code, token, cell in zip(linenos, geo_ids, codes, tokens, cells):
+                if token not in places:
                     raise UnknownHazardToken(f"{filename}:{lineno}: unknown hazard {token!r}")
                 intensity = _float(cell, filename, lineno, "intensity")
                 if intensity < 0.0:
                     raise NegativeIntensity(f"{filename}:{lineno}: intensity {intensity} < 0")
-                key = (geo_id, hazard)
-                if key in entries:
+                if not isnan(values[code * width + places[token]]):
                     raise DuplicateKey(f"{filename}:{lineno}: duplicate ({geo_id}, {token})")
-                entries[key] = intensity
-        del geo_ids, tokens, cells  # freed before the next chunk is read: a lower peak
-    return HazardField(entries=entries)
+                values[code * width + places[token]] = intensity
+        else:  # each slot new and unfilled
+            any(map(values.__setitem__, slots, intensities))  # values[slot] = intensity, in C
+        filled += len(codes)
+        del geo_ids, tokens, cells, codes, slots  # freed before the next chunk: a lower peak
+    if filled < len(values):  # a gap
+        values = [None if isnan(value) else value for value in values]
+    return HazardField(entries=HazardColumns(index, values))
 
 
 def load_fragility(source: IO[bytes], filename: str = "fragility.csv") -> FragilityTable:
@@ -508,9 +523,15 @@ def _per_context(hazards: _Column) -> Iterator[tuple]:
 
 def link_hazards(geo_ids: Sequence[str], hazards: HazardField) -> _Column:
     """The first link step: each distinct geo id's four baselines in ``HAZARD_TYPES`` order,
-    one geo id after another, as ``ContextColumns.hazards`` holds them."""
-    # Each geo unit's four keys in turn, as the hazard file lists them: fewer cache misses.
-    return _resolved(list(map(hazards.entries.get, product(geo_ids, HAZARD_TYPES))))
+    one geo id after another, as ``ContextColumns.hazards`` holds them: one lookup per geo id,
+    and without a gap a read-only column of the slices' bytes."""
+    index, values = vars(hazards)["entries"]
+    width, found = len(HAZARD_TYPES), list(map(index.get, geo_ids))
+    parts = [values[at * width:(at + 1) * width] if at is not None else (None,) * width
+             for at in found]
+    if None in found or type(values) is list:  # a gap
+        return _resolved(list(chain.from_iterable(parts)))
+    return memoryview(b"".join(parts)).cast("d")
 
 
 def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column:

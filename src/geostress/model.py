@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import count, filterfalse, product, repeat
 from math import inf, isfinite
 from operator import attrgetter, lt, truediv
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -66,23 +66,6 @@ class GeoUnit:
     id: str
     name: str
     channel: Channel
-
-
-@dataclass(frozen=True)
-class HazardField:
-    """Baseline hazard intensities keyed by (geo_id, hazard type).
-
-    Lookup of an absent pair raises KeyError: a missing hazard is a data
-    error, never an implicit zero.
-    """
-
-    entries: dict[tuple[str, HazardType], float]
-
-    def intensity(self, geo_id: str, hazard: HazardType) -> float:
-        return self.entries[(geo_id, hazard)]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -195,29 +178,34 @@ class InstrumentColumns(NamedTuple):
         ))
 
     def __reduce__(self) -> tuple:
-        # A read-only column pickles as the bytes it views, with no copy; the copy views
-        # them again, and is checked as no load checked it.
-        return _unpickled, (type(self), *(c.obj if _frozen(c) else c for c in self))
+        return _reduced(self, self)
 
 
-def _unpickled(cls: type, *fields: object) -> tuple:
-    return cls(*(memoryview(f).cast("d") if type(f) is bytes else f for f in fields))
+def _reduced(obj: object, fields: Iterable) -> tuple:
+    """``obj``, made of ``fields``, to pickle: a read-only column as the bytes it views, with
+    no copy, and its format. The copy views them again, and is checked as no load checked it."""
+    fields = [(c.obj, c.format) if _frozen(c) else (c, None) for c in fields]
+    return _unpickled, (type(obj), *fields)
 
 
-def _read_only(values: Sequence[float]) -> Sequence[float]:
-    """``values`` as a float column that no write can change: a tuple or a view of bytes
-    as it is, else copied into a view of bytes."""
-    if type(values) is tuple or _frozen(values):
+def _unpickled(cls: type, *fields: tuple) -> object:
+    return cls(*(memoryview(c).cast(f) if f else c for c, f in fields))
+
+
+def _read_only(values: Sequence, typecode: str = "d") -> Sequence:
+    """``values`` as a column of ``typecode`` numbers that no write can change: a tuple or a
+    view of bytes as it is, else copied into a view of bytes."""
+    if type(values) is tuple or _frozen(values) and values.format == typecode:
         return values
-    if type(values) is not array or values.typecode != "d":
-        values = array("d", values)
-    return memoryview(values.tobytes()).cast("d")
+    if type(values) is not array or values.typecode != typecode:
+        values = array(typecode, values)
+    return memoryview(values.tobytes()).cast(typecode)
 
 
 def _frozen(column: object) -> bool:
-    """Whether ``column`` is a view of a whole bytes object as floats, as ``_read_only`` makes."""
+    """Whether ``column`` is a view of a whole bytes object as numbers, as ``_read_only`` makes."""
     return (type(column) is memoryview and type(column.obj) is bytes
-            and column.format == "d" and column.nbytes == len(column.obj))
+            and column.nbytes == len(column.obj))
 
 
 # By identity, the read-only number columns that ``load_portfolio`` checked: the one trust
@@ -228,11 +216,11 @@ _CHECKED: WeakValueDictionary = WeakValueDictionary()
 
 class _Rows:
     """A field held as columns of type ``columns`` (rows given are converted by
-    ``columns.of``, which checks nothing) and read as a tuple of rows, which the
-    first read builds and keeps beside the columns. The engine reads the columns
-    (``row_columns``, ``LinkedPortfolio.codes``), so a CLI run builds no
-    ``Instrument``, ``StressRow`` or ``ExposureContext``: objects that the
-    cyclic garbage collector walks.
+    ``columns.of``, which checks nothing) and read as its rows, which the first
+    read builds and keeps beside the columns. The engine reads the columns
+    (``row_columns``, ``LinkedPortfolio.codes``, ``link_hazards``), so a CLI run
+    builds no ``Instrument``, ``StressRow``, ``ExposureContext`` or hazard key:
+    objects that the cyclic garbage collector walks.
     """
 
     def __init__(self, columns: type) -> None:
@@ -252,6 +240,41 @@ class _Rows:
 
     def __set__(self, instance: object, rows: Iterable) -> None:
         vars(instance)[self.name] = rows if type(rows) is self.columns else self.columns.of(rows)
+
+
+class HazardColumns(NamedTuple):
+    """A hazard table by geo unit: ``index`` maps each geo id to its position (first
+    appearance order), and ``values`` holds each one's four baselines in ``HAZARD_TYPES``
+    order: a float column as loaded without a gap, else a list with None at each gap."""
+
+    index: dict[str, int]
+    values: Sequence[Optional[float]]
+
+    @classmethod
+    def of(cls, entries: dict[tuple[str, HazardType], float]) -> HazardColumns:
+        index = _codes([geo_id for geo_id, _ in entries])[0]
+        return cls(index, list(map(entries.get, product(index, HAZARD_TYPES))))
+
+    def rows(self) -> dict[tuple[str, HazardType], float]:
+        pairs = product(self.index, HAZARD_TYPES)
+        return {key: value for key, value in zip(pairs, self.values) if value is not None}
+
+
+@dataclass(frozen=True)
+class HazardField:
+    """Baseline hazard intensities keyed by (geo_id, hazard type), held by geo unit as
+    ``HazardColumns`` (see ``_Rows``). Lookup of an absent pair raises KeyError: a
+    missing hazard is a data error, never an implicit zero.
+    """
+
+    entries: dict[tuple[str, HazardType], float] = _Rows(HazardColumns)  # type: ignore[assignment]
+
+    def intensity(self, geo_id: str, hazard: HazardType) -> float:
+        return self.entries[(geo_id, hazard)]
+
+    def __len__(self) -> int:
+        values = vars(self)["entries"].values
+        return len(values) - values.count(None)
 
 
 @dataclass(frozen=True)
@@ -285,11 +308,9 @@ def row_columns(result: StressResult) -> RowColumns:
 def _codes(keys: Sequence[object], index: Optional[dict] = None) -> tuple[dict, tuple[int, ...]]:
     """First-appearance codes for ``keys``, after those ``index`` holds:
     the key-to-code map and the code of each key in turn."""
-    index, fresh = {} if index is None else index, dict.fromkeys(keys)
-    new = fresh.keys() - index.keys()
-    if new:  # most chunks add no key: walk only those they add, in first-appearance order
-        for key in filter(new.__contains__, fresh):
-            index[key] = len(index)
+    index = {} if index is None else index
+    # Only the chunk's distinct keys are walked: a set difference with ``index`` walks it all.
+    index.update(zip(filterfalse(index.__contains__, dict.fromkeys(keys)), count(len(index))))
     return index, tuple(map(index.__getitem__, keys))
 
 

@@ -38,6 +38,8 @@ from test_context_columns import _load_linked
 from test_golden import INPUTS, gen
 
 _SCENARIO = builtin_scenarios()[3]
+# The code columns held typed, by their format: a view of bytes, as the number columns are.
+_TYPED = {"pairs": "q", "pair_codes": "q", "channel_codes": "q", "geo_ead": "d"}
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,11 @@ def test_loaded_portfolios_pickle(paths, pinned, codes_built, cpus):
     with pytest.raises(TypeError):  # the hazard column too
         copy.codes.contexts.hazards[0] = -1e6
     assert type(copy.codes.contexts.hazards.obj) is bytes
+    for name, format in _TYPED.items():  # and the typed code columns, each in its format
+        held, copied = getattr(linked.codes, name), getattr(copy.codes, name)
+        assert model._frozen(copied) and copied.format == format and copied == held
+        with pytest.raises(TypeError):
+            copied[0] = copied[0] + 1
 
 
 def test_a_loaded_column_cannot_be_written_after_a_run(paths):
@@ -164,6 +171,8 @@ def test_no_write_after_a_run_reaches_the_next(paths, pinned, kind, path):
     before = repr(run_scenario(linked, _SCENARIO))
     held = attrgetter(path)(linked.codes)
     assert type(held) is tuple or model._frozen(held)
+    if path in _TYPED:
+        assert model._frozen(held) and held.format == _TYPED[path]
     value = held[0]
     assert type(value) in (int, float, str, Channel)  # a value, not a nested column
     with pytest.raises(TypeError):

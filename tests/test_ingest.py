@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -34,7 +35,7 @@ from geostress import (
     load_portfolio,
 )
 from geostress import ingest
-from geostress.model import HAZARD_TYPES, GeoUnit
+from geostress.model import HAZARD_TYPES, GeoUnit, _frozen
 from geostress.errors import (
     DuplicateKey,
     InvariantViolation,
@@ -48,6 +49,7 @@ from geostress.errors import (
     UnknownHazardToken,
     UnresolvedGeo,
 )
+from test_golden import gen
 
 
 class TestLoadPortfolio:
@@ -110,6 +112,22 @@ class TestLoadHazardTable:
         field = load_hazard_table(as_stream(b"geo_id,hazard,intensity\ng1,flood,0.5\n"))
         with pytest.raises(KeyError):
             field.intensity("g1", HazardType.HEAT)
+
+    def test_a_loaded_table_keeps_few_bytes_per_row(self, tmp_path):
+        # gen.py's cli_csv_sparse shape: 60,000 rows over 15,000 geo units. Held by geo unit
+        # (a float per row, a string and an index entry per geo unit), the loaded table kept
+        # 36 B per row under tracemalloc on Python 3.11; held as a dict keyed by
+        # (geo_id, HazardType) tuples, it kept 178 B per row.
+        path = gen.generate(str(tmp_path), 1, 30_000, 15_000, 1000)["paths"]["hazards"]
+        with open(path, "rb") as source:
+            tracemalloc.start()
+            try:
+                field = load_hazard_table(source)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert len(field) == 60_000
+        assert kept / len(field) < 50
 
 
 class TestLoadFragility:
@@ -479,3 +497,24 @@ def test_link_names_the_first_geo_unit_with_a_gap(gaps, error):
         link_exposures(portfolio, HazardField(hazards), FragilityTable(fragility),
                        list(registry.values()))
     assert str(raised.value) == str(error)
+
+
+@pytest.mark.parametrize("rows", [
+    b"g1,flood,0.5\ng0,wildfire,0.1\ng0,drought,0.2\ng0,flood,0\ng0,heat,0.4\ng1,heat,1e-3\n",
+    b"g0,wildfire,0.1\ng0,drought,0.2\ng0,flood,0\ng0,heat,0.4\n",
+], ids=["a-hazard-type-missing", "no-gap"])
+def test_link_hazards_reads_four_baselines_per_geo_id(rows):
+    """Over a loaded table and over its entries given again, each geo id's four baselines in
+    ``HAZARD_TYPES`` order, None for a type its unit lacks and for an unknown geo id."""
+    loaded = load_hazard_table(as_stream(b"geo_id,hazard,intensity\n" + rows))
+    entries = {(geo_id, HazardType(token)): float(cell)
+               for geo_id, token, cell in (line.split(",") for line in rows.decode().splitlines())}
+    assert loaded.entries == entries
+    for geo_ids in [("g0", "nowhere", "g1", "g0"), ("g0",), ()]:
+        expected = [entries.get((g, h)) for g in geo_ids for h in HAZARD_TYPES]
+        for field in (loaded, HazardField(entries=dict(entries))):
+            assert list(ingest.link_hazards(geo_ids, field)) == expected
+    assert HazardField(entries=dict(entries)) == loaded and len(loaded) == len(entries)
+    if b"g1" not in rows:  # a loaded table without a gap links to a read-only float column
+        column = ingest.link_hazards(("g0", "g0"), loaded)
+        assert _frozen(column) and column.format == "d"
