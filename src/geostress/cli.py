@@ -141,7 +141,7 @@ def _load_linked(args: argparse.Namespace) -> LinkedPortfolio:
         hazards = link_hazards(geo_ids, hazards)  # each table is dropped after its step,
         fragility = link_fragility(geo_ids, fragility)  # the hazards (most of the peak) first
         return (hazards, fragility, list(map(_TOKENS.get, link_channels(geo_ids, registry))),
-                [column.obj if type(column) is memoryview else column for column in tail])
+                list(tail))  # marshal writes a read-only column as its bytes
 
     def here(send: Callable[[Sequence[str]], None]) -> Portfolio:
         portfolio = _load_part(args.portfolio, 0, split)
@@ -236,7 +236,7 @@ def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Sce
             result, report = run_scenario(linked, scenario, top_k=args.top_k,
                                           rows=lambda *block: rows.write(text(*block)))
             if rows is not out:
-                out.writelines(entry_blocks(result, report, args.format, rows))
+                out.writelines(entry_blocks(result, report, rows))
         totals.append((result.scenario_id, result.total_el, result.climate_var))
         del result, report  # freed before the next scenario runs
     out.flush()

@@ -11,14 +11,14 @@ text, are filled into a fixed template, because the stdlib encoder runs
 in pure Python whenever ``indent`` is set. ``tests/test_report.py`` holds
 the ``json.dumps`` path as the reference and checks the two agree.
 
-``row_text`` is the one row writer: it renders a block of rows, cut from
-a result's columns or as ``run_scenario`` hands it over, so ``stress run``
-writes each block once it is evaluated (a JSON entry's into a scratch file
-until the entry's head, which needs the totals, is out). An entry is its
-``entry_start`` and ``entry_blocks``; ``report_blocks`` renders a report's
-entries from any iterable of results, ``report_end`` closes it, and
-``emit_report`` joins the two into one document. ``stress run`` writes its
-entries from the same pieces, a later share of them in a second process.
+``row_text`` is the one row writer: it renders a block of rows, as
+``run_scenario`` hands it over or cut from a result's columns. An entry is
+its ``entry_start``, then its rows, each block written once rendered: to
+the report (CSV), or to a scratch file that ``entry_blocks`` reads back
+after the entry's head, which needs the totals (JSON). ``report_end``
+closes the report. ``stress run`` writes its entries so, a later share of
+them in a second process, and ``emit_report`` writes each entry as
+``stress run`` does, into one document.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
@@ -167,20 +167,11 @@ def entry_start(format: str, first: bool) -> bytes:
     return (_CSV_HEADER if first else b"") if format == "csv" else (b"[\n" if first else b",\n")
 
 
-def entry_blocks(result: StressResult, report: ExposureReport, format: str,
-                 rows: Optional[BinaryIO] = None) -> Iterator[bytes]:
-    """One scenario's entry after its start, in blocks of at most ``ROWS_PER_BLOCK`` rows: the
-    result's, or those ``row_text`` wrote to the file ``rows`` (JSON only)."""
-    if rows is None:
-        columns, text = row_columns(result), row_text(format, result.scenario_id)
-        blocks = (text(*[column[start:start + ROWS_PER_BLOCK] for column in columns])
-                  for start in range(0, len(columns.id), ROWS_PER_BLOCK))
-    else:
-        rows.seek(0)
-        blocks = iter(partial(rows.read, 1 << 16), b"")  # larger reads raise the peak RSS
-    if format == "csv":
-        yield from blocks
-        return
+def entry_blocks(result: StressResult, report: ExposureReport, rows: BinaryIO) -> Iterator[bytes]:
+    """One scenario's JSON entry after its start, with the rows ``row_text`` wrote to the file
+    ``rows``, read back in blocks."""
+    rows.seek(0)
+    blocks = iter(partial(rows.read, 1 << 16), b"")  # larger reads raise the peak RSS
     head, tail = _json_head(result, report)
     first = next(blocks, b"")  # none for no rows: then the list's "[]"
     yield _utf8(head + '\n    "rows": [') + first[1:]  # the first row's "\n", not its ","
@@ -188,40 +179,11 @@ def entry_blocks(result: StressResult, report: ExposureReport, format: str,
     yield _utf8(("\n    ]" if first else "]") + tail)
 
 
-def _blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
-            totals: Totals) -> Iterator[bytes]:
-    first = True  # not enumerate(), whose cached tuple would keep the last pair alive
-    for result, report in results:
-        yield entry_start(format, first)
-        first = False
-        yield from entry_blocks(result, report, format)
-        totals.append((result.scenario_id, result.total_el, result.climate_var))
-        del result, report  # freed before the next result is made
-
-
 def _utf8(block: str) -> bytes:
     try:
         return block.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate in an id
         raise UnencodableText(f"report text is not UTF-8 encodable: {exc}") from None
-
-
-def report_blocks(results: Iterable[tuple[StressResult, ExposureReport]], format: str,
-                  totals: Totals) -> Iterator[bytes]:
-    """A report's entries, one per scenario in input order, as encoded
-    blocks; ``report_end`` ends the report. Each result's (scenario_id,
-    total_el, climate_var) goes to ``totals``. An empty ``results`` yields
-    nothing.
-
-    ``results`` is read one pair at a time, and each pair is unreachable
-    from here once its blocks are out, before the next pair is asked for;
-    so a lazy ``results`` keeps one scenario's results in memory, and the
-    caller one block of text. Raises ``ValueError`` for an unknown format
-    now; CSV raises ``UnencodableText`` for an id that UTF-8 cannot encode.
-    """
-    if format not in ("json", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    return _blocks(results, format, totals)
 
 
 def report_end(totals: Totals, format: str = "json") -> bytes:
@@ -238,10 +200,24 @@ def report_end(totals: Totals, format: str = "json") -> bytes:
     ]))
 
 
-def emit_report(
-    results: Sequence[tuple[StressResult, ExposureReport]], format: str = "json"
-) -> bytes:
-    """Serialize one entry per scenario, in input order."""
-    totals: Totals = []
-    entries = b"".join(report_blocks(results, format, totals))
-    return entries + report_end(totals, format)
+def emit_report(results: Iterable[tuple[StressResult, ExposureReport]],
+                format: str = "json") -> bytes:
+    """Serialize one entry per scenario, in input order, each as ``stress run`` writes it,
+    its rows cut into blocks of ``ROWS_PER_BLOCK``. ``results`` is read one pair at a time,
+    each dropped before the next is asked for. Raises ``ValueError`` for an unknown format or
+    no results; CSV raises ``UnencodableText`` for an id that UTF-8 cannot encode."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown format {format!r}")
+    out, totals = io.BytesIO(), []
+    for result, report in results:
+        out.write(entry_start(format, not totals))
+        rows = out if format == "csv" else io.BytesIO()
+        columns, text = row_columns(result), row_text(format, result.scenario_id)
+        for start in range(0, len(columns.id), ROWS_PER_BLOCK):
+            rows.write(text(*[column[start:start + ROWS_PER_BLOCK] for column in columns]))
+        if rows is not out:
+            out.writelines(entry_blocks(result, report, rows))
+        totals.append((result.scenario_id, result.total_el, result.climate_var))
+        del result, report  # freed before the next result is asked for
+    out.write(report_end(totals, format))
+    return out.getvalue()

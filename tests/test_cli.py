@@ -322,8 +322,9 @@ def validate_argv(fixture_files):
 
 
 class TestStreaming:
+    @pytest.mark.parametrize("format", ["json", "csv"])
     def test_each_result_is_dropped_before_the_next_scenario_runs(
-        self, fixture_files, fixture_linked, tmp_path, monkeypatch
+        self, fixture_files, fixture_linked, tmp_path, monkeypatch, format
     ):
         previous = []
         dropped = []
@@ -338,11 +339,22 @@ class TestStreaming:
 
         monkeypatch.setattr(cli, "run_scenario", watched)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # one process: every scenario here
-        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all")
+        code, out = run_cli(fixture_files, tmp_path, "--builtin", "all", "--format", format)
         assert code == 0
         assert dropped == [True, True, True]
         results = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
-        assert out.read_bytes() == emit_report(results)
+        assert out.read_bytes() == emit_report(results, format)
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_on_two_cpus_the_report_is_emit_reports(
+        self, fixture_files, fixture_linked, tmp_path, pinned, format
+    ):
+        # A worker writes the later half's entries.
+        code, out = pinned(2, run_cli, fixture_files, tmp_path, "--builtin", "all",
+                           "--format", format)
+        assert code == 0
+        results = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
+        assert out.read_bytes() == emit_report(results, format)
 
     @pytest.mark.parametrize("format", ["json", "csv"])
     @pytest.mark.parametrize(

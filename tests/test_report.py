@@ -35,9 +35,9 @@ from geostress import (
 )
 from geostress.analytics import Contributor, ExposureReport
 from geostress.errors import UnencodableText
-from geostress.model import StressResult, StressRow
+from geostress.model import StressResult, StressRow, row_columns
 from geostress import report as report_module
-from geostress.report import _number, report_blocks, report_end
+from geostress.report import _number, entry_blocks, report_end, row_text
 from geostress.report import _numbers
 
 
@@ -159,7 +159,9 @@ class TestSameBytesAsJsonDumps:
     def test_head_larger_than_first_row_block(self):
         linked = _synthetic_linked(6_000, n_geos=6_000, n_sectors=200)
         results = [run_scenario(linked, s, top_k=25) for s in builtin_scenarios()]
-        first = list(report_blocks(results, "json", []))[1]  # the head and first row block
+        result, report = results[0]
+        rows = io.BytesIO(row_text("json", result.scenario_id)(*row_columns(result)))
+        first = next(entry_blocks(result, report, rows))  # the head and first row block
         assert first.index(b'"rows": [') > len(first) / 2
         assert_same_bytes(results)
 
@@ -181,20 +183,32 @@ class TestSameBytesAsJsonDumps:
         assert_same_bytes([(result, report)])
 
 
+def _watch_row_text(monkeypatch):
+    """Patch the writer's ``row_text``; return the list that gets each block it renders as
+    (scenario_id, rows)."""
+    blocks = []
+
+    def watched(format, scenario_id):
+        text = row_text(format, scenario_id)
+
+        def watching(*block):
+            blocks.append((scenario_id, len(block[0])))
+            return text(*block)
+        return watching
+
+    monkeypatch.setattr(report_module, "row_text", watched)
+    return blocks
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 3, 5, 10, 11])
 @pytest.mark.parametrize("format, reference", [("json", reference_json), ("csv", reference_csv)])
 def test_same_bytes_in_any_block_size(fixture_linked, monkeypatch, rows_per_block, format, reference):
     monkeypatch.setattr(report_module, "ROWS_PER_BLOCK", rows_per_block)
+    blocks = _watch_row_text(monkeypatch)
     results = [run_scenario(fixture_linked, s, top_k=3) for s in builtin_scenarios()]
-    totals = []
-    blocks = [*report_blocks(results, format, totals), report_end(totals, format)]
-    assert b"".join(blocks) == emit_report(results, format) == reference(results)
-    # No block holds more rows than the block size; the last CSV block is
-    # the totals table.
-    if format == "json":
-        rows_per = [block.count(b'"dv_s"') for block in blocks]
-    else:
-        rows_per = [block.count(b"\n") - block.startswith(b"scenario_id,") for block in blocks[:-1]]
+    assert emit_report(results, format) == reference(results)
+    # No block holds more rows than the block size.
+    rows_per = [rows for _, rows in blocks]
     assert max(rows_per) == min(rows_per_block, 10)
     assert sum(rows_per) == 40
 
@@ -206,10 +220,10 @@ def test_csv_reference_on_seeded_portfolio():
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
-def test_writer_streams_one_result_at_a_time(fixture_linked, format):
-    """The writer drops each result, and has written its entry, before it
-    asks for the next one."""
-    written = []
+def test_writer_streams_one_result_at_a_time(fixture_linked, monkeypatch, format):
+    """The writer drops each result, and has written its entry's rows,
+    before it asks for the next one."""
+    blocks = _watch_row_text(monkeypatch)
     dropped = []
 
     def results():
@@ -218,19 +232,16 @@ def test_writer_streams_one_result_at_a_time(fixture_linked, format):
             if previous is not None:
                 gc.collect()
                 dropped.append(previous() is None)
-                assert previous_id.encode() in b"".join(written)
+                assert previous_id in {scenario_id for scenario_id, _ in blocks}
             pair = run_scenario(fixture_linked, scenario)
             previous, previous_id = weakref.ref(pair[0]), scenario.id
             yield pair
             del pair
 
-    totals = []
-    for block in report_blocks(results(), format, totals):
-        written.append(block)
-    written.append(report_end(totals, format))
+    streamed = emit_report(results(), format)
     assert dropped == [True, True, True]
     everything = [run_scenario(fixture_linked, s) for s in builtin_scenarios()]
-    assert b"".join(written) == emit_report(everything, format)
+    assert streamed == emit_report(everything, format)
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
@@ -253,14 +264,13 @@ def test_entries_leave_no_more_cyclic_garbage_than_one(fixture_linked, format):
 
 def test_empty_results_and_unknown_format_rejected(fixture_linked):
     for format in ("json", "csv"):
+        for results in ([], iter([])):
+            with pytest.raises(ValueError):
+                emit_report(results, format)
         with pytest.raises(ValueError):
-            emit_report([], format)
-        totals = []
-        assert list(report_blocks(iter([]), format, totals)) == [] and totals == []
-        with pytest.raises(ValueError):
-            report_end(totals, format)
+            report_end([], format)
     with pytest.raises(ValueError):
-        report_blocks([run_scenario(fixture_linked, builtin_scenarios()[0])], "xml", [])
+        emit_report([run_scenario(fixture_linked, builtin_scenarios()[0])], "xml")
 
 
 _SIGNS = st.sampled_from([1.0, -1.0])
