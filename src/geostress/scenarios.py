@@ -18,8 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TypeVar
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import (
     KindMismatch,
@@ -66,12 +65,17 @@ class TransitionMap:
         return self.by_sector.get(sector, self.default)
 
 
+def _per_hazard(multipliers: dict[HazardType, float]) -> dict[HazardType, float]:
+    """A multiplier for each hazard type, in HAZARD_TYPES order: 1.0 (no shock) if unset."""
+    return {h: multipliers.get(h, 1.0) for h in HAZARD_TYPES}
+
+
 @dataclass(frozen=True)
 class Scenario:
     id: str
     kind: ScenarioKind
     hazard_multipliers: dict[HazardType, float] = field(
-        default_factory=lambda: {h: 1.0 for h in HAZARD_TYPES}
+        default_factory=lambda: _per_hazard({})
     )
     transition: TransitionMap = field(default_factory=TransitionMap)
     financing_tightening: float = 0.0
@@ -82,9 +86,10 @@ class Scenario:
 
 
 # A document's keys are Scenario's fields, with ``lam`` spelled "lambda".
-_TOP_FIELDS = {"lambda" if f.name == "lam" else f.name for f in fields(Scenario)}
-
-_Params = TypeVar("_Params", Repricing, BetaParams)
+_KEYS = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(Scenario)}
+# The shock fields, all but ``id`` and ``kind``: the objects, then the numbers, each
+# in field order. parse_scenario reads them so and raises the first fault it meets.
+_SHOCKS = sorted(fields(Scenario)[2:], key=lambda f: isinstance(f.default, float))
 
 
 def _num(value: object, path: str) -> float:
@@ -105,21 +110,34 @@ def _reject_constant(name: str) -> float:
     raise ScenarioParseError(f"non-finite number {name} is not allowed")
 
 
-def _object(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
+def _read(doc: dict, key: str, identity: object) -> object:
+    """``doc[key]`` read as a number, a hazard map, a TransitionMap or a parameter
+    dataclass, as ``identity`` is one; ``identity`` if ``key`` is absent."""
+    if key not in doc:
+        return identity
+    value = doc[key]
+    if isinstance(identity, float):
+        return _num(value, key)
     if not isinstance(value, dict):
-        raise ScenarioParseError(f"{name}: expected an object, got {value!r}")
-    return dict(value)
-
-
-def _params(doc: dict, name: str, cls: type[_Params]) -> _Params:
-    """The object ``doc[name]`` as ``cls``; every key must name a field."""
-    raw = _object(doc, name)
-    names = {f.name for f in fields(cls)}
-    for key in raw:
-        if key not in names:
-            raise UnknownField(f"{name}.{key}")
-    return cls(**{key: _num(value, f"{name}.{key}") for key, value in raw.items()})
+        raise ScenarioParseError(f"{key}: expected an object, got {value!r}")
+    if isinstance(identity, dict):
+        multipliers = dict(identity)
+        for token, number in value.items():
+            try:
+                hazard = HAZARD_BY_TOKEN[token]
+            except KeyError:
+                raise UnknownHazardToken(token) from None
+            multipliers[hazard] = _num(number, f"{key}.{token}")
+        return multipliers
+    if isinstance(identity, TransitionMap):
+        by_sector = dict(value)
+        default = _num(by_sector.pop("default", identity.default), f"{key}.default")
+        return TransitionMap(default, {s: _num(v, f"{key}.{s}") for s, v in by_sector.items()})
+    names = {f.name for f in fields(identity)}
+    for name in value:
+        if name not in names:
+            raise UnknownField(f"{key}.{name}")
+    return replace(identity, **{name: _num(v, f"{key}.{name}") for name, v in value.items()})
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -142,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("scenario document must be a JSON object")
 
     for name in doc:
-        if name not in _TOP_FIELDS:
+        if name not in _KEYS.values():
             raise UnknownField(name)
     for required in ("id", "kind"):
         if required not in doc:
@@ -158,37 +176,24 @@ def parse_scenario(text: str) -> Scenario:
     except (KeyError, TypeError):  # TypeError: an unhashable token
         raise UnknownKind(repr(doc["kind"])) from None
 
-    multipliers = {h: 1.0 for h in HAZARD_TYPES}
-    for token, value in _object(doc, "hazard_multipliers").items():
-        try:
-            hazard = HAZARD_BY_TOKEN[token]
-        except KeyError:
-            raise UnknownHazardToken(token) from None
-        multipliers[hazard] = _num(value, f"hazard_multipliers.{token}")
+    identity = Scenario(doc["id"], kind)
+    shocks = {f.name: _read(doc, _KEYS[f.name], getattr(identity, f.name)) for f in _SHOCKS}
+    return Scenario(identity.id, kind, **shocks)
 
-    raw_transition = _object(doc, "transition")
-    default = _num(raw_transition.pop("default", 0.0), "transition.default")
-    by_sector = {
-        sector: _num(value, f"transition.{sector}")
-        for sector, value in raw_transition.items()
-    }
 
-    repricing = _params(doc, "repricing", Repricing)
-    betas = _params(doc, "betas", BetaParams)
-
-    return Scenario(
-        id=doc["id"],
-        kind=kind,
-        hazard_multipliers=multipliers,
-        transition=TransitionMap(default=default, by_sector=by_sector),
-        financing_tightening=_num(
-            doc.get("financing_tightening", 0.0), "financing_tightening"
-        ),
-        lam=_num(doc.get("lambda", 0.0), "lambda"),
-        repricing=repricing,
-        lgd_gamma=_num(doc.get("lgd_gamma", 0.0), "lgd_gamma"),
-        betas=betas,
-    )
+def _document(value: object) -> object:
+    """A field's value as it is written in a scenario document."""
+    if isinstance(value, ScenarioKind):
+        return value.value
+    if isinstance(value, dict):
+        return {h.value: m for h, m in _per_hazard(value).items()}
+    if isinstance(value, TransitionMap):
+        if "default" in value.by_sector:
+            raise ScenarioParseError("transition: sector 'default' would read back as the default")
+        return {"default": value.default, **value.by_sector}
+    if is_dataclass(value):
+        return asdict(value)
+    return value
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -196,30 +201,25 @@ def serialize_scenario(scenario: Scenario) -> str:
 
     Every field is explicit and keys are sorted, so structurally equal
     scenarios serialize byte-identically and
-    parse_scenario(serialize_scenario(s)) == s.
+    parse_scenario(serialize_scenario(s)) == s. A transition sector named
+    "default" raises ScenarioParseError: no document can express it.
     """
-    doc = {
-        "id": scenario.id,
-        "kind": scenario.kind.value,
-        "hazard_multipliers": {
-            h.value: scenario.hazard_multipliers.get(h, 1.0) for h in HAZARD_TYPES
-        },
-        "transition": {
-            "default": scenario.transition.default,
-            **dict(sorted(scenario.transition.by_sector.items())),
-        },
-        "financing_tightening": scenario.financing_tightening,
-        "lambda": scenario.lam,
-        "repricing": asdict(scenario.repricing),
-        "lgd_gamma": scenario.lgd_gamma,
-        "betas": asdict(scenario.betas),
-    }
+    doc = {key: _document(getattr(scenario, name)) for name, key in _KEYS.items()}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2)
 
 
-def _field_max(a: _Params, b: _Params) -> _Params:
-    """The parameters whose every field is the max of ``a``'s and ``b``'s."""
-    return type(a)(**{f.name: max(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)})
+def _max(a: object, b: object) -> object:
+    """The elementwise max of two values of one shock field."""
+    if isinstance(a, TransitionMap):
+        sectors = sorted(a.by_sector.keys() | b.by_sector.keys())
+        by_sector = {s: max(a.for_sector(s), b.for_sector(s)) for s in sectors}
+        return TransitionMap(max(a.default, b.default), by_sector)
+    if isinstance(a, dict):
+        a, b = _per_hazard(a), _per_hazard(b)
+        return {h: max(a[h], b[h]) for h in a}
+    if is_dataclass(a):
+        return type(a)(**{f.name: _max(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)})
+    return max(a, b)
 
 
 def compose_compound(
@@ -230,7 +230,8 @@ def compose_compound(
     Every numeric field is the elementwise max of the two inputs, so the
     compound never double-counts an overlapping narrative and dominates
     each input. Callers who want additive stacking should pre-sum their
-    inputs before composing.
+    inputs before composing. ``financing_tightening`` is checked as a
+    document's number is.
     """
     if physical.kind is not ScenarioKind.PHYSICAL_SHOCK:
         raise KindMismatch(f"first argument must be physical_shock, got {physical.kind.value}")
@@ -241,35 +242,9 @@ def compose_compound(
         raise KindMismatch(
             f"second argument must be a transition scenario, got {transition.kind.value}"
         )
-    if financing_tightening < 0.0:
-        raise NegativeParameter("financing_tightening", financing_tightening)
-
-    multipliers = {
-        h: max(
-            physical.hazard_multipliers.get(h, 1.0),
-            transition.hazard_multipliers.get(h, 1.0),
-        )
-        for h in HAZARD_TYPES
-    }
-    sectors = set(physical.transition.by_sector) | set(transition.transition.by_sector)
-    merged_transition = TransitionMap(
-        default=max(physical.transition.default, transition.transition.default),
-        by_sector={
-            s: max(physical.transition.for_sector(s), transition.transition.for_sector(s))
-            for s in sorted(sectors)
-        },
-    )
-    return Scenario(
-        id=f"{physical.id}+{transition.id}",
-        kind=ScenarioKind.COMPOUND,
-        hazard_multipliers=multipliers,
-        transition=merged_transition,
-        financing_tightening=financing_tightening,
-        lam=max(physical.lam, transition.lam),
-        repricing=_field_max(physical.repricing, transition.repricing),
-        lgd_gamma=max(physical.lgd_gamma, transition.lgd_gamma),
-        betas=_field_max(physical.betas, transition.betas),
-    )
+    shocks = {f.name: _max(getattr(physical, f.name), getattr(transition, f.name)) for f in _SHOCKS}
+    shocks["financing_tightening"] = _num(financing_tightening, "financing_tightening")
+    return Scenario(f"{physical.id}+{transition.id}", ScenarioKind.COMPOUND, **shocks)
 
 
 _DEFAULT_BETAS = BetaParams(hazard=0.35, transition=0.45, fragility=0.25, adaptation=0.20)

@@ -1,6 +1,8 @@
 """Scenario parsing, canonical serialization, built-ins, composition."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,3 +332,51 @@ def test_builtin_scenarios_are_the_same_under_every_hash_seed():
         for seed in ("1", "3")
     ]
     assert reprs[0] == reprs[1] == repr(builtin_scenarios()) + "\n"
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"repricing": {"x": 1}, "lambda": -1}, UnknownField, "repricing.x"),
+    ({"betas": {"hazard": -1}, "lgd_gamma": "a"}, NegativeParameter, "betas.hazard: must be >= 0"),
+    ({"transition": 5, "hazard_multipliers": {"smog": 1}}, UnknownHazardToken, "smog"),
+    ({"financing_tightening": -1, "lambda": -1, "lgd_gamma": -1}, NegativeParameter,
+     "financing_tightening: must be >= 0"),
+    ({"lgd_gamma": -2, "repricing": {"delta_hazard": -1}}, NegativeParameter,
+     "repricing.delta_hazard: must be >= 0"),
+    ({"betas": [1], "repricing": {"delta_x": 1}}, UnknownField, "repricing.delta_x"),
+    ({"transition": {"default": -1, "retail": -2}}, NegativeParameter,
+     "transition.default: must be >= 0"),
+    ({"transition": {"retail": -2, "default": -1}}, NegativeParameter,
+     "transition.default: must be >= 0"),
+])
+def test_a_document_with_several_faults_names_the_first_in_field_order(fields, error, message):
+    # The object fields in field order, then the numbers in field order.
+    doc = {"id": "x", "kind": "compound", **fields}
+    with pytest.raises(error) as raised:
+        parse_scenario(json.dumps(doc))
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(message)
+
+
+def test_a_sector_named_default_is_not_serialized():
+    # Its key would be read back as the map's default, not as a sector.
+    scenario = Scenario("x", ScenarioKind.COMPOUND, transition=TransitionMap(0.1, {"default": 0.9}))
+    with pytest.raises(ScenarioParseError, match="transition: sector 'default'"):
+        serialize_scenario(scenario)
+
+
+@pytest.mark.parametrize("financing", [math.nan, math.inf])
+def test_compose_compound_rejects_a_non_finite_financing_tightening(financing):
+    builtins = {s.id: s for s in builtin_scenarios()}
+    with pytest.raises(ScenarioParseError, match="financing_tightening: expected a finite number"):
+        compose_compound(builtins["physical"], builtins["disorderly"], financing)
+
+
+def test_builtin_documents_keep_their_bytes():
+    env = {**os.environ, "PYTHONPATH": str(Path(geostress.__file__).parents[1])}
+    stdout = subprocess.run(
+        [sys.executable, "-m", "geostress.cli", "scenarios", "print"],
+        env=env, capture_output=True, check=True, timeout=60,
+    ).stdout
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "186ad8e62d6b21b9a06d6720e4e8b21e24541319144863aedc2d7f7f4b4df07a"
+    )
