@@ -10,19 +10,19 @@ Exit codes: 0 success, 2 input/validation error, 3 internal error.
 Reports go to ``--out``; stdout carries one summary line per scenario.
 A stdout whose reader is gone (``stress run ... | true``) exits 2 with
 ``error: BrokenPipeError: ...`` on stderr; a report already written stays.
-``stress run`` evaluates one scenario at a time and streams its part of
-the report, each block of rows once evaluated, into a temporary file
-beside ``--out``, which replaces ``--out`` only when the whole report is
-written, so a failed run never leaves a partial report behind. Given two usable CPUs, ``run`` and
-``validate`` fork a load worker, which loads and links the side tables
-while the portfolio is read. If the side files hold S bytes and the
-portfolio (a regular file) P, the worker also loads the portfolio's last
-P/2 - S bytes, from a line start; should that part hold a ``"``, either
-part fail or an id be in both, the parent loads the whole file as one
-process does. With two or more scenarios, ``run`` forks one
-more after the link, which writes the later half's part into a nameless
-file beside ``--out`` that is then copied in. The report, the summary and
-any error line are a one-process run's.
+``stress run`` evaluates one scenario at a time and streams its part of the
+report through ``report.write_entries``, each block of rows once evaluated,
+into a temporary file beside ``--out``, which replaces ``--out`` only when the
+whole report is written, so a failed run never leaves a partial report behind.
+Given two usable CPUs, ``run`` and ``validate`` fork a load worker, which loads
+and links the side tables while the portfolio is read. If the side files hold S
+bytes and the portfolio (a regular file) P, the worker also loads the
+portfolio's last P/2 - S bytes, from a line start; should that part hold a
+``"``, either part fail or an id be in both, the parent loads the whole file as
+one process does. With two or more scenarios, ``run`` forks one more after the
+link, which writes the later half's part into a nameless file beside ``--out``
+that is then copied in. The report, the summary and any error line are a
+one-process run's.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import os
 import shutil
 import sys
 import tempfile
+from functools import partial
 from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 
 from .errors import ScenarioParseError, StressError
@@ -53,7 +54,7 @@ from .ingest import (
 )
 from .model import CHANNEL_BY_TOKEN, Portfolio
 from .pipeline import run_scenario
-from .report import Totals, entry_blocks, entry_start, report_end, row_text
+from .report import Totals, report_end, write_entries
 from .scenarios import Scenario, builtin_scenarios, parse_scenario, serialize_scenario
 
 EXIT_OK = 0
@@ -220,29 +221,6 @@ def _forks() -> bool:
     return hasattr(os, "fork") and _usable_cpus() > 1
 
 
-def _write_share(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
-                 args: argparse.Namespace, first: bool = True) -> Totals:
-    """Evaluate ``scenarios`` in order and write their part of the report to ``out``, each
-    result freed before the next runs, and flush it (a worker leaves through ``os._exit``);
-    return their (scenario_id, total_el, climate_var). Each block of rows is written once
-    evaluated, to ``out`` (CSV) or a nameless file copied in after the entry's head (JSON)."""
-    totals: Totals = []
-    directory = os.path.dirname(os.path.abspath(args.out))
-    for scenario in scenarios:
-        out.write(entry_start(args.format, first))
-        first, text = False, row_text(args.format, scenario.id)  # ids were UTF-8: they encode
-        with contextlib.nullcontext(out) if args.format == "csv" else \
-                tempfile.TemporaryFile(dir=directory, prefix=".stress-") as rows:
-            result, report = run_scenario(linked, scenario, top_k=args.top_k,
-                                          rows=lambda *block: rows.write(text(*block)))
-            if rows is not out:
-                out.writelines(entry_blocks(result, report, rows))
-        totals.append((result.scenario_id, result.total_el, result.climate_var))
-        del result, report  # freed before the next scenario runs
-    out.flush()
-    return totals
-
-
 def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable], Any]) -> tuple:
     """Call ``here(send)`` while a forked worker calls ``work(receive)``: ``receive()`` returns
     what ``here`` passed to ``send``. Return what ``here`` returned, and what ``work`` did, sent
@@ -298,20 +276,26 @@ def _forked(work: Callable[[Callable[[], Any]], Any], here: Callable[[Callable],
 
 def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Scenario],
                   args: argparse.Namespace) -> Totals:
-    """Write every scenario's part of the report to ``out``; return their totals in order.
-    With two or more scenarios, a worker (see ``_forked``) writes the later half's part into
-    a part file; if it fails, its share runs here again."""
-    linked.codes  # every check that needs no scenario, once, before any fork
+    """Write every scenario's part of the report to ``out``, its scratch files nameless beside
+    ``--out``; return their totals in order. With two or more scenarios, a worker (see
+    ``_forked``) writes the later half's part into a part file; if it fails, its share runs here."""
+    linked.codes.hhi_geo_ead  # every check that needs no scenario, once, before any fork
+    scratch = partial(tempfile.TemporaryFile, dir=os.path.dirname(os.path.abspath(args.out)),
+                      prefix=".stress-")
+
+    def share(out: BinaryIO, scenarios: Sequence[Scenario], first: bool = True) -> Totals:
+        entries = ((s.id, partial(run_scenario, linked, s, args.top_k)) for s in scenarios)
+        return write_entries(out, entries, args.format, scratch, first)
+
     later = scenarios[len(scenarios) - len(scenarios) // 2:]
     if not later:
-        return _write_share(out, linked, scenarios, args)
-    directory = os.path.dirname(os.path.abspath(args.out))
-    with tempfile.TemporaryFile(dir=directory, prefix=".stress-") as part:  # it has no name
+        return share(out, scenarios)
+    with scratch() as part:
         earlier = scenarios[:-len(later)]
-        totals, rest = _forked(lambda _: _write_share(part, linked, later, args, first=False),
-                               lambda _: _write_share(out, linked, earlier, args))
+        totals, rest = _forked(lambda _: share(part, later, first=False),
+                               lambda _: share(out, earlier))
         if rest is None:  # the worker failed, or none could be forked
-            return totals + _write_share(out, linked, later, args, first=False)
+            return totals + share(out, later, first=False)
         part.seek(0)
         shutil.copyfileobj(part, out, 1 << 16)  # larger reads raise the peak RSS
     return totals + rest

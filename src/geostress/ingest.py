@@ -147,7 +147,7 @@ class LinkCodes:
 
     @cached_property
     def hhi_geo_ead(self) -> float:
-        """Every report's HHI of ``geo_ead``, taken after the first one's other checks."""
+        """Every report's HHI of ``geo_ead``; ``stress run`` takes it before any scenario."""
         return hhi(self.geo_ead)
 
 

@@ -12,27 +12,30 @@ in pure Python whenever ``indent`` is set. ``tests/test_report.py`` holds
 the ``json.dumps`` path as the reference and checks the two agree.
 
 ``row_text`` is the one row writer: it renders a block of rows, as
-``run_scenario`` hands it over or cut from a result's columns. An entry is
-its ``entry_start``, then its rows, each block written once rendered: to
-the report (CSV), or to a scratch file that ``entry_blocks`` reads back
-after the entry's head, which needs the totals (JSON). ``report_end``
-closes the report. ``stress run`` writes its entries so, a later share of
-them in a second process, and ``emit_report`` writes each entry as
-``stress run`` does, into one document.
+``run_scenario`` hands it over or cut from a result's columns.
+``write_entries`` is the one entry writer: each entry is the CSV header,
+``[`` or ``,``, then its rows, each block written once rendered: to the
+report (CSV), or to a scratch file copied in after the entry's head, which
+needs the totals (JSON). ``report_end`` closes the report. ``stress run``
+writes its entries so, a later share of them in a second process, and
+``emit_report`` writes each result's entry through it, into one document.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
 import json
 import re
+import shutil
+from dataclasses import fields, is_dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 from .analytics import ExposureReport
 from .errors import UnencodableText
@@ -96,31 +99,23 @@ def _rows_template(n: int) -> str:
     return (",\n" + _ROW) * n
 
 
+def _rounded(value: Any) -> Any:
+    """``value`` as a JSON entry holds it: a dataclass as a dict of its fields, a tuple as a
+    list, and each number, an int or a bool too, rounded to 12 significant digits."""
+    if is_dataclass(value):
+        value = {field.name: getattr(value, field.name) for field in fields(value)}
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return list(map(_rounded, value))
+    return value if isinstance(value, str) else float("%.12g" % value)
+
+
 def _json_head(result: StressResult, report: ExposureReport) -> tuple[str, str]:
     """One scenario's JSON entry without its rows, split where they go."""
-    def r(x: float) -> float:
-        return float("%.12g" % x)
-
-    doc = {
-        "climate_var": r(result.climate_var),
-        "report": {
-            "el_by_geo": {k: r(v) for k, v in report.el_by_geo.items()},
-            "el_by_hazard_channel": {k: r(v) for k, v in report.el_by_hazard_channel.items()},
-            "el_by_sector": {k: r(v) for k, v in report.el_by_sector.items()},
-            "hhi_channel": r(report.hhi_channel),
-            "hhi_geo": r(report.hhi_geo),
-            "hhi_geo_ead": r(report.hhi_geo_ead),
-            "hhi_sector": r(report.hhi_sector),
-            "top_contributors": [
-                {"el_s": r(c.el_s), "id": c.id, "share": r(c.share)}
-                for c in report.top_contributors
-            ],
-            "weight_source": report.weight_source,
-        },
-        "rows": [],
-        "scenario_id": result.scenario_id,
-        "total_el": r(result.total_el),
-    }
+    doc = _rounded({"climate_var": result.climate_var, "report": report, "rows": [],
+                    "scenario_id": result.scenario_id, "total_el": result.total_el})
+    del doc["report"]["scenario_id"], doc["report"]["climate_var"]  # the entry's own
     # The entry as an element of the indented report list, without "[\n" and "\n]".
     head, tail = json.dumps([doc], sort_keys=True, indent=2)[2:-2].split(_NO_ROWS)
     # With an indent, the stdlib encoder is pure Python and leaves reference cycles of its
@@ -162,21 +157,31 @@ def row_text(format: str, scenario_id: str) -> Callable[..., bytes]:
     return text
 
 
-def entry_start(format: str, first: bool) -> bytes:
-    """What goes before an entry: the CSV header before the first, JSON's "[" or ","."""
-    return (_CSV_HEADER if first else b"") if format == "csv" else (b"[\n" if first else b",\n")
-
-
-def entry_blocks(result: StressResult, report: ExposureReport, rows: BinaryIO) -> Iterator[bytes]:
-    """One scenario's JSON entry after its start, with the rows ``row_text`` wrote to the file
-    ``rows``, read back in blocks."""
-    rows.seek(0)
-    blocks = iter(partial(rows.read, 1 << 16), b"")  # larger reads raise the peak RSS
-    head, tail = _json_head(result, report)
-    first = next(blocks, b"")  # none for no rows: then the list's "[]"
-    yield _utf8(head + '\n    "rows": [') + first[1:]  # the first row's "\n", not its ","
-    yield from blocks
-    yield _utf8(("\n    ]" if first else "]") + tail)
+def write_entries(out: BinaryIO, entries: Iterable[tuple[str, Callable[..., Any]]], format: str,
+                  scratch: Callable[[], BinaryIO], first: bool = True) -> Totals:
+    """The one entry writer: write one entry per ``(scenario_id, evaluate)`` in ``entries`` to
+    ``out``, the first after the CSV header or JSON's "[" given ``first``, each freed before the
+    next; flush ``out``; return their totals. ``evaluate(rows=...)`` returns (result, report)
+    and hands ``rows`` each block of rows as ``run_scenario`` does, written once rendered to
+    ``out`` (CSV) or to a ``scratch()`` file copied in after the head, which needs the totals."""
+    totals: Totals = []
+    for scenario_id, evaluate in entries:
+        out.write((_CSV_HEADER if first else b"") if format == "csv" else
+                  (b"[\n" if first else b",\n"))
+        first, text = False, row_text(format, scenario_id)
+        with contextlib.nullcontext(out) if format == "csv" else scratch() as rows:
+            result, report = evaluate(rows=lambda *block: rows.write(text(*block)))
+            if rows is not out:
+                head, tail = _json_head(result, report)
+                out.write(_utf8(head + '\n    "rows": ['))
+                written = rows.tell()
+                rows.seek(1)  # the first row's "\n", not its ","
+                shutil.copyfileobj(rows, out, 1 << 16)  # larger reads raise the peak RSS
+                out.write(_utf8(("\n    ]" if written else "]") + tail))
+        totals.append((result.scenario_id, result.total_el, result.climate_var))
+        del evaluate, result, report  # freed before the next entry is asked for
+    out.flush()  # a worker leaves through os._exit
+    return totals
 
 
 def _utf8(block: str) -> bytes:
@@ -200,6 +205,14 @@ def report_end(totals: Totals, format: str = "json") -> bytes:
     ]))
 
 
+def _handed(pair: tuple[StressResult, ExposureReport], rows: Callable[..., object]) -> tuple:
+    """``pair``, once its result's held columns went to ``rows`` in ``ROWS_PER_BLOCK`` slices."""
+    columns = row_columns(pair[0])
+    for start in range(0, len(columns.id), ROWS_PER_BLOCK):
+        rows(*[column[start:start + ROWS_PER_BLOCK] for column in columns])
+    return pair
+
+
 def emit_report(results: Iterable[tuple[StressResult, ExposureReport]],
                 format: str = "json") -> bytes:
     """Serialize one entry per scenario, in input order, each as ``stress run`` writes it,
@@ -208,16 +221,9 @@ def emit_report(results: Iterable[tuple[StressResult, ExposureReport]],
     no results; CSV raises ``UnencodableText`` for an id that UTF-8 cannot encode."""
     if format not in ("json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    out, totals = io.BytesIO(), []
-    for result, report in results:
-        out.write(entry_start(format, not totals))
-        rows = out if format == "csv" else io.BytesIO()
-        columns, text = row_columns(result), row_text(format, result.scenario_id)
-        for start in range(0, len(columns.id), ROWS_PER_BLOCK):
-            rows.write(text(*[column[start:start + ROWS_PER_BLOCK] for column in columns]))
-        if rows is not out:
-            out.writelines(entry_blocks(result, report, rows))
-        totals.append((result.scenario_id, result.total_el, result.climate_var))
-        del result, report  # freed before the next result is asked for
+    out = io.BytesIO()
+    # map, not a generator expression, whose frame would hold the last pair while the next is made
+    entries = map(lambda pair: (pair[0].scenario_id, partial(_handed, pair)), results)
+    totals = write_entries(out, entries, format, io.BytesIO)
     out.write(report_end(totals, format))
     return out.getvalue()

@@ -242,8 +242,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "change, fields, fmt, error",
         [
-            ({"ead": 1.7e308}, {}, "json", "NonFiniteSum: total_el is inf"),
-            ({"ead": 9e307}, {}, "json", "NonFiniteSum: total_el is inf"),
+            ({"ead": 1.7e308}, {}, "json", "NonFiniteSum: HHI basis sums to inf"),
+            ({"ead": 9e307}, {}, "json", "NonFiniteSum: HHI basis sums to inf"),
             ({"value": 1.7e308}, {}, "json", "NonFiniteSum: cannot derive value weights"),
             ({"ead": 1e308, "pd0": 0.0}, {}, "json", "NonFiniteSum: HHI basis sums to inf"),
             ({}, {"lambda": 1e308}, "json", "NonFiniteSum: climate_var is inf"),
@@ -400,7 +400,7 @@ class TestStreaming:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                cli._write_share(out, linked, scenarios, args)
+                cli._write_report(out, linked, scenarios, args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

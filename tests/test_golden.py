@@ -266,13 +266,13 @@ def test_a_fault_after_streamed_rows_leaves_nothing(
     worker), the run exits 2 with its one line and leaves no report and no part file."""
     monkeypatch.setattr(report, "ROWS_PER_BLOCK", 64)
     written = []
-    row_text = cli.row_text
+    row_text = report.row_text
 
     def counted(format, scenario_id):
         text = row_text(format, scenario_id)
         return lambda *block: written.append(len(block[0])) or text(*block)
 
-    monkeypatch.setattr(cli, "row_text", counted)
+    monkeypatch.setattr(report, "row_text", counted)
     inputs, _ = generated("cli_json")
     observed = pinned(cpus, observe_error, case, inputs, str(tmp_path), fmt)
     line = STREAMED_LINES.get(case) or golden["errors"][case]["stderr"]

@@ -5,12 +5,6 @@ fixed menu, go through ``validate`` and through ``run`` with the identity
 scenario. Both must give the same exit code, the same stderr line when
 that code is 2, and never 3. The loaders read 3 rows at a time, so a spoil
 past the first lines sits past a chunk end.
-
-Carve-out: ``run`` checks a scenario's total EL before the EAD HHI, so if
-the rows with ``ead`` 1.7e308 had ``pd0`` = ``lgd0`` = 1, ``run`` would
-name ``total_el`` where ``validate`` names the HHI basis (ROADMAP item 1).
-The generator draws ``pd0`` <= 0.2 and ``lgd0`` <= 0.9, and no spoil
-raises them, so those two EADs' EL stays finite.
 """
 
 from __future__ import annotations
@@ -64,11 +58,12 @@ def _drop(files, k, name):
     del lines[_data_line(lines, k)]
 
 
-def _huge_eads(files, k):
+def _huge_eads(files, k, **tokens):
     lines = files["portfolio"]
     for at in {_data_line(lines, k), _data_line(lines, k + 1)}:
         cells = lines[at].split(",")
-        cells[PORTFOLIO.index("ead")] = "1.7e308"
+        for name, token in {"ead": "1.7e308", **tokens}.items():
+            cells[PORTFOLIO.index(name)] = token
         lines[at] = ",".join(cells)
 
 
@@ -101,6 +96,9 @@ SPOILS = {
     "every-ead-0": lambda files, k: _set_column(files, "ead", "0.0"),
     "every-pd0-0": lambda files, k: _set_column(files, "pd0", "0.0"),
     "two-eads-1.7e308": _huge_eads,
+    # Their EL is their EAD, so a scenario's total EL overflows too: the EAD HHI, a fault of
+    # the portfolio, is still the one named.
+    "two-els-1.7e308": lambda files, k: _huge_eads(files, k, pd0="1.0", lgd0="1.0"),
     "quoted-break": _quoted_break,
     "short-row": _short_row,
 }
@@ -123,6 +121,7 @@ def _input_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(_input_sets())
 @example((1, (4, 4, 1), [("short-row", 373), ("negative-intensity", 5)]))  # one hazard row
+@example((1, (20, 2000, 5), [("two-els-1.7e308", 0)]))
 def test_validate_and_run_agree(input_set):
     seed, (geos, n, sectors), spoils = input_set
     with tempfile.TemporaryDirectory() as tmp:
