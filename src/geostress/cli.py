@@ -14,15 +14,16 @@ A stdout whose reader is gone (``stress run ... | true``) exits 2 with
 report through ``report.write_entries``, each block of rows once evaluated,
 into a temporary file beside ``--out``, which replaces ``--out`` only when the
 whole report is written, so a failed run never leaves a partial report behind.
+A CSV entry's ``evaluate`` returns no report, and folds only where the fold can raise.
 Given two usable CPUs, ``run`` and ``validate`` fork a load worker, which loads
-and links the side tables while the portfolio is read. If the side files hold S
-bytes and the portfolio (a regular file) P, the worker also loads the
-portfolio's last P/2 - S bytes, from a line start; should that part hold a
-``"``, either part fail or an id be in both, the parent loads the whole file as
-one process does. With two or more scenarios, ``run`` forks one more after the
-link, which writes the later half's part into a nameless file beside ``--out``
-that is then copied in. The report, the summary and any error line are a
-one-process run's.
+and links the side tables (the registry as a geo id -> channel map, as on one
+CPU) while the portfolio is read. If the side files hold S bytes and the
+portfolio (a regular file) P, the worker also loads the portfolio's last
+P/2 - S bytes, from a line start; should that part hold a ``"``, either part
+fail or an id be in both, the parent loads the whole file as one process does.
+With two or more scenarios, ``run`` forks one more after the link, which writes
+the later half's part into a nameless file beside ``--out`` that is then copied
+in. The report, the summary and any error line are a one-process run's.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .ingest import (
     link_hazards,
     link_resolved,
     load_fragility,
-    load_geounits,
     load_hazard_table,
     load_portfolio,
+    load_registry,
 )
 from .model import CHANNEL_BY_TOKEN, Portfolio
 from .pipeline import run_scenario
@@ -66,7 +67,7 @@ _TOKENS = {channel: token for token, channel in CHANNEL_BY_TOKEN.items()}  # not
 def _side_tables(args: argparse.Namespace) -> Iterator:
     """The three side tables in order, each loaded from its file when it is asked for."""
     for path, load in ((args.hazards, load_hazard_table), (args.fragility, load_fragility),
-                       (args.geounits, load_geounits)):
+                       (args.geounits, load_registry)):
         with open(path, "rb") as fh:
             yield load(fh, filename=path)
 
@@ -290,6 +291,7 @@ def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Sc
     later = scenarios[len(scenarios) - len(scenarios) // 2:]
     if not later:
         return share(out, scenarios)
+    linked.codes.pair_codes, linked.codes.channel_codes  # derived once, for both processes
     with scratch() as part:
         earlier = scenarios[:-len(later)]
         totals, rest = _forked(lambda _: share(part, later, first=False),

@@ -25,12 +25,12 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import isfinite, isnan, nan
 from operator import add, is_, mul
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     AllZero,
@@ -121,29 +121,45 @@ class ContextColumns(NamedTuple):
 @dataclass(frozen=True)
 class LinkCodes:
     """What every scenario on a linked portfolio reads, derived once; no
-    scenario changes it.
-
-    ``columns``, ``weights`` and ``contexts`` are the checked instrument
-    columns (ids, geo ids and sectors with their codes), weights and context
-    columns (``contexts.codes`` are the context codes). ``pairs`` are the
-    (context, sector) pairs that occur, as sorted keys ``context_code *
-    len(columns.sectors) + sector_code``; ``pair_codes`` and ``channel_codes``
-    index ``pairs`` and the first-appearance channel tags per row. ``geo_ead``
-    is the EAD summed per geo code in row order. All are tuples or read-only
-    columns (``model._read_only``), these four typed ones: a view of bytes.
+    scenario changes it. ``LinkedPortfolio.codes`` checks and holds the instrument
+    ``columns`` (ids, geo ids and sectors with their codes), ``weights``, ``contexts``
+    (whose ``codes`` are the context codes) and ``geo_ead``, the EAD summed per geo code
+    in row order. The first read of a later stage's columns derives them, unchecked: the
+    kernel's ``pairs``, the (context, sector) pairs that occur as sorted keys
+    ``context_code * len(columns.sectors) + sector_code``, indexed by ``pair_codes``; the
+    fold's first-appearance ``channels``, indexed by ``channel_codes``. All are tuples or
+    read-only columns (``model._read_only``), these four typed ones: a view of bytes.
     """
 
     columns: InstrumentColumns
     weights: tuple[float, ...]
     contexts: ContextColumns
-    pairs: Sequence[int]
-    pair_codes: Sequence[int]
-    channels: tuple[str, ...]
-    channel_codes: Sequence[int]
+    pairs: Sequence[int] = field(init=False, repr=False, compare=False)
+    pair_codes: Sequence[int] = field(init=False, repr=False, compare=False)
+    channels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    channel_codes: Sequence[int] = field(init=False, repr=False, compare=False)
     geo_ead: Sequence[float]
 
+    def __getattr__(self, name: str) -> Any:  # a derived field's first read
+        if name not in ("pairs", "pair_codes", "channels", "channel_codes"):
+            raise AttributeError(name)
+        codes, n_sectors = self.contexts.codes, len(self.columns.sectors)
+        if name in ("pairs", "pair_codes"):
+            keys = [c * n_sectors + s for c, s in zip(codes, self.columns.sector_codes)]
+            # Sorted, so the kernel holds each context's pair terms together, in context order.
+            # Distinct in first-appearance order, which is nearly sorted: a cheap sort.
+            pairs = sorted(dict.fromkeys(keys))
+            index = dict(zip(pairs, range(len(pairs))))
+            vars(self).update(pairs=_read_only(pairs, "q"),
+                              pair_codes=_read_only(map(index.__getitem__, keys), "q"))
+        else:
+            channel_index, by_context = _codes(self.contexts.channel)
+            vars(self).update(channels=tuple(c.value for c in channel_index),
+                              channel_codes=_read_only([by_context[c] for c in codes], "q"))
+        return vars(self)[name]
+
     def __reduce__(self) -> tuple:
-        return _reduced(self, map(vars(self).__getitem__, self.__dataclass_fields__))
+        return _reduced(self, (getattr(self, f.name) for f in fields(self) if f.init))
 
     @cached_property
     def hhi_geo_ead(self) -> float:
@@ -198,28 +214,12 @@ class LinkedPortfolio:
         columns = columns if all(map(is_, frozen, columns)) else frozen  # as loaded: no copy
         contexts = ContextColumns(_read_only(hazards), _read_only(contexts.fragility),
                                   tuple(contexts.channel), tuple(contexts.codes))
-        channel_index, context_channels = _codes(contexts.channel)
-        n_sectors = len(columns.sectors)
-        pair_keys = [c * n_sectors + s for c, s in zip(contexts.codes, columns.sector_codes)]
-        # Sorted, so the kernel holds each context's pair terms together, in context order.
-        # Distinct in first-appearance order, which is nearly sorted: a cheap sort.
-        pairs = sorted(dict.fromkeys(pair_keys))
-        pair_index = dict(zip(pairs, range(len(pairs))))
         geo_ead = [0.0] * len(columns.geo_ids)
         for geo_code, ead in zip(columns.geo_codes, columns.ead):
             geo_ead[geo_code] += ead
         if not any(map(all, zip(columns.pd0, columns.lgd0, columns.ead))):
             raise AllZero("HHI needs at least one strictly positive entry")
-        return LinkCodes(
-            columns=columns,
-            weights=tuple(weights),
-            contexts=contexts,
-            pairs=_read_only(pairs, "q"),
-            pair_codes=_read_only(map(pair_index.__getitem__, pair_keys), "q"),
-            channels=tuple(c.value for c in channel_index),
-            channel_codes=_read_only([context_channels[code] for code in contexts.codes], "q"),
-            geo_ead=_read_only(geo_ead),
-        )
+        return LinkCodes(columns, tuple(weights), contexts, _read_only(geo_ead))
 
 
 def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:
@@ -489,24 +489,29 @@ def load_fragility(source: IO[bytes], filename: str = "fragility.csv") -> Fragil
     return FragilityTable(entries=entries)
 
 
-def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[GeoUnit]:
-    """Load the geo registry with channel tags."""
-    units: dict[str, GeoUnit] = {}
+def load_registry(source: IO[bytes], filename: str = "geounits.csv", units: bool = False) -> dict:
+    """Load the geo registry: each geo id's channel tag, or given ``units`` its ``GeoUnit``."""
+    registry: dict = {}
     for linenos, (geo_ids, names, tokens) in _chunks(source, filename, GEOUNITS_HEADER):
         channels = list(map(CHANNEL_BY_TOKEN.get, tokens))
-        if not all(geo_ids) or None in channels or not _add(
-                units, zip(geo_ids, map(GeoUnit, geo_ids, names, channels)), len(geo_ids)):
-            for lineno, geo_id, name, channel_token in zip(linenos, geo_ids, names, tokens):
+        if not all(geo_ids) or None in channels or not _add(registry, zip(geo_ids, map(
+                GeoUnit, geo_ids, names, channels) if units else channels), len(geo_ids)):
+            for lineno, geo_id, channel_token in zip(linenos, geo_ids, tokens):
                 if not geo_id:
                     raise MalformedRow(filename, lineno, "geo_id must be nonempty")
-                if geo_id in units:
+                if geo_id in registry:
                     raise DuplicateKey(f"{filename}:{lineno}: duplicate geo_id {geo_id!r}")
                 channel = CHANNEL_BY_TOKEN.get(channel_token)
                 if channel is None:
                     raise MalformedRow(filename, lineno, f"unknown channel {channel_token!r}")
-                units[geo_id] = GeoUnit(id=geo_id, name=name, channel=channel)
+                registry[geo_id] = channel  # the walk ends in one of the raises above
         del geo_ids, names, tokens
-    return list(units.values())
+    return registry
+
+
+def load_geounits(source: IO[bytes], filename: str = "geounits.csv") -> list[GeoUnit]:
+    """Load the geo registry with channel tags."""
+    return list(load_registry(source, filename, units=True).values())
 
 
 _Column = Sequence[Optional[float]]  # a float per distinct geo id (or context), None at a gap
@@ -527,11 +532,12 @@ def link_hazards(geo_ids: Sequence[str], hazards: HazardField) -> _Column:
     and without a gap a read-only column of the slices' bytes."""
     index, values = vars(hazards)["entries"]
     width, found = len(HAZARD_TYPES), list(map(index.get, geo_ids))
-    parts = [values[at * width:(at + 1) * width] if at is not None else (None,) * width
-             for at in found]
     if None in found or type(values) is list:  # a gap
-        return _resolved(list(chain.from_iterable(parts)))
-    return memoryview(b"".join(parts)).cast("d")
+        return _resolved(list(chain.from_iterable(
+            values[at * width:(at + 1) * width] if at is not None else (None,) * width
+            for at in found)))
+    data, size = values.tobytes(), width * values.itemsize  # a bytes slice is the cheapest
+    return memoryview(b"".join([data[at * size:at * size + size] for at in found])).cast("d")
 
 
 def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column:
@@ -540,10 +546,10 @@ def link_fragility(geo_ids: Sequence[str], fragility: FragilityTable) -> _Column
 
 
 def link_channels(geo_ids: Sequence[str],
-                  registry: Sequence[GeoUnit]) -> tuple[Optional[Channel], ...]:
-    """The third link step: each distinct geo id's registry channel, None if unregistered."""
-    by_geo = {unit.id: unit.channel for unit in registry}
-    return tuple(map(by_geo.get, geo_ids))
+                  registry: dict[str, Channel]) -> tuple[Optional[Channel], ...]:
+    """The third link step: each distinct geo id's channel in ``load_registry``'s map, None if
+    unregistered."""
+    return tuple(map(registry.get, geo_ids))
 
 
 def link_resolved(portfolio: Portfolio, hazards: _Column, fragility: _Column,
@@ -578,5 +584,5 @@ def link_exposures(portfolio: Portfolio, hazards: HazardField, fragility: Fragil
     referenced geo unit needs all four hazard types and a fragility entry. Only the last
     step raises, so ``stress run`` drops each table after its step, with the same errors."""
     geo_ids = vars(portfolio)["instruments"].geo_ids
-    return link_resolved(portfolio, link_hazards(geo_ids, hazards),
-                         link_fragility(geo_ids, fragility), link_channels(geo_ids, registry))
+    return link_resolved(portfolio, link_hazards(geo_ids, hazards), link_fragility(
+        geo_ids, fragility), link_channels(geo_ids, {unit.id: unit.channel for unit in registry}))

@@ -1,30 +1,29 @@
-"""End-to-end scenario evaluation over a linked portfolio.
+"""Scenario evaluation over a linked portfolio: the row evaluator, then the fold.
 
-``run_scenario`` is the one evaluation path: link once, evaluate many.
-For each scenario it computes the binding hazard H once per geo context,
-the transition shock T once per sector, and the PD shock, LGD factor and
-clamped loss fraction once per (context, sector) pair that occurs, indexed
-by the linked portfolio's codes (``LinkedPortfolio.codes``). It then makes
-one pass over the instruments, a ``report.ROWS_PER_BLOCK`` block at a time,
-that emits four result columns and the totals. The result gathers the
-blocks into its columns, and builds rows only if read; or a caller's
-``rows`` takes each block once it is made (``stress run`` writes it to the
-report), and only the losses are kept, for the diagnostics. Each
-row takes the float operations of ``scenario_pd``, ``scenario_lgd``,
-``expected_loss`` and ``repricing_delta`` in their order (a pair's sums add
-left to right, as a row's would), so it is bit-identical to composing them,
-and raises their domain errors. The checks no scenario can change run once
-per linked portfolio, on one path, when its codes are built; ``run_scenario``
-checks only the scenario's parameters, each sector's transition and the
-scaled hazards, so its row loop holds only the equations and the clamps.
-The grouped sums, HHIs and top contributors come from ``analytics``, which
-builds them the same way for any rows. The layer functions
-``portfolio_credit`` and ``portfolio_valuation`` are projections of it.
+``evaluate`` computes the binding hazard H once per geo context, the
+transition shock T once per sector, and the PD shock, LGD factor and clamped
+loss fraction once per (context, sector) pair that occurs, indexed by the
+linked portfolio's codes (``LinkedPortfolio.codes``). It then makes one pass
+over the instruments, a ``report.ROWS_PER_BLOCK`` block at a time, that emits
+four result columns and the totals. The result gathers the blocks into its
+columns, and builds rows only if read; or a caller's ``rows`` takes each block
+once it is made (``stress run`` writes it to the report), and only the losses
+are kept, for the fold. Each row takes the float operations of ``scenario_pd``,
+``scenario_lgd``, ``expected_loss`` and ``repricing_delta`` in their order (a
+pair's sums add left to right, as a row's would), so it is bit-identical to
+composing them, and raises their domain errors. The checks no scenario can
+change run once per linked portfolio, when its codes are built, so the row loop
+holds only the equations and the clamps. The fold, ``analytics._report``, builds
+the grouped sums, HHIs and top contributors the same way for any rows.
+``run_scenario``, their composition, serves the library, ``stress run`` (whose
+CSV entries ask for the evaluator alone) and the projections ``portfolio_credit``
+and ``portfolio_valuation``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import asdict
 from itertools import cycle, islice, repeat, starmap
@@ -56,15 +55,30 @@ def _stress_metric(weighted_dv: float, total_el: float, lam: float) -> float:
 def run_scenario(
     linked: LinkedPortfolio, scenario: Scenario, top_k: int = 10,
     rows: Optional[Callable[..., object]] = None,
-) -> tuple[StressResult, ExposureReport]:
+) -> tuple[StressResult, Optional[ExposureReport]]:
     """Evaluate credit and valuation for every instrument and build the
-    diagnostics, in one pass over the portfolio, a block of rows at a time.
+    diagnostics. The linked portfolio is reusable: link once, evaluate many.
 
     The result holds the rows. Given ``rows``, it holds none: each block
-    goes to ``rows(ids, pd_s, lgd_s, el_s, dv_s)`` once it is evaluated.
-    The linked portfolio is reusable across scenarios: link once,
-    evaluate many.
+    goes to ``rows(ids, pd_s, lgd_s, el_s, dv_s)`` once it is evaluated. A
+    false ``rows.report`` (a CSV entry's) keeps no losses, and returns None
+    for the report; the fold runs, and its report is dropped, only where it can raise.
     """
+    result, kept = evaluate(linked, scenario, rows)
+    if getattr(rows, "report", True):
+        return result, _report(linked, scenario.id, kept, result.climate_var, top_k,
+                               result.total_el)
+    # Only at a total EL of 0 (every loss is >= 0) or above half the float maximum (a grouped
+    # sum of the losses is within (n - 1) * 2**-53 of it): there, fold the rows' losses.
+    if not 0.0 < result.total_el <= sys.float_info.max / 2:
+        run_scenario(linked, scenario, top_k, rows=lambda *block: None)
+    return result, None
+
+
+def evaluate(linked: LinkedPortfolio, scenario: Scenario,
+             rows: Optional[Callable[..., object]] = None) -> tuple[StressResult, RowColumns]:
+    """The row evaluator: the result, as ``run_scenario`` gives it, and the columns the fold
+    reads: the ids, and the losses unless ``rows.report`` is false."""
     codes = linked.codes  # checks what does not depend on the scenario
     betas, repricing = scenario.betas, scenario.repricing
     _require_in_domain(
@@ -114,7 +128,7 @@ def run_scenario(
     # Four float columns, not a StressRow per instrument: floats are not tracked by the cyclic
     # garbage collector, tuples are. Without ``rows`` they are the result's; with it, each
     # block's are handed over and dropped, and only the losses are kept, unboxed, for the report.
-    columns, step = codes.columns, report.ROWS_PER_BLOCK
+    columns, step, losses = codes.columns, report.ROWS_PER_BLOCK, getattr(rows, "report", True)
     kept = RowColumns(columns.id, [], [], [] if rows is None else array("d"), [])
     total_el = weighted_dv = 0.0
     values = zip(columns.pd0, columns.lgd0, columns.ead, columns.value, columns.adaptation,
@@ -148,10 +162,10 @@ def run_scenario(
             weighted_dv += weight * dv_s
         if rows is not None:
             rows(kept.id[start:start + step], *block)
-            kept.el_s.extend(block[2])
+            kept.el_s.extend(block[2] if losses else ())
 
     del shocks, lgd_factors, loss_fractions
     metric = _stress_metric(weighted_dv, total_el, scenario.lam)
     result = StressResult(scenario_id=scenario.id, rows=kept if rows is None else (),
                           total_el=total_el, climate_var=metric)
-    return result, _report(linked, scenario.id, kept, metric, top_k, total_el)
+    return result, kept

@@ -170,7 +170,10 @@ def write_entries(out: BinaryIO, entries: Iterable[tuple[str, Callable[..., Any]
                   (b"[\n" if first else b",\n"))
         first, text = False, row_text(format, scenario_id)
         with contextlib.nullcontext(out) if format == "csv" else scratch() as rows:
-            result, report = evaluate(rows=lambda *block: rows.write(text(*block)))
+            def write(*block: Sequence) -> None:
+                rows.write(text(*block))
+            write.report = format == "json"  # type: ignore[attr-defined]  # a CSV holds none
+            result, report = evaluate(rows=write)
             if rows is not out:
                 head, tail = _json_head(result, report)
                 out.write(_utf8(head + '\n    "rows": ['))

@@ -653,11 +653,11 @@ class TestCollectorState:
         self, collector, command, fixture_files, tmp_path, capsys, monkeypatch
     ):
         during = []
-        for name in ("load_portfolio", "load_geounits", "link_hazards", "link_fragility",
+        for name in ("load_portfolio", "load_registry", "link_hazards", "link_fragility",
                      "link_channels", "link_resolved", "run_scenario"):
             def watched(*args, _step=getattr(cli, name), **kwargs):
                 during.append(gc.isenabled())
-                if command == "internal-error" and _step.__name__ == "load_geounits":
+                if command == "internal-error" and _step.__name__ == "load_registry":
                     raise RuntimeError("boom")
                 return _step(*args, **kwargs)
 
@@ -755,23 +755,29 @@ def test_the_first_of_several_faults_is_named(
     assert (out, err.replace(f"{tmp_path}{os.sep}", "")) == ("", line)
 
 
+class _Registry(dict):
+    pass
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_each_side_table_is_freed_before_the_next_file_is_read(
     command, fixture_files, tmp_path, monkeypatch, capsys
 ):
-    tables = []  # a weak reference to each side table loaded, or to one of the registry's units
+    tables = []  # a weak reference to each side table loaded
     alive = {}  # per loader called, and at _load_linked's return: which of those are alive
 
     def watched(load):
         def loader(*args, **kwargs):
             alive[load.__name__] = [ref() is not None for ref in tables]
             table = load(*args, **kwargs)
+            if type(table) is dict:  # the registry map, as a dict a weak reference can follow
+                table = _Registry(table)
             if load is not load_portfolio:
                 tables.append(weakref.ref(table[0] if type(table) is list else table))
             return table
         return loader
 
-    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_geounits"):
+    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_registry"):
         monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
 
     def load_linked(args, _load=cli._load_linked):
@@ -787,7 +793,7 @@ def test_each_side_table_is_freed_before_the_next_file_is_read(
         assert main(validate_argv(fixture_files)) == 0
     capsys.readouterr()
     assert alive == {"load_portfolio": [], "load_hazard_table": [], "load_fragility": [False],
-                     "load_geounits": [False, False], "_load_linked": [False, False, False]}
+                     "load_registry": [False, False], "_load_linked": [False, False, False]}
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -808,7 +814,7 @@ def test_on_two_cpus_the_parent_loads_and_links_no_side_table(
             return step(*args, **kwargs)
         return call
 
-    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_geounits",
+    for name in ("load_portfolio", "load_hazard_table", "load_fragility", "load_registry",
                  "link_hazards", "link_fragility", "link_channels", "link_resolved"):
         monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -819,5 +825,5 @@ def test_on_two_cpus_the_parent_loads_and_links_no_side_table(
     capsys.readouterr()
     assert here == ["load_portfolio", "link_resolved"]
     assert seen.read_text(encoding="ascii").split() == [
-        "load_hazard_table", "load_fragility", "load_geounits",
+        "load_hazard_table", "load_fragility", "load_registry",
         "link_hazards", "link_fragility", "link_channels"]

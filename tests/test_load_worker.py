@@ -130,7 +130,7 @@ def test_an_internal_error_in_the_registry_load_exits_3(
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "load_geounits", broken)
+    monkeypatch.setattr(cli, "load_registry", broken)
     code, out, err, report = _parity(pinned, command, fixture_files, tmp_path, capfd)
     assert (code, out, err, report) == (3, "", "internal error: RuntimeError: boom\n", None)
 
