@@ -64,6 +64,14 @@ EXIT_INTERNAL = 3
 _TOKENS = {channel: token for token, channel in CHANNEL_BY_TOKEN.items()}  # not Enum.value: slow
 
 
+def _one_line(text: object) -> str:
+    """``text`` as printed on one line: each character that ``str.isprintable`` rejects (a line
+    end, an escape) as its ``repr`` escape, and printable text as it is."""
+    text = str(text)
+    return text if text.isprintable() else "".join(
+        c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _side_tables(args: argparse.Namespace) -> Iterator:
     """The three side tables in order, each loaded from its file when it is asked for."""
     for path, load in ((args.hazards, load_hazard_table), (args.fragility, load_fragility),
@@ -317,7 +325,7 @@ def run(args: argparse.Namespace) -> int:
         totals = _write_report(out, linked, scenarios, args)
         out.write(report_end(totals, args.format))
     for scenario_id, total_el, climate_var in totals:
-        print(f"{scenario_id}: total_el={total_el:.12g} climate_var={climate_var:.12g}")
+        print(f"{_one_line(scenario_id)}: total_el={total_el:.12g} climate_var={climate_var:.12g}")
     return EXIT_OK
 
 
@@ -377,18 +385,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             code = run(args) if args.command == "run" else validate(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-    except BrokenPipeError as exc:  # an OSError, so first
-        # As the Python docs advise for SIGPIPE: stdout to devnull, so that
-        # the flush at exit succeeds.
-        with open(os.devnull, "wb") as devnull:  # closed once stdout is a copy of it
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (StressError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # As the Python docs advise for SIGPIPE: stdout to devnull, so that
+            # the flush at exit succeeds.
+            with open(os.devnull, "wb") as devnull:  # closed once stdout is a copy of it
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a bug: exit 3 with one line, no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if collecting:

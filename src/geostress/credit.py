@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .errors import DomainError, NonFiniteSum
 from .ingest import ExposureContext, LinkedPortfolio
-from .model import BetaParams, StressRow, _require_in_domain
+from .model import BetaParams, StressRow, _check_columns, _require_in_domain
 from .scenarios import Repricing, Scenario
 
 
@@ -37,15 +37,8 @@ def scenario_pd(
                      - b_A*adaptation)).
     """
     _require_in_domain(
-        pd0=pd0,
-        hazard=hazard,
-        transition=transition,
-        fragility=fragility,
-        adaptation=adaptation,
-        beta_hazard=betas.hazard,
-        beta_transition=betas.transition,
-        beta_fragility=betas.fragility,
-        beta_adaptation=betas.adaptation,
+        pd0=pd0, hazard=hazard, transition=transition, fragility=fragility, adaptation=adaptation,
+        **{f"beta_{name}": value for name, value in vars(betas).items()},
     )
     exponent = (
         betas.hazard * hazard
@@ -84,11 +77,7 @@ def scenario_lgd(lgd0: float, hazard: float, lgd_gamma: float) -> float:
 
 def expected_loss(pd: float, lgd: float, ead: float) -> float:
     """Expected loss: pd * lgd * ead."""
-    if not 0.0 <= pd <= 1.0:
-        raise DomainError(f"pd must lie in [0,1], got {pd}")
-    if not 0.0 <= lgd <= 1.0:
-        raise DomainError(f"lgd must lie in [0,1], got {lgd}")
-    _require_in_domain(ead=ead)
+    _require_in_domain(pd=pd, lgd=lgd, ead=ead)
     return pd * lgd * ead
 
 
@@ -104,9 +93,7 @@ def effective_hazard(context: ExposureContext, scenario: Scenario) -> float:
     scaled = [multiplier(h, 1.0) * baseline for h, baseline in context.baseline_hazards.items()]
     if not scaled:
         raise DomainError("an exposure context needs at least one baseline hazard, got none")
-    for value in scaled:
-        if not 0.0 <= value < math.inf:
-            _require_in_domain(hazard=value)
+    _check_columns(hazard=scaled)
     return max(scaled)
 
 

@@ -24,8 +24,12 @@ from .errors import AllZero, DomainError, InvalidWeights, NonFiniteSum, ZeroTota
 WEIGHT_SUM_TOL = 1e-9
 
 # Each instrument number field's domain, declared once: from 0 up to the bound, and finite.
-# ``validate_portfolio`` names a row's faults in this order.
+# Its names are the fields that ``validate_portfolio`` and ``load_portfolio`` check, and
+# ``validate_portfolio`` names a row's faults in their order.
 DOMAINS = {"pd0": 1.0, "lgd0": 1.0, "ead": inf, "value": inf, "adaptation": inf}
+# The bound of each name that ``_require_in_domain`` and ``_check_columns`` check: the
+# instrument fields', then the scenario PD's and LGD's. Any other name's is inf.
+_BOUNDS = {**DOMAINS, "pd": 1.0, "lgd": 1.0}
 
 
 class HazardType(enum.Enum):
@@ -391,10 +395,11 @@ def validate_portfolio(portfolio: Portfolio) -> list[Violation]:
 
 
 def _require_in_domain(**values: float) -> None:
-    """Raise ``DomainError`` naming the first of ``values`` out of its domain: its
-    ``DOMAINS`` entry, or at least 0 and finite for any other name."""
+    """Raise ``DomainError`` naming the first of ``values`` out of its domain: from 0 up to
+    its ``_BOUNDS`` entry (an instrument field, ``pd`` or ``lgd``), else at least 0, and
+    finite."""
     for name, value in values.items():
-        bound = DOMAINS.get(name, inf)
+        bound = _BOUNDS.get(name, inf)
         if not (0.0 <= value <= bound and value < inf):
             raise DomainError(f"{name} must lie in [0,1], got {value}" if bound == 1.0
                               else f"{name} must be >= 0 and finite, got {value}")
@@ -409,8 +414,9 @@ def _in_domain(column: Sequence[float], bound: float = inf) -> bool:
 
 def _check_columns(**columns: Sequence[float]) -> None:
     """Raise the ``_require_in_domain`` error for the first row's first value out of its
-    domain, if a column fails the column test (``_in_domain``)."""
-    if not all(_in_domain(column, DOMAINS.get(name, inf)) for name, column in columns.items()):
+    domain, if a nonempty column fails the column test (``_in_domain``) for the bound that
+    ``_require_in_domain`` reads (``_BOUNDS``, else inf)."""
+    if not all(_in_domain(column, _BOUNDS.get(name, inf)) for name, column in columns.items()):
         for row in zip(*columns.values()):
             _require_in_domain(**dict(zip(columns, row)))
 

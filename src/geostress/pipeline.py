@@ -35,7 +35,7 @@ from .analytics import ExposureReport, _report
 from .credit import pd_after_overflow
 from .errors import NonFiniteSum
 from .ingest import LinkedPortfolio, _per_context
-from .model import HAZARD_TYPES, RowColumns, StressResult, _in_domain, _require_in_domain
+from .model import HAZARD_TYPES, RowColumns, StressResult, _check_columns, _require_in_domain
 from .scenarios import Scenario
 
 
@@ -91,15 +91,12 @@ def evaluate(linked: LinkedPortfolio, scenario: Scenario,
     b_a = betas.adaptation
     d_f = repricing.delta_financing * scenario.financing_tightening
 
-    # Per distinct geo context: each scaled hazard, binding or not, checked in one column
-    # test; a column that fails is walked context by context to name the first bad value
-    # (a sum that only overflows finds none). Then the binding hazard H, as a float column.
+    # Per distinct geo context: each scaled hazard, binding or not, checked as a column, and
+    # walked only to name the first bad value. Then the binding hazard H, as a float column.
     multipliers = [scenario.hazard_multipliers.get(h, 1.0) for h in HAZARD_TYPES]
     contexts = codes.contexts
     scaled = list(map(mul, cycle(multipliers), contexts.hazards))
-    if not _in_domain(scaled):
-        for value in scaled:
-            _require_in_domain(hazard=value)
+    _check_columns(hazard=scaled)
     binding = array("d", starmap(max, _per_context(scaled)))
     del scaled
     # Per sector: b_T*T, dT*T.

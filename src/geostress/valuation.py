@@ -11,13 +11,15 @@ valuation burden) is a calibration choice, not fixed here.
 
 from __future__ import annotations
 
-from math import inf, isfinite
+from math import isfinite
 from typing import Sequence
 
 from .analytics import _check_alignment
 from .errors import DomainError, LengthMismatch
 from .ingest import LinkedPortfolio
-from .model import StressRow, _check_weights, _require_in_domain, row_columns
+from .model import (
+    StressRow, _check_columns, _check_weights, _require_in_domain, ordered_sum, row_columns,
+)
 from .pipeline import _stress_metric, run_scenario
 from .scenarios import Repricing, Scenario
 
@@ -31,13 +33,7 @@ def repricing_delta(
 ) -> float:
     """Mark-to-market change: -value * min(1, dH*H + dT*T + dF*F)."""
     _require_in_domain(
-        value=value,
-        hazard=hazard,
-        transition=transition,
-        financing=financing,
-        delta_hazard=repricing.delta_hazard,
-        delta_transition=repricing.delta_transition,
-        delta_financing=repricing.delta_financing,
+        value=value, hazard=hazard, transition=transition, financing=financing, **vars(repricing)
     )
     loss_fraction = min(
         1.0,
@@ -70,12 +66,8 @@ def climate_var(
         if not isfinite(dv):
             raise DomainError(f"dv must be finite, got {dv}")
         weighted_dv += w * dv
-    total_el = 0.0
-    for el in els:
-        if not 0.0 <= el < inf:
-            raise DomainError(f"expected loss must be >= 0 and finite, got {el}")
-        total_el += el
-    return _stress_metric(weighted_dv, total_el, lam)
+    _check_columns(**{"expected loss": els})  # nonempty: the weights sum to 1
+    return _stress_metric(weighted_dv, ordered_sum(els), lam)
 
 
 def portfolio_valuation(

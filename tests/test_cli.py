@@ -192,6 +192,24 @@ class TestRun:
         assert "ScenarioParseError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document, code, stdout, stderr", [
+        ('{"id": "a\\nb\\u001b[31mred", "kind": "compound"}', 0,
+         "a\\nb\\x1b[31mred: total_el=", ""),
+        ('{"id": "x", "kind": "compound", "bad\\nkey": 1}', 2, "",
+         "error: UnknownField: bad\\nkey\n"),
+        ('{"id": "x", "kind": "compound", "hazard_multipliers": {"smog\\nfire": 2}}', 2, "",
+         "error: UnknownHazardToken: smog\\nfire\n"),
+    ], ids=["summary", "field", "hazard-token"])
+    def test_a_control_character_prints_as_its_escape(
+            self, fixture_files, tmp_path, capsys, document, code, stdout, stderr):
+        # Each printed line stays one line, with no raw escape for a terminal to act on.
+        path = tmp_path / "control.json"
+        path.write_text(document)
+        assert run_cli(fixture_files, tmp_path, "--scenario", str(path))[0] == code
+        out, err = capsys.readouterr()
+        assert out.startswith(stdout) and out.count("\n") == (code == 0)
+        assert err == stderr
+
     def test_scenario_with_a_byte_order_mark(self, fixture_files, tmp_path, capsys):
         # Editors and spreadsheet tools start UTF-8 files with a BOM; the
         # scenario reads as without it, and a second BOM is data.

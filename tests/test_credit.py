@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from conftest import BASELINE_HAZARDS, FRAGILITY, INSTRUMENT_DICTS
 from geostress import (
     BetaParams,
+    Channel,
+    ExposureContext,
+    HazardType,
     Repricing,
     Scenario,
     ScenarioKind,
@@ -21,6 +24,7 @@ from geostress import (
     scenario_pd,
     serialize_scenario,
 )
+from geostress.credit import effective_hazard
 from geostress.errors import DomainError, NonFiniteSum
 from oracle import oracle_portfolio
 
@@ -153,6 +157,21 @@ class TestExpectedLoss:
     @given(unit, unit, st.floats(min_value=0.0, max_value=1e9))
     def test_el_within_ead(self, pd, lgd, ead):
         assert 0.0 <= expected_loss(pd, lgd, ead) <= ead
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expected_loss(1.5, 0.5, 1.0), "pd must lie in [0,1], got 1.5"),
+    (lambda: expected_loss(0.5, math.nan, 1.0), "lgd must lie in [0,1], got nan"),
+    (lambda: scenario_pd(0.02, 0.0, 0.0, 0.0, 0.0, BetaParams(fragility=-1.0)),
+     "beta_fragility must be >= 0 and finite, got -1.0"),
+    (lambda: effective_hazard(  # built in the call: a test elsewhere counts live contexts
+        ExposureContext(dict(zip(HazardType, [0.5, math.nan, 0.1, 0.3])), 0.1, Channel.WUI),
+        Scenario(id="s", kind=ScenarioKind.COMPOUND)), "hazard must be >= 0 and finite, got nan"),
+], ids=["pd", "lgd", "beta", "scaled-hazard"])
+def test_domain_error_text(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestPortfolioCredit:

@@ -248,7 +248,7 @@ _ALL_FILES = {
 }
 
 
-@pytest.mark.parametrize("where", ["header", "first-row", "late-row"])
+@pytest.mark.parametrize("where", ["header", "first-row", "late-row", "cut-record"])
 @pytest.mark.parametrize("kind", sorted(_ALL_FILES))
 def test_non_utf8_file_rejected(kind, where):
     loader, header, row = _ALL_FILES[kind]
@@ -257,6 +257,13 @@ def test_non_utf8_file_rejected(kind, where):
         lines[0] = lines[0].replace(b"geo_id", b"geo_\xe9d")
     elif where == "first-row":
         lines[1] = lines[1].replace(b"g1", b"g\xe9")
+    elif where == "cut-record":
+        # A quoted line break whose record goes on past the text layer's first 8,192-byte
+        # block, in which a later byte is not UTF-8: the lines decoded before the error end
+        # inside a record, and no part of that record is read as a row.
+        while sum(map(len, lines)) + len(lines) < 8100:
+            lines.append(row.replace("g1", f"g{len(lines)}").encode())
+        lines += [b'"g', b"z" * 100 + b'",' + row.encode().split(b",", 1)[1], b"\xff"]
     else:
         # Past the text layer's first decoded block.
         lines += [row.replace("g1", f"g{k}").encode() for k in range(2, 2000)]

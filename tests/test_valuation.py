@@ -133,6 +133,18 @@ class TestClimateVar:
         assert shifted >= base  # monotone nondecreasing in lambda
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: repricing_delta(100.0, 0.1, 0.1, 0.1, Repricing(delta_financing=math.inf)),
+     "delta_financing must be >= 0 and finite, got inf"),
+    (lambda: climate_var([0.5, 0.5], [0.0, 0.0], [-1.0, math.nan], 0.0),
+     "expected loss must be >= 0 and finite, got -1.0"),
+], ids=["delta", "first-expected-loss"])
+def test_domain_error_text(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 class TestPortfolioValuation:
     def test_identity_scenario(self, fixture_linked):
         identity = Scenario(id="noop", kind=ScenarioKind.PHYSICAL_SHOCK)
