@@ -288,7 +288,7 @@ def _write_report(out: BinaryIO, linked: LinkedPortfolio, scenarios: Sequence[Sc
     """Write every scenario's part of the report to ``out``, its scratch files nameless beside
     ``--out``; return their totals in order. With two or more scenarios, a worker (see
     ``_forked``) writes the later half's part into a part file; if it fails, its share runs here."""
-    linked.codes.hhi_geo_ead  # every check that needs no scenario, once, before any fork
+    linked.codes  # every check that needs no scenario, once, before any fork
     scratch = partial(tempfile.TemporaryFile, dir=os.path.dirname(os.path.abspath(args.out)),
                       prefix=".stress-")
 
@@ -333,7 +333,7 @@ def validate(args: argparse.Namespace) -> int:
     """Load, link and check what needs no scenario, in ``run``'s order, for ``main``."""
     linked = _load_linked(args)
     _load_scenarios(args)
-    linked.codes.hhi_geo_ead  # taking them runs the checks that need no scenario
+    linked.codes  # taking them runs the checks that need no scenario
     print("ok")
     return EXIT_OK
 

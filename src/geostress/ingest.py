@@ -123,22 +123,22 @@ class LinkCodes:
     """What every scenario on a linked portfolio reads, derived once; no
     scenario changes it. ``LinkedPortfolio.codes`` checks and holds the instrument
     ``columns`` (ids, geo ids and sectors with their codes), ``weights``, ``contexts``
-    (whose ``codes`` are the context codes) and ``geo_ead``, the EAD summed per geo code
-    in row order. The first read of a later stage's columns derives them, unchecked: the
-    kernel's ``pairs``, the (context, sector) pairs that occur as sorted keys
+    (whose ``codes`` are the context codes) and ``hhi_geo_ead``, every report's HHI of the EAD
+    summed per geo code in row order. The first read of a later stage's columns derives them,
+    unchecked: the kernel's ``pairs``, the (context, sector) pairs that occur as sorted keys
     ``context_code * len(columns.sectors) + sector_code``, indexed by ``pair_codes``; the
     fold's first-appearance ``channels``, indexed by ``channel_codes``. All are tuples or
-    read-only columns (``model._read_only``), these four typed ones: a view of bytes.
+    read-only columns (``model._read_only``), these three typed ones: a view of bytes.
     """
 
     columns: InstrumentColumns
     weights: tuple[float, ...]
     contexts: ContextColumns
+    hhi_geo_ead: float
     pairs: Sequence[int] = field(init=False, repr=False, compare=False)
     pair_codes: Sequence[int] = field(init=False, repr=False, compare=False)
     channels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     channel_codes: Sequence[int] = field(init=False, repr=False, compare=False)
-    geo_ead: Sequence[float]
 
     def __getattr__(self, name: str) -> Any:  # a derived field's first read
         if name not in ("pairs", "pair_codes", "channels", "channel_codes"):
@@ -161,11 +161,6 @@ class LinkCodes:
     def __reduce__(self) -> tuple:
         return _reduced(self, (getattr(self, f.name) for f in fields(self) if f.init))
 
-    @cached_property
-    def hhi_geo_ead(self) -> float:
-        """Every report's HHI of ``geo_ead``; ``stress run`` takes it before any scenario."""
-        return hhi(self.geo_ead)
-
 
 @dataclass(frozen=True)
 class LinkedPortfolio:
@@ -179,16 +174,16 @@ class LinkedPortfolio:
     def codes(self) -> LinkCodes:
         """The rows' integer codes, taken from the columns on first use.
 
-        Taking them checks, in order, what no scenario can change: hazard
-        types, alignment, weights, each instrument's fields (by column, and
-        row by row only to name a fault), each context's fragility, and a
-        row with nonzero pd0, lgd0 and ead (without one, every EL is 0); a
-        failure caches nothing. Only the number columns that ``load_portfolio``
-        checked (``model._CHECKED``) are not checked again. Every sequence held
-        is a tuple or a read-only column (``model._read_only``), copied only if
-        it was made writable, so no later write reaches a scenario.
-        ``dataclasses.replace`` builds a new object, so the codes never outlive
-        the fields.
+        Taking them checks, in order, what no scenario can change: hazard types,
+        alignment, weights, each instrument's fields (by column, and row by row only
+        to name a fault), each context's fragility, a row with nonzero pd0, lgd0 and
+        ead (without one, every EL is 0), and last the HHI of the EAD summed per geo
+        unit, which names an overflowing sum; a failure caches nothing. Only the
+        number columns that ``load_portfolio`` checked (``model._CHECKED``) are not
+        checked again. Every sequence held is a tuple or a read-only column
+        (``model._read_only``), copied only if it was made writable, so no later
+        write reaches a scenario. ``dataclasses.replace`` builds a new object, so
+        the codes never outlive the fields.
         """
         columns, weights = vars(self.portfolio)["instruments"], self.portfolio.weights
         contexts = vars(self)["contexts"]
@@ -219,7 +214,7 @@ class LinkedPortfolio:
             geo_ead[geo_code] += ead
         if not any(map(all, zip(columns.pd0, columns.lgd0, columns.ead))):
             raise AllZero("HHI needs at least one strictly positive entry")
-        return LinkCodes(columns, tuple(weights), contexts, _read_only(geo_ead))
+        return LinkCodes(columns, tuple(weights), contexts, hhi(geo_ead))
 
 
 def _chunks(source: IO[bytes], filename: str, header: Sequence[str]) -> Iterator[tuple]:

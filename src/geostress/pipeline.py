@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import asdict
 from itertools import cycle, islice, repeat, starmap
 from operator import mul
 from typing import Callable, Optional
@@ -35,8 +34,8 @@ from .analytics import ExposureReport, _report
 from .credit import pd_after_overflow
 from .errors import NonFiniteSum
 from .ingest import LinkedPortfolio, _per_context
-from .model import HAZARD_TYPES, RowColumns, StressResult, _check_columns, _require_in_domain
-from .scenarios import Scenario
+from .model import RowColumns, StressResult, _check_columns, _require_in_domain
+from .scenarios import Scenario, _per_hazard
 
 
 def _stress_metric(weighted_dv: float, total_el: float, lam: float) -> float:
@@ -82,10 +81,10 @@ def evaluate(linked: LinkedPortfolio, scenario: Scenario,
     codes = linked.codes  # checks what does not depend on the scenario
     betas, repricing = scenario.betas, scenario.repricing
     _require_in_domain(
-        **{f"beta_{name}": value for name, value in asdict(betas).items()},
+        **{f"beta_{name}": value for name, value in vars(betas).items()},
         lgd_gamma=scenario.lgd_gamma,
         financing=scenario.financing_tightening,
-        **asdict(repricing),
+        **vars(repricing),
         **{"lambda": scenario.lam},
     )
     b_a = betas.adaptation
@@ -93,20 +92,16 @@ def evaluate(linked: LinkedPortfolio, scenario: Scenario,
 
     # Per distinct geo context: each scaled hazard, binding or not, checked as a column, and
     # walked only to name the first bad value. Then the binding hazard H, as a float column.
-    multipliers = [scenario.hazard_multipliers.get(h, 1.0) for h in HAZARD_TYPES]
+    multipliers = cycle(_per_hazard(scenario.hazard_multipliers).values())
     contexts = codes.contexts
-    scaled = list(map(mul, cycle(multipliers), contexts.hazards))
+    scaled = list(map(mul, multipliers, contexts.hazards))
     _check_columns(hazard=scaled)
     binding = array("d", starmap(max, _per_context(scaled)))
     del scaled
     # Per sector: b_T*T, dT*T.
-    sector_terms = []
-    for sector in codes.columns.sectors:
-        transition = scenario.transition.for_sector(sector)
-        _require_in_domain(transition=transition)
-        sector_terms.append(
-            (betas.transition * transition, repricing.delta_transition * transition)
-        )
+    transitions = list(map(scenario.transition.for_sector, codes.columns.sectors))
+    _check_columns(transition=transitions)
+    sector_terms = [(betas.transition * t, repricing.delta_transition * t) for t in transitions]
     # One entry per (context, sector) pair that occurs, in float lists (not tuples, which the
     # garbage collector tracks), each sum added left to right as a row adds it: PD shock
     # b_H*H + b_T*T + b_U*U, LGD factor 1 + gamma*H, loss fraction dH*H + dT*T + d_f, at most 1.
@@ -119,7 +114,7 @@ def evaluate(linked: LinkedPortfolio, scenario: Scenario,
         shocks.append(b_h * hazard + b_t + b_u * fragility[context_code])
         lgd_factors.append(1.0 + gamma * hazard)
         loss_fractions.append(loss_fraction if loss_fraction < 1.0 else 1.0)
-    del binding, sector_terms
+    del binding, transitions, sector_terms
 
     exp, nan = math.exp, math.nan
     # Four float columns, not a StressRow per instrument: floats are not tracked by the cyclic

@@ -39,7 +39,7 @@ from test_golden import INPUTS, gen
 
 _SCENARIO = builtin_scenarios()[3]
 # The code columns held typed, by their format: a view of bytes, as the number columns are.
-_TYPED = {"pairs": "q", "pair_codes": "q", "channel_codes": "q", "geo_ead": "d"}
+_TYPED = {"pairs": "q", "pair_codes": "q", "channel_codes": "q"}
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,7 @@ def test_the_linked_fragility_cannot_be_written_after_a_run(tmp_path):
 # Every sequence the codes hold, by its path from ``linked.codes``.
 _HELD = [*(f"columns.{name}" for name in InstrumentColumns._fields), "weights",
          *(f"contexts.{name}" for name in ContextColumns._fields),
-         *(f.name for f in dataclasses.fields(LinkCodes)[3:])]
+         *(f.name for f in dataclasses.fields(LinkCodes) if not f.init)]
 _PORTFOLIOS = ["loaded-1-cpu", "loaded-2-cpus", "instruments", "list-codes"]
 
 

@@ -23,6 +23,7 @@ from geostress import (
     Repricing,
     StressResult,
     StressRow,
+    TransitionMap,
     builtin_scenarios,
     climate_var,
     expected_loss,
@@ -286,6 +287,25 @@ def test_fused_path_checks_match_layers(linked_change, scenario):
     fused = _outcome(lambda: run_scenario(linked, scenario))
     assert fused.startswith("DomainError: ")
     assert fused == _outcome(lambda: _reference(linked, scenario, 10))
+
+
+# The conftest portfolio's sectors in first-appearance order: real_estate, retail, tourism,
+# agriculture, utilities. The first transition out of its domain in that order is named.
+@pytest.mark.parametrize("transition, error", [
+    (TransitionMap(default=-1.0), "transition must be >= 0 and finite, got -1.0"),
+    (TransitionMap(by_sector={"utilities": -2.0, "real_estate": _NAN}),
+     "transition must be >= 0 and finite, got nan"),
+    (TransitionMap(by_sector={"tourism": _INF}), "transition must be >= 0 and finite, got inf"),
+    (TransitionMap(by_sector={"retail": 1e308, "agriculture": 1e308}), None),  # a sum overflows
+], ids=["default", "nan-first", "inf", "sum-overflows"])
+def test_a_scenario_transition_out_of_its_domain(fixture_linked, transition, error):
+    scenario = dataclasses.replace(_COMPOUND, transition=transition)
+    if error is None:
+        assert run_scenario(fixture_linked, scenario)[0].total_el > 0.0
+    else:
+        with pytest.raises(DomainError) as raised:
+            run_scenario(fixture_linked, scenario)
+        assert str(raised.value) == error
 
 
 def _assert_fused_matches_reference(linked):

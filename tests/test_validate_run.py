@@ -1,10 +1,13 @@
 """``stress validate`` and ``stress run`` agree on generated inputs.
 
 Small ``perfbench/gen.py`` input sets, each with up to two spoils from a
-fixed menu, go through ``validate`` and through ``run`` with the identity
-scenario. Both must give the same exit code, the same stderr line when
-that code is 2, and never 3. The loaders read 3 rows at a time, so a spoil
-past the first lines sits past a chunk end.
+fixed menu, go through ``validate``, through ``run`` with the identity
+scenario, and through the library: the four public loaders,
+``link_exposures`` and ``run_scenario``. Both commands must give the same
+exit code, the same stderr line when that code is 2, and never 3; the
+library raises the error of that line, and nothing when ``run`` exits 0.
+The loaders read 3 rows at a time, so a spoil past the first lines sits
+past a chunk end.
 """
 
 from __future__ import annotations
@@ -17,7 +20,17 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geostress import ingest
+from geostress import (
+    ingest,
+    link_exposures,
+    load_fragility,
+    load_geounits,
+    load_hazard_table,
+    load_portfolio,
+    parse_scenario,
+    run_scenario,
+)
+from geostress.errors import StressError
 from test_columns_only import _main
 from test_golden import INPUTS, gen
 
@@ -84,6 +97,20 @@ def _short_row(files, k):
     lines[at] = lines[at].rsplit(",", 1)[0]
 
 
+def _library(paths):
+    """The error line ``stress run`` would print for the library's first fault, or ""."""
+    try:
+        tables = []
+        for name, load in zip(INPUTS, (load_portfolio, load_hazard_table, load_fragility,
+                                       load_geounits)):
+            with open(paths[name], "rb") as source:
+                tables.append(load(source, filename=paths[name]))
+        run_scenario(link_exposures(*tables), parse_scenario(json.dumps(IDENTITY)))
+    except StressError as exc:
+        return f"error: {type(exc).__name__}: {exc}\n"
+    return ""
+
+
 # Spoils of the lines of each file, header first.
 SPOILS = {
     "unknown-hazard": lambda files, k: _set_cell(files, k, "hazards", 1, "tsunami"),
@@ -148,6 +175,9 @@ def test_validate_and_run_agree(input_set):
             validated = _main(["validate", *flags])
             ran = _main(["run", *flags, "--scenario", identity,
                          "--out", os.path.join(tmp, "report.json")])
+            library = _library(paths)
     assert ran[0] != 3 and validated[0] == ran[0]
     if ran[0] == 2:
-        assert validated[2] == ran[2]
+        assert validated[2] == ran[2] == library
+    else:
+        assert library == ""
